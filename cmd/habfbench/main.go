@@ -13,7 +13,7 @@
 //	habfbench -serve -tune k=4,cellbits=5         # serve with non-default tuning knobs
 //	habfbench -net [-clients 8] [-dist zipfian] [-benchjson BENCH_serve.json]
 //	habfbench -net -backend habf,bloom,xor        # compare backends on identical traffic
-//	habfbench -net -tune "bloom:strategy=seeded64,k=8;xor:width=9"  # add tuned-variant runs
+//	habfbench -net -tune "bloom:k=8;xor:width=9"  # add tuned-variant runs
 //	habfbench -net -addr host:8080                # drive a running habfserved
 //	habfbench -net -proto all                     # HTTP and the binary wire protocol
 //

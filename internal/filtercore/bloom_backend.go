@@ -11,10 +11,11 @@ import (
 
 // bloomBackend adapts the standard Bloom filter baseline to the Backend
 // interface. It is mutable (Add sets bits) but cost-oblivious: the
-// shard's weighted negatives are ignored. The hash strategy and hash
-// count are tuning knobs; the default is XXH128 double hashing — the
-// fastest of the paper's three Bloom flavours and the one with no
-// corpus-size cap on k — with the FPR-optimal k for the bit budget.
+// shard's weighted negatives are ignored. It always uses the seeded64
+// derivation — the paper's BF(City64) — whose probe positions all
+// derive from hashes.Base, so a batch probe never re-reads key bytes.
+// The hash count is a tuning knob, by default the FPR-optimal k for the
+// bit budget.
 type bloomBackend struct {
 	f *bloom.Filter
 	// added counts post-construction Adds; the underlying filter only
@@ -23,7 +24,6 @@ type bloomBackend struct {
 }
 
 var _ Backend = (*bloomBackend)(nil)
-var _ PreparedQuerier = (*bloomBackend)(nil)
 
 func (b *bloomBackend) Contains(key []byte) bool       { return b.f.Contains(key) }
 func (b *bloomBackend) AddedKeys() uint64              { return b.added.Load() }
@@ -34,18 +34,9 @@ func (b *bloomBackend) MarshalBinary() ([]byte, error) { return b.f.MarshalBinar
 func (b *bloomBackend) WireAlignOffset() int           { return bloom.WireAlignOffset }
 func (b *bloomBackend) Borrowed() bool                 { return b.f.Borrowed() }
 
-func (b *bloomBackend) ContainsBatch(keys [][]byte) []bool {
-	return containsBatchSerial(b, keys)
-}
-
-// ContainsBatchInto implements PreparedQuerier. Only the seeded64
-// strategy derives every probe position from the shared base hash; the
-// corpus and split128 strategies fall back to per-key Contains.
+// ContainsBatchInto implements PreparedQuerier: every probe position
+// derives from the shared base hash.
 func (b *bloomBackend) ContainsBatchInto(dst []bool, keys [][]byte, hashes []uint64) {
-	if hashes == nil || !b.f.PreparedHash() {
-		containsBatchSerialInto(b, dst, keys)
-		return
-	}
 	for i, h := range hashes[:len(keys)] {
 		dst[i] = b.f.ContainsHash(h)
 	}
@@ -57,12 +48,17 @@ func (b *bloomBackend) Add(key []byte) error {
 	return nil
 }
 
-// bloomStrategies maps the "strategy" knob's enum values to the hash
-// derivations of the bloom package.
-var bloomStrategies = map[string]bloom.Strategy{
-	"corpus":   bloom.StrategyCorpus,
-	"seeded64": bloom.StrategySeeded64,
-	"split128": bloom.StrategySplit128,
+// decodeBloom wraps a decoded BLMF payload, refusing strategies other
+// than seeded64: their bits were set by a hash the batch probe does not
+// compute.
+func decodeBloom(f *bloom.Filter, err error) (Backend, error) {
+	if err != nil {
+		return nil, err
+	}
+	if !f.PreparedHash() {
+		return nil, fmt.Errorf("bloom: %s frame cannot be served; only %s is", f.Name(), bloom.StrategySeeded64)
+	}
+	return &bloomBackend{f: f}, nil
 }
 
 func init() {
@@ -70,10 +66,8 @@ func init() {
 		Name:      "bloom",
 		Kind:      KindBloom,
 		Static:    false,
-		InnerName: func(habf.Params) string { return bloom.StrategySplit128.String() },
+		InnerName: func(habf.Params) string { return bloom.StrategySeeded64.String() },
 		TuningSchema: NewSchema(
-			Knob{Name: "strategy", Type: KnobEnum, Enum: []string{"corpus", "seeded64", "split128"},
-				Default: "split128", Doc: "hash derivation: corpus (Table II function pool), seeded64 (re-seeded City64), split128 (XXH128 double hashing)"},
 			Knob{Name: "k", Type: KnobInt, Min: 0, Max: 30,
 				Default: "0", Doc: "hash positions per key; 0 derives the FPR-optimal round(ln2 · bits-per-key)"},
 		),
@@ -83,7 +77,7 @@ func init() {
 			}
 			bitsPerKey := float64(cfg.TotalBits) / float64(len(positives))
 			// Keep NewWithKeys's exact sizing so a default tuning builds a
-			// bit-identical filter to the pre-knob code path.
+			// bit-identical filter to bloom.NewWithKeys.
 			m := uint64(math.Ceil(bitsPerKey * float64(len(positives))))
 			if m == 0 {
 				m = 1
@@ -92,11 +86,7 @@ func init() {
 			if k == 0 {
 				k = bloom.OptimalK(bitsPerKey)
 			}
-			strategy := bloom.StrategySplit128
-			if name := cfg.Tuning.Value("strategy"); name != "" {
-				strategy = bloomStrategies[name]
-			}
-			f, err := bloom.New(m, k, strategy)
+			f, err := bloom.New(m, k, bloom.StrategySeeded64)
 			if err != nil {
 				return nil, err
 			}
@@ -105,19 +95,7 @@ func init() {
 			}
 			return &bloomBackend{f: f}, nil
 		},
-		Unmarshal: func(data []byte) (Backend, error) {
-			f, err := bloom.UnmarshalFilter(data)
-			if err != nil {
-				return nil, err
-			}
-			return &bloomBackend{f: f}, nil
-		},
-		UnmarshalBorrow: func(data []byte) (Backend, error) {
-			f, err := bloom.UnmarshalFilterBorrow(data)
-			if err != nil {
-				return nil, err
-			}
-			return &bloomBackend{f: f}, nil
-		},
+		Unmarshal:       func(data []byte) (Backend, error) { return decodeBloom(bloom.UnmarshalFilter(data)) },
+		UnmarshalBorrow: func(data []byte) (Backend, error) { return decodeBloom(bloom.UnmarshalFilterBorrow(data)) },
 	})
 }

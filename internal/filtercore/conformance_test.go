@@ -6,8 +6,10 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/bloom"
 	"repro/internal/filtercore"
 	"repro/internal/habf"
+	"repro/internal/hashes"
 )
 
 // conformanceKeys builds a deterministic key fixture: n members, n
@@ -58,6 +60,18 @@ func buildBackend(t *testing.T, f *filtercore.Factory, pos [][]byte, neg []habf.
 	return b
 }
 
+// preparedBatch answers probes through the backend's batch probe, handed
+// the base hashes the shard layer routes with.
+func preparedBatch(b filtercore.Backend, probes [][]byte) []bool {
+	hv := make([]uint64, len(probes))
+	for i, key := range probes {
+		hv[i] = hashes.Base(key)
+	}
+	dst := make([]bool, len(probes))
+	b.ContainsBatchInto(dst, probes, hv)
+	return dst
+}
+
 // TestBackendConformance is the table-driven contract every registered
 // backend must honor: zero false negatives on members, batch/per-key
 // parity, marshal round-trips (owned and borrow mode), a coherent
@@ -86,16 +100,13 @@ func TestBackendConformance(t *testing.T) {
 				}
 			}
 
-			// ContainsBatch must agree with per-key Contains on a mixed
+			// The batch probe must agree with per-key Contains on a mixed
 			// probe stream (members, known negatives, never-seen keys).
 			probes := append(append([][]byte{}, pos[:500]...), negKeys[:500]...)
 			for i := 0; i < 200; i++ {
 				probes = append(probes, []byte(fmt.Sprintf("conf-novel-%06d", i)))
 			}
-			batch := b.ContainsBatch(probes)
-			if len(batch) != len(probes) {
-				t.Fatalf("batch returned %d results for %d keys", len(batch), len(probes))
-			}
+			batch := preparedBatch(b, probes)
 			for i, key := range probes {
 				if want := b.Contains(key); batch[i] != want {
 					t.Fatalf("probe %d (%q): batch=%v per-key=%v", i, key, batch[i], want)
@@ -176,7 +187,7 @@ func TestBackendConformance(t *testing.T) {
 	}
 }
 
-// TestBackendConcurrentReaders hammers concurrent Contains/ContainsBatch
+// TestBackendConcurrentReaders hammers concurrent Contains/ContainsBatchInto
 // on one backend instance — the read-side contract the shard layer
 // depends on. Run with -race (CI does).
 func TestBackendConcurrentReaders(t *testing.T) {
@@ -198,7 +209,7 @@ func TestBackendConcurrentReaders(t *testing.T) {
 						}
 						b.Contains(negKeys[(i*7+r)%len(negKeys)])
 					}
-					b.ContainsBatch(pos[:256])
+					preparedBatch(b, pos[:256])
 				}(r)
 			}
 			wg.Wait()
@@ -217,5 +228,33 @@ func TestRegistryRejectsUnknown(t *testing.T) {
 	}
 	if _, err := filtercore.ByName(""); err != nil {
 		t.Errorf("empty name should resolve the default backend: %v", err)
+	}
+}
+
+// TestBloomRejectsUnservedStrategies: the bloom backend serves only the
+// seeded64 derivation, the one its batch probe computes from the base
+// hash. A BLMF frame built with the corpus or split128 derivation must be
+// refused by both decoders rather than answered with false negatives.
+func TestBloomRejectsUnservedStrategies(t *testing.T) {
+	f, err := filtercore.ByName("bloom")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pos, _, _ := conformanceKeys(500)
+	for _, strategy := range []bloom.Strategy{bloom.StrategyCorpus, bloom.StrategySplit128} {
+		bf, err := bloom.NewWithKeys(pos, 10, strategy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire, err := bf.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Unmarshal(wire); err == nil {
+			t.Errorf("%s: owned decoder accepted the frame", strategy)
+		}
+		if _, err := f.UnmarshalBorrow(wire); err == nil {
+			t.Errorf("%s: borrow decoder accepted the frame", strategy)
+		}
 	}
 }

@@ -7,11 +7,13 @@
 //
 // A Backend is one shard's filter: built once from the shard's positive
 // (and, for cost-aware families, negative) keys within a bit budget,
-// queried lock-free by readers, and either mutable (Add inserts
-// post-construction) or static (Add returns ErrStaticBackend and the
-// shard layer buffers the key as pending until the next rebuild absorbs
-// it). Backends marshal to a self-describing wire format and unmarshal
-// in borrow mode for zero-copy snapshot loads.
+// queried lock-free by readers — one key through Contains, or a batch
+// through ContainsBatchInto together with each key's hashes.Base value,
+// which the shard layer has already computed for routing — and either
+// mutable (Add inserts post-construction) or static (Add returns
+// ErrStaticBackend and the shard layer buffers the key as pending until
+// the next rebuild absorbs it). Backends marshal to a self-describing
+// wire format and unmarshal in borrow mode for zero-copy snapshot loads.
 //
 // Backends self-register in an init-time Registry keyed both by a
 // human-facing name (command-line flags, /v1/stats) and a stable wire
@@ -37,8 +39,7 @@ var ErrStaticBackend = errors.New("filtercore: static backend does not support A
 
 // Kind is the stable wire discriminator of a backend family, stamped
 // into the snapshot container header (one byte). Values are append-only:
-// KindHABF must stay 0, because pre-backend snapshots carry a zeroed
-// reserved byte there and must keep loading as HABF.
+// stored containers carry the byte, so a kind keeps naming its family.
 type Kind uint8
 
 const (
@@ -62,16 +63,15 @@ type Backend interface {
 	// Contains reports whether key may be a member. False positives are
 	// possible; false negatives are not.
 	Contains(key []byte) bool
-	// ContainsBatch answers one result per key, in order, identical to
-	// per-key Contains.
-	ContainsBatch(keys [][]byte) []bool
+	// PreparedQuerier is the batch probe, the only batch form.
+	PreparedQuerier
 	// Add inserts a key post-construction. Static backends return
 	// ErrStaticBackend and remain unchanged; the caller owns buffering.
 	Add(key []byte) error
 	// AddedKeys reports how many keys Add absorbed since construction
 	// (always 0 for static backends).
 	AddedKeys() uint64
-	// Name identifies the filter variant ("HABF", "BF(XXH128)", "Xor").
+	// Name identifies the filter variant ("HABF", "BF(City64)", "Xor").
 	Name() string
 	// SizeBits is the memory footprint of the query-time structure.
 	SizeBits() uint64
@@ -88,21 +88,17 @@ type Backend interface {
 	Borrowed() bool
 }
 
-// PreparedQuerier is the optional batch fast path of the hash-once read
-// pipeline. The shard layer computes one base hash per key per batch
-// (hashes.Base), routes with its top bits, and hands the full values to
-// backends that implement this interface; backends whose probe positions
-// derive from the base hash (seeded64 Bloom, Xor, PHBF, WBF) then skip
-// re-reading the key bytes entirely.
+// PreparedQuerier is the batch probe of the hash-once read pipeline. The
+// shard layer computes one base hash per key per batch (hashes.Base),
+// routes with its top bits, and hands the full values to the backend;
+// backends whose probe positions derive from the base hash (Bloom, Xor,
+// PHBF, WBF) then skip re-reading the key bytes, while HABF and the
+// learned families, which hash keys their own way, probe key by key.
 //
-// Contract: dst and keys (and hashes, when non-nil) share indices and
-// length ≥ len(keys); the backend writes Contains(keys[i]) into dst[i]
-// for every i and touches nothing past len(keys). hashes[i], when
-// provided, must equal hashes.Base(keys[i]) — the caller owns that
-// invariant (the shard layer only forwards base hashes computed under
-// the global BaseSeed; restored sets routed under a legacy seed pass
-// nil). A nil hashes slice means "no precomputed bases": the backend
-// hashes the keys itself and must return identical answers. None of the
+// Contract: dst, keys and hashes share indices and have length ≥
+// len(keys), and hashes[i] == hashes.Base(keys[i]) for every i — the
+// caller owns that invariant. The backend writes Contains(keys[i]) into
+// dst[i] for every i and touches nothing past len(keys). None of the
 // three slices is retained after the call.
 type PreparedQuerier interface {
 	ContainsBatchInto(dst []bool, keys [][]byte, hashes []uint64)
@@ -214,23 +210,4 @@ func Names() []string {
 	regMu.RLock()
 	defer regMu.RUnlock()
 	return append([]string(nil), nameOrder...)
-}
-
-// containsBatchSerial is the shared ContainsBatch fallback for backends
-// whose filter has no batch-specific fast path: one Contains per key,
-// in order — the exact per-key parity the conformance suite checks.
-func containsBatchSerial(b Backend, keys [][]byte) []bool {
-	out := make([]bool, len(keys))
-	for i, key := range keys {
-		out[i] = b.Contains(key)
-	}
-	return out
-}
-
-// containsBatchSerialInto is the in-place flavor of containsBatchSerial,
-// for PreparedQuerier implementations falling back to per-key Contains.
-func containsBatchSerialInto(b Backend, dst []bool, keys [][]byte) {
-	for i, key := range keys {
-		dst[i] = b.Contains(key)
-	}
 }

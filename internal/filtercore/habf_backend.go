@@ -13,33 +13,24 @@ type habfBackend struct {
 }
 
 var _ Backend = (*habfBackend)(nil)
-var _ PreparedQuerier = (*habfBackend)(nil)
 
-func (b *habfBackend) Contains(key []byte) bool           { return b.f.Contains(key) }
-func (b *habfBackend) ContainsBatch(keys [][]byte) []bool { return b.f.ContainsBatch(keys) }
-func (b *habfBackend) AddedKeys() uint64                  { return b.f.AddedKeys() }
-func (b *habfBackend) Name() string                       { return b.f.Name() }
-func (b *habfBackend) SizeBits() uint64                   { return b.f.SizeBits() }
-func (b *habfBackend) Kind() Kind                         { return KindHABF }
-func (b *habfBackend) MarshalBinary() ([]byte, error)     { return b.f.MarshalBinary() }
-func (b *habfBackend) WireAlignOffset() int               { return habf.WireAlignOffset(b.f.K()) }
-func (b *habfBackend) Borrowed() bool                     { return b.f.Borrowed() }
+func (b *habfBackend) Contains(key []byte) bool       { return b.f.Contains(key) }
+func (b *habfBackend) AddedKeys() uint64              { return b.f.AddedKeys() }
+func (b *habfBackend) Name() string                   { return b.f.Name() }
+func (b *habfBackend) SizeBits() uint64               { return b.f.SizeBits() }
+func (b *habfBackend) Kind() Kind                     { return KindHABF }
+func (b *habfBackend) MarshalBinary() ([]byte, error) { return b.f.MarshalBinary() }
+func (b *habfBackend) WireAlignOffset() int           { return habf.WireAlignOffset(b.f.K()) }
+func (b *habfBackend) Borrowed() bool                 { return b.f.Borrowed() }
 
 func (b *habfBackend) Add(key []byte) error {
 	b.f.Add(key)
 	return nil
 }
 
-// ContainsScratch exposes the allocation-free query form the sharded
-// batch path fast-cases on (see shard.containsChunk).
-func (b *habfBackend) ContainsScratch(key []byte, scratch []uint8) bool {
-	return b.f.ContainsScratch(key, scratch)
-}
-
 // ContainsBatchInto implements PreparedQuerier. HABF keeps its own hash
 // family (Table II corpus / simulated double hashing), so the shared base
-// hashes are ignored; the batch-into form still skips the per-call result
-// allocation and per-key dispatch.
+// hashes are ignored and every key is probed in turn.
 func (b *habfBackend) ContainsBatchInto(dst []bool, keys [][]byte, _ []uint64) {
 	b.f.ContainsBatchInto(dst, keys)
 }

@@ -41,16 +41,23 @@ type learnedBackend struct {
 
 var _ Backend = (*learnedBackend)(nil)
 
-func (b *learnedBackend) Contains(key []byte) bool        { return b.f.Contains(key) }
-func (b *learnedBackend) ContainsBatch(k [][]byte) []bool { return containsBatchSerial(b, k) }
-func (b *learnedBackend) Add([]byte) error                { return ErrStaticBackend }
-func (b *learnedBackend) AddedKeys() uint64               { return 0 }
-func (b *learnedBackend) Name() string                    { return b.f.Name() }
-func (b *learnedBackend) SizeBits() uint64                { return b.f.SizeBits() }
-func (b *learnedBackend) Kind() Kind                      { return b.kind }
-func (b *learnedBackend) MarshalBinary() ([]byte, error)  { return b.f.MarshalBinary() }
-func (b *learnedBackend) WireAlignOffset() int            { return b.f.WireAlignOffset() }
-func (b *learnedBackend) Borrowed() bool                  { return b.f.Borrowed() }
+func (b *learnedBackend) Contains(key []byte) bool       { return b.f.Contains(key) }
+func (b *learnedBackend) Add([]byte) error               { return ErrStaticBackend }
+func (b *learnedBackend) AddedKeys() uint64              { return 0 }
+func (b *learnedBackend) Name() string                   { return b.f.Name() }
+func (b *learnedBackend) SizeBits() uint64               { return b.f.SizeBits() }
+func (b *learnedBackend) Kind() Kind                     { return b.kind }
+func (b *learnedBackend) MarshalBinary() ([]byte, error) { return b.f.MarshalBinary() }
+func (b *learnedBackend) WireAlignOffset() int           { return b.f.WireAlignOffset() }
+func (b *learnedBackend) Borrowed() bool                 { return b.f.Borrowed() }
+
+// ContainsBatchInto implements PreparedQuerier. The model scores key
+// bytes, so the base hashes are ignored and every key is probed in turn.
+func (b *learnedBackend) ContainsBatchInto(dst []bool, keys [][]byte, _ []uint64) {
+	for i, key := range keys {
+		dst[i] = b.f.Contains(key)
+	}
+}
 
 // learnedServeOptions maps the validated knob set onto the learned
 // package's serve options.

@@ -16,7 +16,6 @@ type phbfBackend struct {
 }
 
 var _ Backend = (*phbfBackend)(nil)
-var _ PreparedQuerier = (*phbfBackend)(nil)
 
 func (b *phbfBackend) Contains(key []byte) bool       { return b.f.Contains(key) }
 func (b *phbfBackend) Add([]byte) error               { return ErrStaticBackend }
@@ -28,17 +27,9 @@ func (b *phbfBackend) MarshalBinary() ([]byte, error) { return b.f.MarshalBinary
 func (b *phbfBackend) WireAlignOffset() int           { return phbf.WireAlignOffset(b.f.Groups()) }
 func (b *phbfBackend) Borrowed() bool                 { return b.f.Borrowed() }
 
-func (b *phbfBackend) ContainsBatch(keys [][]byte) []bool {
-	return containsBatchSerial(b, keys)
-}
-
 // ContainsBatchInto implements PreparedQuerier: group selection and all
 // probe positions derive from the shared base hash.
 func (b *phbfBackend) ContainsBatchInto(dst []bool, keys [][]byte, hashes []uint64) {
-	if hashes == nil {
-		containsBatchSerialInto(b, dst, keys)
-		return
-	}
 	for i, h := range hashes[:len(keys)] {
 		dst[i] = b.f.ContainsHash(h)
 	}

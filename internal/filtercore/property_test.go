@@ -17,8 +17,8 @@ import (
 // on *every* registered backend:
 //
 //   - zero false negatives over the full positive set
-//   - Contains/ContainsBatch parity on a shuffled member/negative/novel
-//     probe mix
+//   - Contains/ContainsBatchInto parity on a shuffled member/negative/novel
+//     probe mix, with the base hashes the shard layer routes with
 //   - marshal → unmarshal(borrow) → re-marshal byte-identity (and the
 //     same through the owning decoder), so wire formats are canonical
 //     and snapshots of restored sets reproduce their source bytes
@@ -68,7 +68,7 @@ func TestBackendProperties(t *testing.T) {
 					}
 				}
 
-				batch := b.ContainsBatch(probes)
+				batch := preparedBatch(b, probes)
 				for i, key := range probes {
 					if want := b.Contains(key); batch[i] != want {
 						t.Fatalf("probe %d (%q): batch=%v per-key=%v", i, key, batch[i], want)

@@ -19,7 +19,6 @@ type wbfBackend struct {
 }
 
 var _ Backend = (*wbfBackend)(nil)
-var _ PreparedQuerier = (*wbfBackend)(nil)
 
 func (b *wbfBackend) Contains(key []byte) bool       { return b.f.Contains(key) }
 func (b *wbfBackend) AddedKeys() uint64              { return b.added.Load() }
@@ -30,18 +29,10 @@ func (b *wbfBackend) MarshalBinary() ([]byte, error) { return b.f.MarshalBinary(
 func (b *wbfBackend) WireAlignOffset() int           { return wbf.WireAlignOffset }
 func (b *wbfBackend) Borrowed() bool                 { return b.f.Borrowed() }
 
-func (b *wbfBackend) ContainsBatch(keys [][]byte) []bool {
-	return containsBatchSerial(b, keys)
-}
-
 // ContainsBatchInto implements PreparedQuerier. Probe positions derive
 // from the shared base hash; the key bytes are still consulted for the
 // per-key hash-count cache lookup.
 func (b *wbfBackend) ContainsBatchInto(dst []bool, keys [][]byte, hashes []uint64) {
-	if hashes == nil {
-		containsBatchSerialInto(b, dst, keys)
-		return
-	}
 	for i, h := range hashes[:len(keys)] {
 		dst[i] = b.f.ContainsHash(keys[i], h)
 	}

@@ -14,7 +14,6 @@ type xorBackend struct {
 }
 
 var _ Backend = (*xorBackend)(nil)
-var _ PreparedQuerier = (*xorBackend)(nil)
 
 func (b *xorBackend) Contains(key []byte) bool       { return b.f.Contains(key) }
 func (b *xorBackend) Add([]byte) error               { return ErrStaticBackend }
@@ -26,17 +25,9 @@ func (b *xorBackend) MarshalBinary() ([]byte, error) { return b.f.MarshalBinary(
 func (b *xorBackend) WireAlignOffset() int           { return xorfilter.WireAlignOffset }
 func (b *xorBackend) Borrowed() bool                 { return b.f.Borrowed() }
 
-func (b *xorBackend) ContainsBatch(keys [][]byte) []bool {
-	return containsBatchSerial(b, keys)
-}
-
 // ContainsBatchInto implements PreparedQuerier: the per-attempt key hash
 // derives from the shared base, so prepared batches skip the key bytes.
 func (b *xorBackend) ContainsBatchInto(dst []bool, keys [][]byte, hashes []uint64) {
-	if hashes == nil {
-		containsBatchSerialInto(b, dst, keys)
-		return
-	}
 	for i, h := range hashes[:len(keys)] {
 		dst[i] = b.f.ContainsHash(h)
 	}

@@ -318,14 +318,6 @@ func (f *Filter) ContainsBatchInto(dst []bool, keys [][]byte) {
 	}
 }
 
-// ContainsScratch is Contains for batch callers that pre-size a scratch
-// buffer. The fused round-two walk no longer needs one — the selection is
-// tested cell by cell instead of being collected first — so scratch is
-// ignored; the method survives for the shard layer's backend probing.
-func (f *Filter) ContainsScratch(key []byte, scratch []uint8) bool {
-	return f.contains(key)
-}
-
 // Name identifies the filter in experiment output.
 func (f *Filter) Name() string {
 	if f.fast {

@@ -88,11 +88,12 @@ func ByName(name string) (Func, bool) {
 
 // BaseSeed seeds the shared per-key base hash of the batch read path.
 // shard.Set routes keys with the top bits of Base(key) and hands the full
-// 64-bit value to backends implementing filtercore.PreparedQuerier, which
-// re-derive their probe positions from it via Mix64 dispersal instead of
-// re-reading the key. The constant is part of the stored-bit derivation of
-// the seeded64 Bloom strategy, the xor filter, PHBF, and WBF — changing it
-// invalidates their serialized containers.
+// 64-bit value to every backend's batch probe (filtercore.PreparedQuerier);
+// the hash-derived backends re-derive their probe positions from it via
+// Mix64 dispersal instead of re-reading the key. The constant is part of
+// the stored-bit derivation of the seeded64 Bloom strategy, the xor
+// filter, PHBF, and WBF — changing it invalidates their serialized
+// containers.
 const BaseSeed uint64 = 0x51ce5eed0ba5e000
 
 // Base multipliers: the published wyhash secret constants. Each is odd
@@ -116,7 +117,7 @@ func baseMum(a, b uint64) uint64 {
 
 // Base is the per-key base hash shared by routing and position derivation:
 // one strong 64-bit hash, computed once per key per batch. shard routing
-// consumes its top bits and PreparedQuerier backends re-derive probe
+// consumes its top bits and hash-derived backends re-derive probe
 // positions from the full value, so Base sits on the critical path of
 // every batched query; it uses a wyhash-style folded-multiply construction
 // (three widening multiplies for keys up to 16 bytes, one more per further

@@ -313,7 +313,7 @@ func TestStatsReportsTuning(t *testing.T) {
 		negatives[i] = habf.WeightedKey{Key: data.Negatives[i], Cost: 1}
 	}
 	filter, err := habf.NewSharded(data.Positives, negatives, 5000,
-		habf.WithShards(2), habf.WithBackend("bloom"), habf.WithTuning("strategy=seeded64", "k=8"))
+		habf.WithShards(2), habf.WithBackend("bloom"), habf.WithTuning("k=8"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,10 +334,8 @@ func TestStatsReportsTuning(t *testing.T) {
 	if want := filter.Tuning(); st.Tuning != want || st.Tuning == "" {
 		t.Fatalf("stats tuning %q, want %q", st.Tuning, want)
 	}
-	for _, knob := range []string{"strategy=seeded64", "k=8"} {
-		if !strings.Contains(st.Tuning, knob) {
-			t.Fatalf("stats tuning %q missing requested knob %q", st.Tuning, knob)
-		}
+	if !strings.Contains(st.Tuning, "k=8") {
+		t.Fatalf("stats tuning %q missing requested knob k=8", st.Tuning)
 	}
 	if st.Restored != 0 || st.Absorbs != 0 {
 		t.Fatalf("fresh build reports restored=%d absorbs=%d, want 0/0", st.Restored, st.Absorbs)

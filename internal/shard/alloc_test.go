@@ -48,22 +48,23 @@ func TestContainsBatchIntoZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestContainsBatchIntoZeroAllocsSeeded64 covers the prepared bloom
-// strategy specifically: seeded64 is the one bloom flavour that derives
-// every probe from the shared base hash, so the fast path (hashes
-// forwarded to the backend) must also stay allocation-free.
+// TestContainsBatchIntoZeroAllocsSeeded64 covers the serving bloom
+// flavour on a restored set: its shards serve borrowed payloads straight
+// from the snapshot buffer, and the batch probe must stay
+// allocation-free there too.
 func TestContainsBatchIntoZeroAllocsSeeded64(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; run without -race for alloc counts")
 	}
-	s, pos, negKeys := newSet(t, 2048, Config{Shards: 8, Backend: "bloom", Tuning: "strategy=seeded64"})
+	s, pos, negKeys := newSet(t, 2048, Config{Shards: 8, Backend: "bloom"})
+	g := snapshotRoundtrip(t, s)
 	batch := append(append([][]byte{}, pos[:128]...), negKeys[:128]...)
 	dst := make([]bool, len(batch))
-	s.ContainsBatchInto(dst, batch)
+	g.ContainsBatchInto(dst, batch)
 	if avg := testing.AllocsPerRun(50, func() {
-		s.ContainsBatchInto(dst, batch)
+		g.ContainsBatchInto(dst, batch)
 	}); avg != 0 {
-		t.Errorf("seeded64: ContainsBatchInto allocates %.1f objects per batch, want 0", avg)
+		t.Errorf("restored seeded64: ContainsBatchInto allocates %.1f objects per batch, want 0", avg)
 	}
 }
 

@@ -18,13 +18,14 @@
 // Keys are routed by fingerprint prefix: the top bits of the shared base
 // hash (hashes.Base) select the shard, so the per-shard positive and
 // negative sets are disjoint and every query touches exactly one shard.
-// The same base hash is handed to backends implementing
-// filtercore.PreparedQuerier, which re-derive their probe positions from
-// it through Mix64 dispersal — full-avalanche and bijective, so in-shard
-// bit positions stay uncorrelated with the top bits routing consumed.
-// Sets restored from snapshots keep whatever route seed their snapshot
-// recorded; when it is not the global BaseSeed, batches still group and
-// dispatch per shard but backends re-hash keys themselves.
+// The same base hash is handed to the backend's batch probe, where the
+// hash-derived families (Bloom, Xor, PHBF, WBF) re-derive their probe
+// positions from it through Mix64 dispersal — full-avalanche and
+// bijective, so in-shard bit positions stay uncorrelated with the top
+// bits routing consumed.
+// There is one routing hash: sets built by New and sets restored from
+// snapshots alike route by hashes.Base, so every batch hands backends
+// the base hashes it routed with (filtercore.PreparedQuerier).
 //
 // Unlike a bare filter — whose Add must be externally synchronized
 // against readers — a Set is safe for fully concurrent use: any number of
@@ -87,8 +88,7 @@ const minShardBits = 128
 // Set is a sharded filter. All methods are safe for concurrent use.
 type Set struct {
 	shards      []*shard
-	shift       uint // route = hash >> shift
-	routeSeed   uint64
+	shift       uint // route = hashes.Base(key) >> shift
 	threshold   float64
 	baseParams  habf.Params // construction template with the base seed
 	backend     *filtercore.Factory
@@ -203,7 +203,6 @@ func New(positives [][]byte, negatives []habf.WeightedKey, cfg Config) (*Set, er
 	s := &Set{
 		shards:      make([]*shard, n),
 		shift:       uint(64 - bits.TrailingZeros(uint(n))),
-		routeSeed:   hashes.BaseSeed,
 		threshold:   threshold,
 		baseParams:  params,
 		backend:     backend,
@@ -306,22 +305,10 @@ func perturbSeed(base int64, i int) int64 {
 	return seed
 }
 
-// route returns the shard index for a key: the top log2(N) bits of an
-// independent fingerprint.
+// route returns the shard index for a key: the top log2(N) bits of its
+// base hash.
 func (s *Set) route(key []byte) int {
-	return int(s.routeHash(key) >> s.shift)
-}
-
-// routeHash is the full 64-bit routing fingerprint of a key: the shared
-// base hash (hashes.Base) on sets routed under the global BaseSeed — every
-// set built by New — and the legacy xx64 construction on sets restored
-// from snapshots that recorded an older route seed, whose shard
-// assignments were fixed when those snapshots were written.
-func (s *Set) routeHash(key []byte) uint64 {
-	if s.routeSeed == hashes.BaseSeed {
-		return hashes.Base(key)
-	}
-	return hashes.XXH64Seed(key, s.routeSeed)
+	return int(hashes.Base(key) >> s.shift)
 }
 
 // build constructs the shard's filter over the given keys with a budget
@@ -435,7 +422,6 @@ type batchJob struct {
 	s      *Set
 	out    []bool
 	sc     *batchScratch
-	hv     []uint64 // sc.ghashes when base hashes are valid for backends, else nil
 	cursor atomic.Int32
 	wg     sync.WaitGroup
 }
@@ -472,7 +458,7 @@ func (s *Set) getScratch(n int) *batchScratch {
 // caller memory (keys, destination) so pooling never extends lifetimes.
 func (s *Set) putScratch(sc *batchScratch) {
 	clear(sc.gkeys)
-	sc.job.s, sc.job.out, sc.job.sc, sc.job.hv = nil, nil, nil, nil
+	sc.job.s, sc.job.out, sc.job.sc = nil, nil, nil
 	s.scratchPool.Put(sc)
 }
 
@@ -482,14 +468,14 @@ func (s *Set) putScratch(sc *batchScratch) {
 // pooled per Set and worker goroutines are spawned arg-only.
 //
 // The pipeline hashes each key exactly once (hashes.Base doubles as the
-// routing fingerprint and, for PreparedQuerier backends, the probe-
-// position source), groups keys by destination shard with a counting
-// sort, and runs per-shard sub-batches on up to GOMAXPROCS workers. A
-// worker holds exactly one shard read lock at a time — same as Add and
-// the rebuild swap on the write side — so the lock graph stays trivially
-// acyclic and writers are delayed by at most one sub-batch. Each
-// sub-batch walks one shard's memory start to finish, which is also the
-// cache-friendly order single-core.
+// routing fingerprint and, for hash-derived backends, the probe-position
+// source), groups keys by destination shard with a counting sort, and
+// runs per-shard sub-batches on up to GOMAXPROCS workers. A worker holds
+// exactly one shard read lock at a time — same as Add and the rebuild
+// swap on the write side — so the lock graph stays trivially acyclic
+// and writers are delayed by at most one sub-batch. Each sub-batch walks
+// one shard's memory start to finish, which is also the cache-friendly
+// order single-core.
 func (s *Set) ContainsBatchInto(dst []bool, keys [][]byte) {
 	n := len(keys)
 	if n == 0 {
@@ -509,7 +495,7 @@ func (s *Set) ContainsBatchInto(dst []bool, keys [][]byte) {
 	// Pass 1: hash every key once; count keys per shard in starts[id+1].
 	shift := s.shift
 	for i, key := range keys {
-		h := s.routeHash(key)
+		h := hashes.Base(key)
 		sc.hashes[i] = h
 		sc.starts[(h>>shift)+1]++
 	}
@@ -539,16 +525,9 @@ func (s *Set) ContainsBatchInto(dst []bool, keys [][]byte) {
 	// Execute shard sub-batches, stealing from the shared cursor. The
 	// caller is worker zero; extra workers are spawned only when both the
 	// host (GOMAXPROCS) and the workload (≥ minKeysPerWorker keys each)
-	// justify them. Base hashes are handed to backends only when routing
-	// runs under the global BaseSeed — a Set restored from a snapshot
-	// with a legacy route seed still groups and batches, but its hash
-	// values are not hashes.Base and backends must re-hash.
+	// justify them.
 	job := &sc.job
 	job.s, job.out, job.sc = s, dst, sc
-	job.hv = nil
-	if s.routeSeed == hashes.BaseSeed {
-		job.hv = sc.ghashes
-	}
 	job.cursor.Store(0)
 	w := runtime.GOMAXPROCS(0)
 	if w > batchCPUs {
@@ -597,32 +576,20 @@ func (j *batchJob) run() {
 }
 
 // containsSub answers one shard's slice of the batch under a single read
-// lock: backend sub-batch first (the PreparedQuerier form when available,
-// with base hashes when valid), then the sidecar/pending overlay for the
-// misses — the same filter → sidecar → pending order as Contains — and
-// finally the scatter back to the caller's dst through the slot
-// permutation. Slots of distinct shards are disjoint, so workers write
+// lock: the backend's batch probe with the slice's base hashes first,
+// then the sidecar/pending overlay for the misses — the same filter →
+// sidecar → pending order as Contains — and finally the scatter back to
+// the caller's dst through the slot permutation. Slots of distinct shards are disjoint, so workers write
 // disjoint dst elements.
 func (sh *shard) containsSub(j *batchJob, lo, hi int) {
 	sc := j.sc
 	keys := sc.gkeys[lo:hi]
 	res := sc.results[lo:hi]
 	sh.mu.RLock()
-	switch f := sh.f.(type) {
-	case filtercore.PreparedQuerier:
-		var hv []uint64
-		if j.hv != nil {
-			hv = j.hv[lo:hi]
-		}
-		f.ContainsBatchInto(res, keys, hv)
-	case nil:
-		for i := range res {
-			res[i] = false // scratch may hold a previous batch's answers
-		}
-	default:
-		for i, key := range keys {
-			res[i] = f.Contains(key)
-		}
+	if sh.f != nil {
+		sh.f.ContainsBatchInto(res, keys, sc.ghashes[lo:hi])
+	} else {
+		clear(res) // scratch may hold a previous batch's answers
 	}
 	if sh.sidecar != nil || len(sh.pending) > 0 {
 		for i, ok := range res {

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/filtercore"
 	"repro/internal/habf"
+	"repro/internal/hashes"
 	"repro/internal/snapshot"
 )
 
@@ -137,7 +138,7 @@ func (s *Set) snapshotMeta() snapshot.Meta {
 		Kind:                  snapshot.KindShardedSet,
 		Backend:               uint8(s.backend.Kind),
 		BaseSeed:              s.baseParams.Seed,
-		RouteSeed:             s.routeSeed,
+		RouteSeed:             hashes.BaseSeed,
 		K:                     s.baseParams.K,
 		CellBits:              s.baseParams.CellBits,
 		Fast:                  s.baseParams.Fast,
@@ -241,6 +242,11 @@ func Restore(snap *snapshot.Snapshot) (*Set, error) {
 	if n == 0 || n&(n-1) != 0 {
 		return nil, fmt.Errorf("shard: snapshot shard count %d is not a power of two", n)
 	}
+	// Keys route by hashes.Base alone. A container recording another route
+	// seed placed its keys in other shards; rebuild it from the source keys.
+	if snap.Meta.RouteSeed != hashes.BaseSeed {
+		return nil, fmt.Errorf("shard: snapshot route seed %#x is not the base hash seed %#x", snap.Meta.RouteSeed, hashes.BaseSeed)
+	}
 	// The container CRC catches bit-rot, not a hostile writer: the float
 	// meta fields feed size computations on the lazy-build path (an Add
 	// routed to an empty restored shard), where an absurd BitsPerKey
@@ -295,7 +301,6 @@ func Restore(snap *snapshot.Snapshot) (*Set, error) {
 	s := &Set{
 		shards:      make([]*shard, n),
 		shift:       uint(64 - bits.TrailingZeros(uint(n))),
-		routeSeed:   snap.Meta.RouteSeed,
 		threshold:   snap.Meta.Threshold,
 		baseParams:  base,
 		backend:     backend,

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/hashes"
 	"repro/internal/snapshot"
 )
 
@@ -190,6 +191,25 @@ func TestRestoreRejectsHostileMeta(t *testing.T) {
 		if _, err := Restore(&snap); err == nil {
 			t.Errorf("%s: hostile meta accepted", name)
 		}
+	}
+}
+
+// TestRestoreRejectsLegacyRouteSeed: keys route by hashes.Base alone, so
+// a container recording any other route seed (every container written
+// before the batch path hashed once) placed its keys in other shards and
+// must be refused, not served with false negatives.
+func TestRestoreRejectsLegacyRouteSeed(t *testing.T) {
+	s, _, _ := newSet(t, 1000, Config{Shards: 4})
+	snap, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Meta.RouteSeed != hashes.BaseSeed {
+		t.Fatalf("snapshot records route seed %#x, want hashes.BaseSeed", snap.Meta.RouteSeed)
+	}
+	snap.Meta.RouteSeed = 0x9e3779b97f4a7c15
+	if _, err := Restore(snap); err == nil {
+		t.Fatal("restore accepted a legacy route seed")
 	}
 }
 

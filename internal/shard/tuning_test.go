@@ -11,7 +11,7 @@ import (
 // exercised through the full build → snapshot → restore cycle.
 var shardTunings = map[string]string{
 	"habf":  "k=4,cellbits=5",
-	"bloom": "strategy=seeded64,k=8",
+	"bloom": "k=8",
 	"xor":   "width=9",
 	"wbf":   "cache=0.2,maxk=12",
 	"phbf":  "groups=128,candidates=16",
@@ -94,7 +94,7 @@ func TestRestoreRejectsBadTuning(t *testing.T) {
 		{"unknown knob", "bogus=1"},
 		{"out of bounds", "k=999"},
 		{"malformed", "k"},
-		{"non-canonical subset", "strategy=split128"},
+		{"non-canonical value", "k=08"},
 	} {
 		snap, err := s.Snapshot()
 		if err != nil {

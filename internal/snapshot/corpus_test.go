@@ -73,6 +73,13 @@ func fuzzSnapshotSeeds(tb testing.TB) map[string][]byte {
 	wrongBackend[49] = 0xEE
 	binary.LittleEndian.PutUint32(wrongBackend[60:64], crc32.Checksum(wrongBackend[:60], crc32.MakeTable(crc32.Castagnoli)))
 	seeds["wrong-backend-kind"] = wrongBackend
+	// A route seed other than hashes.BaseSeed (CRC fixed up the same way),
+	// as containers routed by the old xx64 fingerprint recorded: the
+	// container decodes, and shard.Restore must refuse it.
+	legacyRoute := append([]byte(nil), good...)
+	binary.LittleEndian.PutUint64(legacyRoute[16:24], 0x9e3779b97f4a7c15)
+	binary.LittleEndian.PutUint32(legacyRoute[60:64], crc32.Checksum(legacyRoute[:60], crc32.MakeTable(crc32.Castagnoli)))
+	seeds["legacy-route-seed"] = legacyRoute
 	// Cross-backend frames: a header claiming the xor backend (kind 2)
 	// over HABF frame payloads. The xor wire decoder must refuse the
 	// frames (wrong magic), never misparse them.

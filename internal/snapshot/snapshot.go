@@ -7,27 +7,28 @@
 //
 //	header (64 bytes):
 //	  magic u32 "HSNP" | version u8 | flags u8 | k u8 | cellBits u8 |
-//	  baseSeed u64 | routeSeed u64 | spaceRatio f64 | bitsPerKey f64 |
+//	  baseSeed u64 | routingSeed u64 | spaceRatio f64 | bitsPerKey f64 |
 //	  threshold f64 | kind u8 | backend u8 | reserved u8×2 | shardCount u32 |
 //	  reserved u32 | headerCRC u32 (CRC32C of the 60 bytes above)
 //
 // The backend byte names the filter family whose wire format fills the
-// frames (a filtercore.Kind). It was a zeroed reserved byte before
-// backends existed, and 0 is the HABF kind, so every pre-backend
-// container keeps loading unchanged; a loader that does not recognize
-// the byte must refuse to decode the frames rather than misparse them.
+// frames (a filtercore.Kind; 0 is HABF). A loader that does not
+// recognize the byte must refuse to decode the frames rather than
+// misparse them.
 //
 //	frames (shardCount, in shard order):
 //	  epoch u64 | payloadLen u64 | frameCRC u32 (CRC32C) | padLen u32 |
 //	  padLen zero bytes | payload
 //
-// In version 2 (current) frameCRC covers the whole frame except the CRC
-// field itself: epoch, payloadLen, padLen, the pad bytes and the
-// payload, in file order. Version 1 checksummed only the payload, which
-// left the epoch and pad bytes as the container's one integrity blind
-// spot — a bit flip there decoded cleanly. Version-1 containers are
-// still accepted (with the payload-only coverage they were written
-// under) so existing checkpoints keep loading.
+// frameCRC covers the whole frame except the CRC field itself: epoch,
+// payloadLen, padLen, the pad bytes and the payload, in file order, so
+// no frame byte is an integrity blind spot. Version 2 is the only
+// version read; version-1 containers, whose frame CRC covered only the
+// payload, are rejected.
+//
+// The routingSeed field records the seed of the routing hash. A sharded
+// set routes by hashes.Base, so its containers record hashes.BaseSeed,
+// and shard.Restore refuses any other value.
 //
 //	tuning frame (optional, only when the flagTuning header bit is
 //	set): one more frame in the same envelope whose payload is the
@@ -70,14 +71,8 @@ import (
 )
 
 const (
-	// Version is the current container format version. Version 2 widened
-	// the frame CRC to cover the frame header and pad bytes (version 1
-	// checksummed only the payload); version-1 containers still load.
+	// Version is the container format version, the only one read.
 	Version = 2
-
-	// versionPayloadCRC is the last version whose frame CRC covered only
-	// the payload bytes.
-	versionPayloadCRC = 1
 
 	magic     = uint32(0x504e5348) // "HSNP" little-endian
 	tailMagic = uint32(0x48534e50) // "PNSH" little-endian
@@ -129,7 +124,7 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 type Meta struct {
 	Kind uint8 // container content type (Kind* constants)
 	// Backend is the filtercore.Kind of the filter family framed inside
-	// (0 = HABF, matching the zeroed reserved byte of pre-backend files).
+	// (0 = HABF).
 	Backend               uint8
 	BaseSeed              int64  // params seed the per-shard seeds derive from
 	RouteSeed             uint64 // seed of the shard-routing fingerprint
@@ -325,8 +320,8 @@ func (sw *Writer) writeFrame(fr Frame) error {
 	binary.LittleEndian.PutUint64(hdr[0:8], fr.Epoch)
 	binary.LittleEndian.PutUint64(hdr[8:16], uint64(len(fr.Payload)))
 	binary.LittleEndian.PutUint32(hdr[20:24], uint32(padLen))
-	// Version-2 frame CRC: everything in the frame except the CRC field
-	// itself, in file order, so no frame byte is an integrity blind spot.
+	// Frame CRC: everything in the frame except the CRC field itself, in
+	// file order, so no frame byte is an integrity blind spot.
 	crc := crc32.Update(0, castagnoli, hdr[0:16])
 	crc = crc32.Update(crc, castagnoli, hdr[20:24])
 	crc = crc32.Update(crc, castagnoli, pad[:padLen])
@@ -435,9 +430,8 @@ func Unmarshal(data []byte) (*Snapshot, error) {
 	if binary.LittleEndian.Uint32(data[0:4]) != magic {
 		return nil, errors.New("snapshot: bad magic")
 	}
-	version := data[4]
-	if version == 0 || version > Version {
-		return nil, fmt.Errorf("snapshot: unsupported version %d", version)
+	if version := data[4]; version != Version {
+		return nil, fmt.Errorf("snapshot: unsupported version %d (want %d)", version, Version)
 	}
 	if got, want := crc32.Checksum(data[:60], castagnoli), binary.LittleEndian.Uint32(data[60:64]); got != want {
 		return nil, fmt.Errorf("snapshot: header CRC mismatch (%08x != %08x)", got, want)
@@ -525,15 +519,10 @@ func Unmarshal(data []byte) (*Snapshot, error) {
 			return nil, fmt.Errorf("snapshot: frame %d payload out of bounds", i)
 		}
 		payload := data[start : start+payloadLen]
-		var got uint32
-		if version <= versionPayloadCRC {
-			got = crc32.Checksum(payload, castagnoli)
-		} else {
-			got = crc32.Update(0, castagnoli, hdr[0:16])
-			got = crc32.Update(got, castagnoli, hdr[20:24])
-			got = crc32.Update(got, castagnoli, data[off+frameHdrSize:start])
-			got = crc32.Update(got, castagnoli, payload)
-		}
+		got := crc32.Update(0, castagnoli, hdr[0:16])
+		got = crc32.Update(got, castagnoli, hdr[20:24])
+		got = crc32.Update(got, castagnoli, data[off+frameHdrSize:start])
+		got = crc32.Update(got, castagnoli, payload)
 		if got != wantCRC {
 			return nil, fmt.Errorf("snapshot: frame %d CRC mismatch (%08x != %08x)", i, got, wantCRC)
 		}

@@ -3,6 +3,7 @@ package snapshot_test
 import (
 	"bytes"
 	"encoding/hex"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -121,6 +122,10 @@ func TestContainerRejectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	version1, err := hex.DecodeString(goldenVersion1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	mut := func(f func(b []byte)) []byte {
 		b := append([]byte(nil), good...)
 		f(b)
@@ -138,8 +143,7 @@ func TestContainerRejectsCorruption(t *testing.T) {
 		"payload bitrot": mut(func(b []byte) {
 			b[64+24+10] ^= 0x80 // inside frame 0's payload
 		}),
-		// The version-2 frame CRC covers the frame header and pad bytes
-		// too — version 1's integrity blind spot.
+		// The frame CRC covers the frame header and pad bytes too.
 		"epoch bitrot":  mut(func(b []byte) { b[64+3] ^= 0x01 }),
 		"pad bitrot":    mut(func(b []byte) { b[64+24] ^= 0x01 }), // frame 0 pad (Align 4 → 4 pad bytes)
 		"footer bitrot": mut(func(b []byte) { b[len(b)-20] ^= 0x01 }),
@@ -151,6 +155,9 @@ func TestContainerRejectsCorruption(t *testing.T) {
 			b[52], b[53], b[54], b[55] = 0xFF, 0xFF, 0xFF, 0xFF
 		}),
 		"trailing": append(append([]byte(nil), good...), 0x00),
+		// A well-formed version-1 container (payload-only frame CRCs): the
+		// format is no longer read.
+		"version 1": version1,
 	}
 	for name, data := range cases {
 		if _, err := snapshot.Unmarshal(data); err == nil {
@@ -196,30 +203,26 @@ func TestGoldenContainer(t *testing.T) {
 	}
 }
 
-// TestGoldenContainerVersion1 pins backward compatibility: the version-1
-// rendering of the same snapshot (payload-only frame CRCs) must keep
-// decoding to identical contents, or existing checkpoints stop loading.
+// goldenVersion1 is TestGoldenContainer's snapshot in the version-1
+// format, whose frame CRCs covered only the payload.
+const goldenVersion1 = "48534e50010003040100000000000000fecaefbeadde0000000000000000d03f0000000000002840" +
+	"7b14ae47e17a943f010000000200000000000000635ab8ef05000000000000000600000000000000" +
+	"2b216b4206000000000000000000676f6c64656e0000000000000000000000000000000000000000" +
+	"0400000000000000400000000000000064000000000000008000000000000000edd95e1f504e5348"
+
+// TestGoldenContainerVersion1 pins that a well-formed version-1
+// container is refused for its version — named as such, so an operator
+// holding an old snapshot knows to rebuild rather than suspect bitrot.
 func TestGoldenContainerVersion1(t *testing.T) {
-	const v1 = "48534e50010003040100000000000000fecaefbeadde0000000000000000d03f0000000000002840" +
-		"7b14ae47e17a943f010000000200000000000000635ab8ef05000000000000000600000000000000" +
-		"2b216b4206000000000000000000676f6c64656e0000000000000000000000000000000000000000" +
-		"0400000000000000400000000000000064000000000000008000000000000000edd95e1f504e5348"
-	data, err := hex.DecodeString(v1)
+	data, err := hex.DecodeString(goldenVersion1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := snapshot.Unmarshal(data)
-	if err != nil {
-		t.Fatalf("version-1 container does not decode: %v", err)
+	_, err = snapshot.Unmarshal(data)
+	if err == nil {
+		t.Fatal("version-1 container accepted")
 	}
-	if g.Meta.RouteSeed != 0xdeadbeefcafe || g.Frames[0].Epoch != 5 ||
-		string(g.Frames[0].Payload) != "golden" {
-		t.Fatalf("version-1 container decoded wrong contents: %+v", g.Meta)
-	}
-	// Version-1 payload corruption is still caught by the payload CRC.
-	bad := append([]byte(nil), data...)
-	bad[64+24+6+2] ^= 0x01 // a payload byte of frame 0 (after the 6-byte pad)
-	if _, err := snapshot.Unmarshal(bad); err == nil {
-		t.Fatal("version-1 payload corruption accepted")
+	if !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Fatalf("version-1 container refused for the wrong reason: %v", err)
 	}
 }

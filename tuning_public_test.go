@@ -26,11 +26,11 @@ func tuningFixture(n int) ([][]byte, []habf.WeightedKey) {
 func TestPublicTuning(t *testing.T) {
 	positives, negatives := tuningFixture(1500)
 	s, err := habf.NewSharded(positives, negatives, 18000,
-		habf.WithShards(2), habf.WithBackend("bloom"), habf.WithTuning("strategy=seeded64", "k=8"))
+		habf.WithShards(2), habf.WithBackend("wbf"), habf.WithTuning("cache=0.1", "maxk=14"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := habf.ParseTuning("bloom", "strategy=seeded64,k=8")
+	want, err := habf.ParseTuning("wbf", "cache=0.1,maxk=14")
 	if err != nil {
 		t.Fatal(err)
 	}
