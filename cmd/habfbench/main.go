@@ -13,7 +13,6 @@
 //	habfbench -serve -tune k=4,cellbits=5         # serve with non-default tuning knobs
 //	habfbench -net [-clients 8] [-dist zipfian] [-benchjson BENCH_serve.json]
 //	habfbench -net -backend habf,bloom,xor        # compare backends on identical traffic
-//	habfbench -net -tune "bloom:k=8;xor:width=9"  # add tuned-variant runs
 //	habfbench -net -addr host:8080                # drive a running habfserved
 //	habfbench -net -proto all                     # HTTP and the binary wire protocol
 //
@@ -36,15 +35,13 @@
 // scenarios suffixed "/binary"), or all; remote binary runs need
 // -addr-binary pointing at habfserved's -listen-binary port.
 // Both serving modes take -backend: -serve benchmarks one filter family
-// per run, and -net accepts a comma-separated list so HABF, Bloom and
-// Xor are compared as serving backends under identical workloads
-// (non-default backends get a /name suffix on their scenarios).
-// Both also take -tune. For -serve it is the backend's knob set,
-// "k=v,k=v" (a -restore must carry matching knobs). For -net a plain
-// "k=v,k=v" tunes every self-test backend and suffixes every scenario
-// "+tuned", while the "backend:k=v,...;backend:k=v,..." form keeps the
-// untuned runs and adds one extra coalesced-contains run per entry —
-// how CI tracks tuned variants next to the defaults.
+// per run, and -net accepts a comma-separated list. -net runs the
+// transport scenarios once, on the first backend; every further backend
+// gets a direct batch row and a binary batch row, suffixed "/<name>"
+// (non-default backends carry the suffix on every row).
+// -tune ("k=v,k=v", the backend's knob set; a -restore must carry
+// matching knobs) and -writers belong to -serve only: -net measures
+// reads at default knobs and rejects both.
 package main
 
 import (
@@ -66,7 +63,7 @@ func main() {
 
 		serve    = flag.Bool("serve", false, "run the serving-layer throughput benchmark")
 		backend  = flag.String("backend", "", "serve/net: filter backend (net: comma-separated list; default habf)")
-		tune     = flag.String("tune", "", "serve/net: backend tuning knobs, k=v,k=v (net also takes backend:knobs;backend:knobs for extra tuned runs)")
+		tune     = flag.String("tune", "", "serve: backend tuning knobs, k=v,k=v")
 		shards   = flag.Int("shards", 8, "serve: shard count (rounded up to a power of two)")
 		dist     = flag.String("dist", "zipfian", "serve: key distribution (uniform|zipfian|sequential|latest)")
 		keys     = flag.Int("keys", 100000, "serve: positive/negative keys per side")

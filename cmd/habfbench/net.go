@@ -33,12 +33,12 @@ type netConfig struct {
 	addrBin   string // remote daemon's -listen-binary host:port (binary protocol runs)
 	proto     string // wire formats to drive: http|binary|all ("" = http)
 	backends  string // comma-separated backend names for the self-test ("" = habf)
-	tune      string // tuning knobs: "k=v,k=v" or "backend:knobs;backend:knobs"
+	tune      string // rejected: -tune is a -serve option
 	keys      int
 	clients   int
 	ops       int
 	batch     int
-	writers   int
+	writers   int // rejected: -writers is a -serve option
 	shards    int
 	dist      string
 	seed      int64
@@ -57,8 +57,11 @@ func runNet(cfg netConfig, w io.Writer) error {
 	if cfg.keys < 1 || cfg.clients < 1 || cfg.batch < 1 || cfg.ops < 1 {
 		return fmt.Errorf("net: -keys, -clients, -batch and -ops must all be ≥ 1")
 	}
-	if cfg.tune != "" && cfg.addr != "" {
-		return fmt.Errorf("net: -tune configures the in-process self-test; a remote daemon's tuning is whatever it was started with (see habfserved -tune)")
+	if cfg.tune != "" {
+		return fmt.Errorf("net: -tune is a -serve option (habfbench -serve -tune k=v,...); -net measures every backend at its defaults")
+	}
+	if cfg.writers != 0 {
+		return fmt.Errorf("net: -writers is a -serve option (habfbench -serve -writers n); -net measures reads only")
 	}
 	switch cfg.proto {
 	case "", "http", "binary", "all":
@@ -74,11 +77,6 @@ func runNet(cfg netConfig, w io.Writer) error {
 	if cfg.replicas > 0 && cfg.addr != "" {
 		return fmt.Errorf("net: -replicas spawns an in-process topology; to route across remote daemons, comma-separate their ports in -addr-binary")
 	}
-	plainTune, tunedRuns, err := parseTunePlan(cfg.tune)
-	if err != nil {
-		return err
-	}
-
 	data := dataset.YCSB(cfg.keys, cfg.keys, cfg.seed)
 	costs := dataset.ZipfCosts(cfg.keys, 1.1, cfg.seed)
 	negatives := make([]habf.WeightedKey, cfg.keys)
@@ -104,14 +102,13 @@ func runNet(cfg netConfig, w io.Writer) error {
 	}
 	defer g.transport.CloseIdleConnections()
 
-	fmt.Fprintf(w, "net: %d keys, %s access, %d clients, batch %d, %d writers, GOMAXPROCS %d\n",
-		cfg.keys, dist, cfg.clients, cfg.batch, cfg.writers, runtime.GOMAXPROCS(0))
+	fmt.Fprintf(w, "net: %d keys, %s access, %d clients, batch %d, GOMAXPROCS %d\n",
+		cfg.keys, dist, cfg.clients, cfg.batch, runtime.GOMAXPROCS(0))
 
 	if cfg.addr != "" {
-		// Remote daemon: its coalescing configuration and backend are
-		// whatever it was started with, so there is a single contains
-		// scenario. The server-reported backend makes the artifact
-		// self-describing.
+		// Remote daemon: its backend is whatever it was started with, so
+		// each transport runs once. The server-reported backend makes the
+		// artifact self-describing.
 		g.base = "http://" + cfg.addr
 		name, backend, err := g.serverIdentity()
 		if err != nil {
@@ -120,16 +117,11 @@ func runNet(cfg netConfig, w io.Writer) error {
 		g.noteBackends = backend
 		fmt.Fprintf(w, "target: %s (remote, %s, backend %s)\n\n", g.base, name, backend)
 		if cfg.protoHas("http") {
-			if err := g.scenario("net/contains", g.containsLoop, false); err != nil {
+			if err := g.scenario("net/contains", g.containsLoop); err != nil {
 				return err
 			}
-			if err := g.scenario("net/contains_batch", g.batchLoop, false); err != nil {
+			if err := g.scenario("net/contains_batch", g.batchLoop); err != nil {
 				return err
-			}
-			if cfg.writers > 0 {
-				if err := g.scenario("net/contains+writers", g.containsLoop, true); err != nil {
-					return err
-				}
 			}
 		}
 		if cfg.protoHas("binary") {
@@ -138,10 +130,10 @@ func runNet(cfg netConfig, w io.Writer) error {
 			// batches across all of them through the replica router.
 			binAddrs := splitAddrs(cfg.addrBin)
 			g.binAddr = binAddrs[0]
-			if err := g.scenario("net/contains/binary", g.binaryContainsLoop, false); err != nil {
+			if err := g.scenario("net/contains/binary", g.binaryContainsLoop); err != nil {
 				return err
 			}
-			if err := g.scenario("net/contains_batch/binary", g.binaryBatchLoop, false); err != nil {
+			if err := g.scenario("net/contains_batch/binary", g.binaryBatchLoop); err != nil {
 				return err
 			}
 			if len(binAddrs) > 1 {
@@ -153,14 +145,16 @@ func runNet(cfg netConfig, w io.Writer) error {
 		return g.finish()
 	}
 
-	// Self-test: for each requested backend, build the filter once and
-	// serve it in-process, first with coalescing disabled, then enabled,
-	// so the uncoalesced and coalesced request paths — and the backends
-	// themselves — are compared on identical traffic. The default habf
-	// backend keeps the historical unsuffixed scenario names, so
-	// committed baselines stay comparable; other backends are suffixed
-	// "/<name>".
+	// Self-test: build each requested backend's filter once and serve it
+	// in-process. The transport rows run once, on the first backend: the
+	// socket, not the filter, dominates their cost, so repeating them per
+	// backend would only measure host noise. Every other backend gets the
+	// two rows where the filter shows: the direct batch path and binary
+	// batch frames. The default habf backend keeps unsuffixed scenario
+	// names, so committed baselines stay comparable; other backends are
+	// suffixed "/<name>".
 	g.noteBackends = cfg.backendList()
+	first := true
 	for _, backendName := range strings.Split(cfg.backendList(), ",") {
 		backendName = strings.TrimSpace(backendName)
 		if backendName == "" {
@@ -170,164 +164,90 @@ func runNet(cfg netConfig, w io.Writer) error {
 		if backendName != "habf" {
 			suffix = "/" + backendName
 		}
-		if plainTune != "" {
-			// The plain -tune form tunes every self-test backend, so every
-			// scenario this run produces is a tuned variant by name — never
-			// comparable against the untuned baselines.
-			suffix += "+tuned"
-		}
 
 		start := time.Now()
 		filter, err := habf.NewSharded(data.Positives, negatives, uint64(10*cfg.keys),
-			habf.WithShards(cfg.shards), habf.WithBackend(backendName), habf.WithTuning(plainTune))
+			habf.WithShards(cfg.shards), habf.WithBackend(backendName))
 		if err != nil {
 			return fmt.Errorf("net: build %s: %w", backendName, err)
 		}
-		fmt.Fprintf(w, "target: in-process self-test (%d shards, backend %s, tuning %q, built in %v)\n\n",
-			filter.NumShards(), filter.Backend(), filter.Tuning(), time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(w, "target: in-process self-test (%d shards, backend %s, built in %v)\n\n",
+			filter.NumShards(), filter.Backend(), time.Since(start).Round(time.Millisecond))
 
-		run := func(name string, coalesce server.CoalesceConfig, loop loopFunc, withWriters bool) error {
-			stop, err := g.startServer(filter, coalesce)
-			if err != nil {
-				return err
-			}
-			defer stop()
-			if reported := g.lastBackend; reported != "" && reported != backendName {
-				return fmt.Errorf("net: server reports backend %q, built %q", reported, backendName)
-			}
-			return g.scenario(name+suffix, loop, withWriters)
-		}
 		// The direct scenario measures the hash-once, shard-grouped batch
 		// read path with no server or wire format in front of it — the
 		// floor every net/contains_batch number sits on top of.
 		g.filter = filter
-		if err := g.scenario("direct/contains_batch"+suffix, g.directBatchLoop, false); err != nil {
-			g.filter = nil
-			return err
-		}
+		err = g.scenario("direct/contains_batch"+suffix, g.directBatchLoop)
 		g.filter = nil
-		if cfg.protoHas("http") {
-			if err := run("net/contains/uncoalesced", server.CoalesceConfig{Disabled: true}, g.containsLoop, false); err != nil {
-				return err
-			}
-			if err := run("net/contains/coalesced", server.CoalesceConfig{}, g.containsLoop, false); err != nil {
-				return err
-			}
-			if err := run("net/contains_batch", server.CoalesceConfig{Disabled: true}, g.batchLoop, false); err != nil {
-				return err
-			}
-			if cfg.writers > 0 {
-				if err := run("net/contains/coalesced+writers", server.CoalesceConfig{}, g.containsLoop, true); err != nil {
-					return err
-				}
-			}
-		}
-		if cfg.protoHas("binary") {
-			// Single-key through the coalescer (the serving default) and
-			// batch frames direct, mirroring the HTTP scenario pair.
-			if err := run("net/contains/binary", server.CoalesceConfig{}, g.binaryContainsLoop, false); err != nil {
-				return err
-			}
-			if err := run("net/contains_batch/binary", server.CoalesceConfig{Disabled: true}, g.binaryBatchLoop, false); err != nil {
-				return err
-			}
-		}
-		if cfg.replicas > 1 && cfg.protoHas("binary") {
-			// Replica fan-out: the same filter served by a primary plus
-			// snapshot-shipped followers, batches routed across the set.
-			addrs, stop, err := g.startReplicaSet(filter, cfg.replicas)
-			if err != nil {
-				return fmt.Errorf("net: replica set: %w", err)
-			}
-			fmt.Fprintf(w, "replica set: 1 primary + %d snapshot-shipped followers\n", cfg.replicas-1)
-			err = g.routedScenario("net/contains_batch/routed"+suffix, addrs)
-			stop()
-			if err != nil {
-				return err
-			}
-		}
-		fmt.Fprintln(w)
-	}
-
-	// The "backend:knobs" -tune entries each add one tuned-variant run of
-	// the representative coalesced-contains scenario, next to — not
-	// instead of — the untuned runs above. This is how CI keeps a tuned
-	// entry per backend in the committed baseline without doubling the
-	// whole matrix.
-	for _, tr := range tunedRuns {
-		suffix := "+tuned"
-		if tr.backend != "habf" {
-			suffix = "/" + tr.backend + "+tuned"
-		}
-		start := time.Now()
-		filter, err := habf.NewSharded(data.Positives, negatives, uint64(10*cfg.keys),
-			habf.WithShards(cfg.shards), habf.WithBackend(tr.backend), habf.WithTuning(tr.knobs))
-		if err != nil {
-			return fmt.Errorf("net: build tuned %s: %w", tr.backend, err)
-		}
-		fmt.Fprintf(w, "target: in-process self-test (%d shards, backend %s, tuning %q, built in %v)\n\n",
-			filter.NumShards(), filter.Backend(), filter.Tuning(), time.Since(start).Round(time.Millisecond))
-		stop, err := g.startServer(filter, server.CoalesceConfig{})
 		if err != nil {
 			return err
 		}
-		if cfg.protoHas("http") {
-			err = g.scenario("net/contains/coalesced"+suffix, g.containsLoop, false)
+		if first {
+			err = g.transportScenarios(filter, backendName, suffix)
+		} else if cfg.protoHas("binary") {
+			err = g.served(filter, backendName, func() error {
+				return g.scenario("net/contains_batch/binary"+suffix, g.binaryBatchLoop)
+			})
 		}
-		if err == nil && cfg.protoHas("binary") {
-			err = g.scenario("net/contains/binary"+suffix, g.binaryContainsLoop, false)
-		}
-		stop()
 		if err != nil {
 			return err
 		}
+		first = false
 		fmt.Fprintln(w)
 	}
 	return g.finish()
 }
 
-// tunedRun is one "backend:knobs" entry of the -tune flag: an extra
-// coalesced-contains scenario for that backend at those knobs.
-type tunedRun struct {
-	backend string
-	knobs   string
+// transportScenarios runs every transport row against filter: HTTP
+// single-key (through the coalescer) and batch, their binary-protocol
+// counterparts, and with -replicas the routed batch fan-out.
+func (g *netGen) transportScenarios(filter *habf.Sharded, backendName, suffix string) error {
+	err := g.served(filter, backendName, func() error {
+		if g.cfg.protoHas("http") {
+			if err := g.scenario("net/contains"+suffix, g.containsLoop); err != nil {
+				return err
+			}
+			if err := g.scenario("net/contains_batch"+suffix, g.batchLoop); err != nil {
+				return err
+			}
+		}
+		if g.cfg.protoHas("binary") {
+			if err := g.scenario("net/contains/binary"+suffix, g.binaryContainsLoop); err != nil {
+				return err
+			}
+			if err := g.scenario("net/contains_batch/binary"+suffix, g.binaryBatchLoop); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil || g.cfg.replicas < 2 {
+		return err
+	}
+	// Replica fan-out: the same filter served by a primary plus
+	// snapshot-shipped followers, batches routed across the set.
+	addrs, stop, err := g.startReplicaSet(filter, g.cfg.replicas)
+	if err != nil {
+		return fmt.Errorf("net: replica set: %w", err)
+	}
+	defer stop()
+	fmt.Fprintf(g.out, "replica set: 1 primary + %d snapshot-shipped followers\n", g.cfg.replicas-1)
+	return g.routedScenario("net/contains_batch/routed"+suffix, addrs)
 }
 
-// parseTunePlan interprets -net's -tune flag. A plain "k=v,k=v" tunes
-// every self-test backend in place; one or more ";"-separated
-// "backend:k=v,..." entries instead request extra tuned runs beside
-// the untuned ones.
-func parseTunePlan(s string) (plain string, runs []tunedRun, err error) {
-	if strings.TrimSpace(s) == "" {
-		return "", nil, nil
+// served runs fn with filter served in-process, after checking that the
+// server reports the backend that was built.
+func (g *netGen) served(filter *habf.Sharded, backendName string, fn func() error) error {
+	stop, err := g.startServer(filter)
+	if err != nil {
+		return err
 	}
-	if !strings.Contains(s, ":") {
-		if strings.Contains(s, ";") {
-			return "", nil, fmt.Errorf("net: -tune %q: ';'-separated entries need a backend: prefix", s)
-		}
-		return strings.TrimSpace(s), nil, nil
+	defer stop()
+	if reported := g.lastBackend; reported != "" && reported != backendName {
+		return fmt.Errorf("net: server reports backend %q, built %q", reported, backendName)
 	}
-	for _, part := range strings.Split(s, ";") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		name, knobs, ok := strings.Cut(part, ":")
-		name, knobs = strings.TrimSpace(name), strings.TrimSpace(knobs)
-		if !ok || name == "" || strings.Contains(name, "=") {
-			return "", nil, fmt.Errorf("net: -tune entry %q: want backend:k=v,k=v", part)
-		}
-		if knobs == "" {
-			return "", nil, fmt.Errorf("net: -tune entry %q: no knobs (defaults are already benchmarked untuned)", part)
-		}
-		// Validate eagerly so a typo fails before any untuned scenario
-		// spends minutes of bench time.
-		if _, err := habf.ParseTuning(name, knobs); err != nil {
-			return "", nil, fmt.Errorf("net: -tune entry %q: %w", part, err)
-		}
-		runs = append(runs, tunedRun{backend: name, knobs: knobs})
-	}
-	return "", runs, nil
+	return fn()
 }
 
 // splitAddrs splits a comma-separated address list, dropping empties.
@@ -372,8 +292,6 @@ type netGen struct {
 	router    *router.Router // set for the duration of routed scenarios
 	out       io.Writer
 	results   []benchfmt.Result
-	writersWG sync.WaitGroup
-	stopWrite chan struct{}
 	// lastBackend is the backend the most recently started in-process
 	// server reported via /v1/stats — a self-check that the bench drives
 	// what it thinks it does. noteBackends names the backend(s) driven,
@@ -413,10 +331,10 @@ func (g *netGen) serverIdentity() (name, backend string, err error) {
 type loopFunc func(client int, probes [][]byte, n int, lat *[]int64) error
 
 // startServer serves filter on loopback listeners (HTTP always, plus
-// the binary protocol when -proto asks for it) with the given coalescing
-// config; the returned func tears everything down.
-func (g *netGen) startServer(filter *habf.Sharded, coalesce server.CoalesceConfig) (func(), error) {
-	srv, err := server.New(server.Config{Filter: filter, Coalesce: coalesce})
+// the binary protocol when -proto asks for it); the returned func tears
+// everything down.
+func (g *netGen) startServer(filter *habf.Sharded) (func(), error) {
+	srv, err := server.New(server.Config{Filter: filter})
 	if err != nil {
 		return nil, err
 	}
@@ -492,7 +410,7 @@ func (g *netGen) startReplicaSet(filter *habf.Sharded, n int) ([]string, func(),
 		return bl.Addr().String(), nil
 	}
 
-	prim, err := server.New(server.Config{Filter: filter, Coalesce: server.CoalesceConfig{Disabled: true}})
+	prim, err := server.New(server.Config{Filter: filter})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -525,7 +443,6 @@ func (g *netGen) startReplicaSet(filter *habf.Sharded, n int) ([]string, func(),
 		}
 		fsrv, err := server.New(server.Config{
 			Filter:   restored,
-			Coalesce: server.CoalesceConfig{Disabled: true},
 			ReadOnly: true,
 			Primary:  primURL,
 		})
@@ -550,7 +467,7 @@ func (g *netGen) routedScenario(name string, addrs []string) error {
 	}
 	defer r.Close()
 	g.router = r
-	err = g.scenario(name, g.routedBatchLoop, false)
+	err = g.scenario(name, g.routedBatchLoop)
 	g.router = nil
 	if err != nil {
 		return err
@@ -659,10 +576,8 @@ func (g *netGen) binaryBatchLoop(client int, probes [][]byte, n int, lat *[]int6
 // scenario fans n total keys across the configured clients through
 // loop, measures wall time and per-request latency, verifies the
 // zero-false-negative contract on member probes, and records the
-// result. Background /v1/add writers run only when withWriters is set
-// (the "+writers" scenarios), so the plain scenarios measure a filter
-// that is not concurrently mutating.
-func (g *netGen) scenario(name string, loop loopFunc, withWriters bool) error {
+// result.
+func (g *netGen) scenario(name string, loop loopFunc) error {
 	cfg := g.cfg
 	perClient := cfg.ops / cfg.clients
 	if perClient == 0 {
@@ -682,9 +597,6 @@ func (g *netGen) scenario(name string, loop loopFunc, withWriters bool) error {
 		return fmt.Errorf("%s: warmup: %w", name, err)
 	}
 
-	if withWriters {
-		g.startWriters()
-	}
 	lats := make([][]int64, cfg.clients)
 	errs := make([]error, cfg.clients)
 	var wg sync.WaitGroup
@@ -698,9 +610,6 @@ func (g *netGen) scenario(name string, loop loopFunc, withWriters bool) error {
 	}
 	wg.Wait()
 	elapsed := time.Since(begin)
-	if withWriters {
-		g.stopWriters()
-	}
 	for _, err := range errs {
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
@@ -846,38 +755,6 @@ func (g *netGen) directBatchLoop(client int, probes [][]byte, n int, lat *[]int6
 	return nil
 }
 
-// startWriters streams /v1/add traffic until stopWriters.
-func (g *netGen) startWriters() {
-	g.stopWrite = make(chan struct{})
-	for wr := 0; wr < g.cfg.writers; wr++ {
-		g.writersWG.Add(1)
-		go func(wr int) {
-			defer g.writersWG.Done()
-			hc := &http.Client{Transport: g.transport}
-			url := g.base + "/v1/add"
-			for i := 0; ; i++ {
-				select {
-				case <-g.stopWrite:
-					return
-				default:
-				}
-				key := fmt.Sprintf("fresh-%d-%09d", wr, i)
-				resp, err := hc.Post(url, rawContentType, bytes.NewReader([]byte(key)))
-				if err != nil {
-					return
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-			}
-		}(wr)
-	}
-}
-
-func (g *netGen) stopWriters() {
-	close(g.stopWrite)
-	g.writersWG.Wait()
-}
-
 // finish writes the optional JSON results file.
 func (g *netGen) finish() error {
 	if g.cfg.benchjson == "" {
@@ -888,7 +765,7 @@ func (g *netGen) finish() error {
 		GOOS:      runtime.GOOS,
 		GOARCH:    runtime.GOARCH,
 		CPUs:      runtime.NumCPU(),
-		Note:      fmt.Sprintf("habfbench -net: %d keys, %s access, %d clients, batch %d, backends %s%s", g.cfg.keys, g.cfg.dist, g.cfg.clients, g.cfg.batch, g.noteBackends, tuneNote(g.cfg.tune)),
+		Note:      fmt.Sprintf("habfbench -net: %d keys, %s access, %d clients, batch %d, backends %s", g.cfg.keys, g.cfg.dist, g.cfg.clients, g.cfg.batch, g.noteBackends),
 		Results:   g.results,
 	}
 	if err := benchfmt.Write(g.cfg.benchjson, f); err != nil {
@@ -896,12 +773,4 @@ func (g *netGen) finish() error {
 	}
 	fmt.Fprintf(g.out, "\nwrote %s (%d results)\n", g.cfg.benchjson, len(g.results))
 	return nil
-}
-
-// tuneNote renders the -tune flag for the benchjson note line.
-func tuneNote(tune string) string {
-	if tune == "" {
-		return ""
-	}
-	return ", tune " + tune
 }

@@ -3,7 +3,9 @@
 // The daemon answers membership queries (/v1/contains, coalesced into
 // micro-batches under concurrency), batch queries (/v1/contains_batch),
 // inserts (/v1/add), operational stats (/v1/stats), crash-safe
-// checkpoints (/v1/snapshot) and Prometheus metrics (/metrics).
+// checkpoints (/v1/snapshot) and Prometheus metrics (/metrics). The
+// coalescer has one fixed policy and no flags: drain-only, batches of
+// at most 256 keys, 2 dispatchers.
 //
 // With -listen-binary it additionally serves the internal/wire binary
 // protocol on a raw TCP listener: length-prefixed frames over one
@@ -95,11 +97,6 @@ func main() {
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); keeps the debug surface off the serving port")
 		profileRate = flag.Int("profile-rate", 0, "mutex profile fraction and block profile rate (runtime.SetMutexProfileFraction / SetBlockProfileRate); 0 leaves both off")
 
-		coalesceOff  = flag.Bool("no-coalesce", false, "disable request coalescing (direct per-key queries)")
-		maxBatch     = flag.Int("coalesce-batch", 256, "largest coalesced micro-batch")
-		maxWait      = flag.Duration("coalesce-wait", 0, "how long a dispatcher lingers for stragglers (0: drain-only)")
-		minGather    = flag.Int("coalesce-min", 8, "batch size at which a dispatcher stops lingering")
-		dispatchers  = flag.Int("dispatchers", 2, "coalescing dispatcher goroutines")
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown drain budget")
 	)
 	flag.Parse()
@@ -109,13 +106,6 @@ func main() {
 		follow: *follow, followPoll: *followPoll,
 		pprofAddr: *pprofAddr, profileRate: *profileRate,
 		drainTimeout: *drainTimeout,
-		coalesce: server.CoalesceConfig{
-			MaxBatch:    *maxBatch,
-			MaxWait:     *maxWait,
-			MinGather:   *minGather,
-			Dispatchers: *dispatchers,
-			Disabled:    *coalesceOff,
-		},
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "habfserved:", err)
 		os.Exit(1)
@@ -139,7 +129,6 @@ type config struct {
 	pprofAddr    string
 	profileRate  int
 	drainTimeout time.Duration
-	coalesce     server.CoalesceConfig
 }
 
 // buildFilter realizes the daemon's filter from the configured source.
@@ -269,7 +258,6 @@ func run(cfg config) error {
 	}
 	scfg := server.Config{
 		Filter:       filter,
-		Coalesce:     cfg.coalesce,
 		SnapshotPath: cfg.snapPath,
 	}
 	if fol != nil {

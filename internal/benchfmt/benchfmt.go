@@ -18,7 +18,7 @@ const Schema = 1
 
 // Result is one measured scenario.
 type Result struct {
-	// Name identifies the scenario, e.g. "net/contains/coalesced".
+	// Name identifies the scenario, e.g. "net/contains/binary".
 	// Names are the join key for baseline comparison, so they must stay
 	// stable across runs and must not embed machine-dependent values.
 	Name string `json:"name"`

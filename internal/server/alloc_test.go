@@ -2,7 +2,6 @@ package server
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/wire"
 )
@@ -42,9 +41,9 @@ func TestBinaryBatchSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestCoalescerDispatchSteadyStateAllocs pins the BatcherInto dispatch
-// path: a coalescer over a filter that implements ContainsBatchInto
-// reuses its per-dispatcher result buffer, so a steady stream of
+// TestCoalescerDispatchSteadyStateAllocs pins the dispatch path: a
+// coalescer reuses its per-dispatcher result buffer for
+// ContainsBatchInto, so a steady stream of
 // coalesced queries allocates only what the request/response machinery
 // itself pins (pooled requests, reused channels) — the batch dispatch
 // contributes nothing per key. Measured end to end: the per-query alloc
@@ -54,11 +53,8 @@ func TestCoalescerDispatchSteadyStateAllocs(t *testing.T) {
 		t.Skip("race-detector instrumentation allocates; run without -race for alloc counts")
 	}
 	filter, data := newTestFilter(t, 2048)
-	co := NewCoalescer(filter, CoalesceConfig{MaxWait: 100 * time.Microsecond})
+	co := newCoalescer(filter, coalesceMaxBatch, coalesceDispatchers)
 	defer co.Close()
-	if co.bi == nil {
-		t.Fatal("habf.Sharded no longer implements BatcherInto")
-	}
 	key := data.Positives[0]
 	co.Contains(key) // warm pools
 	if avg := testing.AllocsPerRun(100, func() { co.Contains(key) }); avg > 1 {

@@ -274,7 +274,7 @@ func TestBinaryPipelining(t *testing.T) {
 // path shares the HTTP path's no-external-locking guarantees.
 func TestBinaryConcurrentClients(t *testing.T) {
 	filter, data := newTestFilter(t, 2000)
-	srv, err := New(Config{Filter: filter, Coalesce: CoalesceConfig{MaxBatch: 32}})
+	srv, err := New(Config{Filter: filter})
 	if err != nil {
 		t.Fatal(err)
 	}

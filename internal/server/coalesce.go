@@ -3,76 +3,25 @@ package server
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Batcher is the query capability the coalescer dispatches to — in
-// production a *habf.Sharded, whose ContainsBatch takes each shard's
-// lock once per chunk instead of once per key.
+// production the server's swappable *habf.Sharded, whose
+// ContainsBatchInto takes each shard's lock once per chunk instead of
+// once per key and writes results into a caller-owned slice, so
+// steady-state dispatch allocates nothing.
 type Batcher interface {
 	Contains(key []byte) bool
-	ContainsBatch(keys [][]byte) []bool
-}
-
-// BatcherInto is the allocation-free batch capability a Batcher may
-// additionally implement (as *habf.Sharded does): results land in a
-// caller-owned slice instead of a fresh one per batch. The coalescer
-// type-asserts for it once at construction and, when present, reuses a
-// per-dispatcher result buffer so steady-state dispatch allocates
-// nothing.
-type BatcherInto interface {
 	ContainsBatchInto(dst []bool, keys [][]byte)
 }
 
-// CoalesceConfig tunes the micro-batching layer.
-type CoalesceConfig struct {
-	// MaxBatch is the largest micro-batch dispatched at once. Default 256.
-	MaxBatch int
-	// MaxWait bounds how long a dispatcher lingers for stragglers after
-	// a batch has started forming but is still below MinGather. The
-	// zero default disables lingering: a dispatcher dispatches whatever
-	// a non-blocking drain finds already queued. Under concurrent load
-	// the drain alone forms healthy batches (requests accumulate while
-	// the previous batch executes), and measurements show lingering
-	// costs more than it gathers when each core is already saturated;
-	// reserve a small positive MaxWait (≤100µs) for many-core hosts
-	// with sustained traffic, where bigger batches buy back lock
-	// rounds.
-	MaxWait time.Duration
-	// MinGather is the batch size at which a dispatcher stops lingering
-	// and fires immediately; once the drain alone yields this many keys
-	// the amortization win is already realized. Default 8.
-	MinGather int
-	// Dispatchers is the number of batch-dispatch goroutines. More than
-	// one lets independent micro-batches execute in parallel on
-	// multi-core hosts. Default 2.
-	Dispatchers int
-	// Disabled bypasses coalescing entirely: Contains degenerates to a
-	// direct per-key query. The serving daemon exposes this as a flag so
-	// the coalesced and uncoalesced request paths can be compared on
-	// identical traffic.
-	Disabled bool
-}
-
-func (c *CoalesceConfig) withDefaults() CoalesceConfig {
-	out := *c
-	if out.MaxBatch <= 0 {
-		out.MaxBatch = 256
-	}
-	if out.MaxWait < 0 {
-		out.MaxWait = 0
-	}
-	if out.MinGather <= 0 {
-		out.MinGather = 8
-	}
-	if out.MinGather > out.MaxBatch {
-		out.MinGather = out.MaxBatch
-	}
-	if out.Dispatchers <= 0 {
-		out.Dispatchers = 2
-	}
-	return out
-}
+// The coalescer's fixed policy. A dispatcher dispatches whatever a
+// non-blocking drain of the queue finds, up to coalesceMaxBatch keys;
+// it never lingers for stragglers.
+const (
+	coalesceMaxBatch    = 256
+	coalesceDispatchers = 2
+)
 
 // coalReq is one in-flight single-key query. The result channel is
 // buffered so a dispatcher never blocks delivering; requests are pooled
@@ -90,10 +39,8 @@ type CoalesceStats struct {
 	Keys uint64
 	// Batches is the number of micro-batches dispatched.
 	Batches uint64
-	// Lingers counts batches that waited up to MaxWait for stragglers.
-	Lingers uint64
-	// Direct counts queries answered on the per-key path: coalescing
-	// disabled, or requests arriving during/after Close.
+	// Direct counts queries answered on the per-key path because they
+	// arrived during or after Close.
 	Direct uint64
 }
 
@@ -106,84 +53,68 @@ func (s CoalesceStats) MeanBatch() float64 {
 }
 
 // Coalescer gathers concurrent single-key Contains calls into
-// micro-batches and dispatches them through Batcher.ContainsBatch, so
-// independent network callers share the per-chunk lock round and scratch
-// reuse that in-process batch callers already enjoy.
+// micro-batches and dispatches them through Batcher.ContainsBatchInto,
+// so independent network callers share the per-chunk lock round and
+// scratch reuse that in-process batch callers already enjoy.
 //
-// The gather policy is adaptive. A dispatcher first drains whatever is
-// already queued, without blocking; under concurrent load this alone
+// A dispatcher blocks for the first request, then drains whatever is
+// already queued without blocking. Under concurrent load that alone
 // forms healthy batches, because requests accumulate while the previous
-// batch executes. With a positive MaxWait, a dispatcher whose drain
-// comes up short (fewer than MinGather keys) additionally lingers up to
-// MaxWait for stragglers — but a linger that finds no company switches
-// lingering off until some batch gathers more than one request again,
-// so sporadic traffic on an idle server pays the wait at most once per
-// quiet spell.
+// batch executes; an idle server answers a lone request at once.
 type Coalescer struct {
-	b   Batcher
-	bi  BatcherInto // b's zero-alloc batch path, nil if unimplemented
-	cfg CoalesceConfig
+	b        Batcher
+	maxBatch int
 
+	// mu pins the closed → channel-close ordering: senders hold the read
+	// lock across the closed check and the send, Close takes the write
+	// lock to set closed and close the channel, so no send can hit a
+	// closed channel.
+	mu      sync.RWMutex
+	closed  bool
 	reqs    chan *coalReq
-	closed  atomic.Bool
-	sending sync.WaitGroup // senders in the closed-check → send window
 	workers sync.WaitGroup
 
 	keys    atomic.Uint64
 	batches atomic.Uint64
-	lingers atomic.Uint64
 	direct  atomic.Uint64
 
 	// onBatch, when set, observes each dispatched batch size (metrics).
 	onBatch func(n int)
 }
 
-// NewCoalescer starts cfg.Dispatchers dispatch goroutines over b.
-// Callers must Close the coalescer to release them.
-func NewCoalescer(b Batcher, cfg CoalesceConfig) *Coalescer {
-	cfg = cfg.withDefaults()
-	bi, _ := b.(BatcherInto)
+// newCoalescer starts dispatchers goroutines over b, each dispatching
+// batches of at most maxBatch keys. Callers must Close the coalescer to
+// release them.
+func newCoalescer(b Batcher, maxBatch, dispatchers int) *Coalescer {
 	c := &Coalescer{
-		b:   b,
-		bi:  bi,
-		cfg: cfg,
+		b:        b,
+		maxBatch: maxBatch,
 		// Channel capacity covers several full batches so senders do not
 		// block while a dispatch is executing.
-		reqs: make(chan *coalReq, 4*cfg.MaxBatch*cfg.Dispatchers),
+		reqs: make(chan *coalReq, 4*maxBatch*dispatchers),
 	}
-	if !cfg.Disabled {
-		c.workers.Add(cfg.Dispatchers)
-		for i := 0; i < cfg.Dispatchers; i++ {
-			go c.dispatch()
-		}
+	c.workers.Add(dispatchers)
+	for i := 0; i < dispatchers; i++ {
+		go c.dispatch()
 	}
 	return c
 }
 
 // Contains answers a single-key membership query, transparently batched
 // with whatever other queries are in flight. Safe for any number of
-// concurrent callers. After Close (or with coalescing disabled) it falls
-// back to a direct per-key query, so late requests still get answers.
+// concurrent callers. After Close it falls back to a direct per-key
+// query, so late requests still get answers.
 func (c *Coalescer) Contains(key []byte) bool {
-	if c.cfg.Disabled || c.closed.Load() {
+	c.mu.RLock()
+	if c.closed {
+		c.mu.RUnlock()
 		c.direct.Add(1)
 		return c.b.Contains(key)
 	}
 	r := reqPool.Get().(*coalReq)
 	r.key = key
-	// The sending WaitGroup pins the closed → drain ordering: Close sets
-	// closed, waits out every sender that saw it unset, and only then
-	// closes the channel, so no send can hit a closed channel.
-	c.sending.Add(1)
-	if c.closed.Load() {
-		c.sending.Done()
-		r.key = nil
-		reqPool.Put(r)
-		c.direct.Add(1)
-		return c.b.Contains(key)
-	}
 	c.reqs <- r
-	c.sending.Done()
+	c.mu.RUnlock()
 	ok := <-r.res
 	r.key = nil
 	reqPool.Put(r)
@@ -195,7 +126,6 @@ func (c *Coalescer) Stats() CoalesceStats {
 	return CoalesceStats{
 		Keys:    c.keys.Load(),
 		Batches: c.batches.Load(),
-		Lingers: c.lingers.Load(),
 		Direct:  c.direct.Load(),
 	}
 }
@@ -204,49 +134,36 @@ func (c *Coalescer) Stats() CoalesceStats {
 // racing with Close are still answered (coalesced if they made it into
 // the queue, directly otherwise). Close is idempotent.
 func (c *Coalescer) Close() {
-	if c.closed.Swap(true) {
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
 		return
 	}
-	c.sending.Wait()
+	c.closed = true
 	close(c.reqs)
+	c.mu.Unlock()
 	c.workers.Wait()
 }
 
 // dispatch is the batch-forming loop: block for the first request, drain
-// stragglers, optionally linger, then answer the whole batch through one
-// ContainsBatch call.
+// what is already queued, then answer the whole batch through one
+// ContainsBatchInto call.
 func (c *Coalescer) dispatch() {
 	defer c.workers.Done()
 	var (
-		keys  = make([][]byte, 0, c.cfg.MaxBatch)
-		batch = make([]*coalReq, 0, c.cfg.MaxBatch)
-		// resbuf is this dispatcher's result buffer for the BatcherInto
-		// path; batches never exceed MaxBatch, so it never regrows.
-		resbuf = make([]bool, c.cfg.MaxBatch)
-		timer  = time.NewTimer(time.Hour)
-		// lonely is the linger-off switch: set when a linger gained no
-		// company, cleared whenever a batch gathers more than one
-		// request. Starting optimistic (false) lets the very first
-		// concurrent burst coalesce.
-		lonely = false
+		keys  = make([][]byte, 0, c.maxBatch)
+		batch = make([]*coalReq, 0, c.maxBatch)
+		// results is this dispatcher's result buffer; batches never
+		// exceed maxBatch, so it never regrows.
+		results = make([]bool, c.maxBatch)
 	)
-	defer timer.Stop()
-	if !timer.Stop() {
-		<-timer.C
-	}
-	for {
-		r, ok := <-c.reqs
-		if !ok {
-			return
-		}
+	for r := range c.reqs {
 		keys = append(keys[:0], r.key)
 		batch = append(batch[:0], r)
-
-		// Phase 1: drain what is already queued, without blocking.
 	drain:
-		for len(batch) < c.cfg.MaxBatch {
+		for len(batch) < c.maxBatch {
 			select {
-			case r, ok = <-c.reqs:
+			case r, ok := <-c.reqs:
 				if !ok {
 					break drain
 				}
@@ -257,61 +174,23 @@ func (c *Coalescer) dispatch() {
 			}
 		}
 
-		// Phase 2: linger briefly for stragglers when the drain came up
-		// short, unless the last linger proved traffic is sporadic.
-		if preLinger := len(batch); ok && preLinger < c.cfg.MinGather && c.cfg.MaxWait > 0 && !lonely {
-			c.lingers.Add(1)
-			timer.Reset(c.cfg.MaxWait)
-		linger:
-			for len(batch) < c.cfg.MinGather {
-				select {
-				case r, ok = <-c.reqs:
-					if !ok {
-						break linger
-					}
-					keys = append(keys, r.key)
-					batch = append(batch, r)
-				case <-timer.C:
-					break linger
-				}
-			}
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
-			}
-			lonely = len(batch) == preLinger
-		} else if len(batch) > 1 || c.batches.Load()%64 == 63 {
-			// A multi-request batch proves concurrency; and every 64th
-			// batch re-probes lingering even without one, so a quiet
-			// spell can't disable coalescing permanently.
-			lonely = false
-		}
-
-		var results []bool
-		if c.bi != nil {
-			if cap(resbuf) < len(keys) {
-				resbuf = make([]bool, len(keys))
-			}
-			results = resbuf[:len(keys)]
-			c.bi.ContainsBatchInto(results, keys)
-		} else {
-			results = c.b.ContainsBatch(keys)
+		res := results[:len(batch)]
+		c.b.ContainsBatchInto(res, keys)
+		// Count before answering, so a caller that got its answer also
+		// sees its key in Stats.
+		c.keys.Add(uint64(len(batch)))
+		c.batches.Add(1)
+		if c.onBatch != nil {
+			c.onBatch(len(batch))
 		}
 		for i, r := range batch {
-			r.res <- results[i]
+			r.res <- res[i]
 			// Release the key and request references now: the scratch
 			// slices are reused via [:0], so slots left behind by a large
 			// batch would otherwise pin every past caller's key bytes
 			// until a later batch happens to grow over them.
 			keys[i] = nil
 			batch[i] = nil
-		}
-		c.keys.Add(uint64(len(batch)))
-		c.batches.Add(1)
-		if c.onBatch != nil {
-			c.onBatch(len(batch))
 		}
 	}
 }

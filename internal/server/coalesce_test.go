@@ -9,15 +9,32 @@ import (
 	"time"
 )
 
+// gatedBatcher holds the first batch dispatched through it until
+// release is closed, so a test can make requests queue up behind it.
+type gatedBatcher struct {
+	Batcher
+	first   atomic.Bool
+	held    chan int // receives the first batch's size, then blocks
+	release chan struct{}
+}
+
+func (g *gatedBatcher) ContainsBatchInto(dst []bool, keys [][]byte) {
+	if g.first.CompareAndSwap(false, true) {
+		g.held <- len(keys)
+		<-g.release
+	}
+	g.Batcher.ContainsBatchInto(dst, keys)
+}
+
 // TestCoalescerAgreesWithDirect drives many concurrent single-key
 // queries through the coalescer and checks every answer against the
-// filter's own verdict.
+// filter's own verdict. The first dispatch is held until every other
+// worker's request is queued, so at least one batch of more than one
+// key forms even on a single-core host.
 func TestCoalescerAgreesWithDirect(t *testing.T) {
 	filter, data := newTestFilter(t, 3000)
-	// A positive MaxWait makes batch formation deterministic even on a
-	// single-core host, where the default drain-only policy may see the
-	// queue one request at a time.
-	co := NewCoalescer(filter, CoalesceConfig{MaxWait: 200 * time.Microsecond})
+	gate := &gatedBatcher{Batcher: filter, held: make(chan int, 1), release: make(chan struct{})}
+	co := newCoalescer(gate, coalesceMaxBatch, 1)
 	defer co.Close()
 
 	probes := append(append([][]byte{}, data.Positives...), data.Negatives...)
@@ -37,6 +54,13 @@ func TestCoalescerAgreesWithDirect(t *testing.T) {
 			}
 		}(w)
 	}
+	// Each worker has at most one query in flight: the held batch plus
+	// the queue account for all of them once every worker is waiting.
+	first := <-gate.held
+	for first+len(co.reqs) < workers {
+		time.Sleep(100 * time.Microsecond)
+	}
+	close(gate.release)
 	wg.Wait()
 	if n := mismatches.Load(); n != 0 {
 		t.Fatalf("%d coalesced answers disagree with direct queries", n)
@@ -48,13 +72,13 @@ func TestCoalescerAgreesWithDirect(t *testing.T) {
 	if st.Batches == 0 || st.Batches >= st.Keys {
 		t.Fatalf("no coalescing happened: %d batches for %d keys", st.Batches, st.Keys)
 	}
-	t.Logf("batches=%d keys=%d mean=%.1f lingers=%d", st.Batches, st.Keys, st.MeanBatch(), st.Lingers)
+	t.Logf("batches=%d keys=%d mean=%.1f", st.Batches, st.Keys, st.MeanBatch())
 }
 
 // TestCoalescerMaxBatch pins the batch-size bound.
 func TestCoalescerMaxBatch(t *testing.T) {
 	filter, data := newTestFilter(t, 500)
-	co := NewCoalescer(filter, CoalesceConfig{MaxBatch: 4, Dispatchers: 1})
+	co := newCoalescer(filter, 4, 1)
 	defer co.Close()
 	var tooBig atomic.Int64
 	co.onBatch = func(n int) {
@@ -74,24 +98,7 @@ func TestCoalescerMaxBatch(t *testing.T) {
 	}
 	wg.Wait()
 	if n := tooBig.Load(); n != 0 {
-		t.Fatalf("%d batches exceeded MaxBatch", n)
-	}
-}
-
-// TestCoalescerDisabled checks the bypass path still answers correctly
-// and is accounted as direct.
-func TestCoalescerDisabled(t *testing.T) {
-	filter, data := newTestFilter(t, 500)
-	co := NewCoalescer(filter, CoalesceConfig{Disabled: true})
-	defer co.Close()
-	for i, key := range data.Positives[:100] {
-		if !co.Contains(key) {
-			t.Fatalf("member %d denied", i)
-		}
-	}
-	st := co.Stats()
-	if st.Direct != 100 || st.Batches != 0 {
-		t.Fatalf("disabled coalescer: direct=%d batches=%d, want 100/0", st.Direct, st.Batches)
+		t.Fatalf("%d batches exceeded the batch bound", n)
 	}
 }
 
@@ -100,7 +107,7 @@ func TestCoalescerDisabled(t *testing.T) {
 // after the dispatchers drain.
 func TestCoalescerCloseDuringTraffic(t *testing.T) {
 	filter, data := newTestFilter(t, 2000)
-	co := NewCoalescer(filter, CoalesceConfig{MaxBatch: 16})
+	co := newCoalescer(filter, 16, coalesceDispatchers)
 
 	const workers = 8
 	var wg sync.WaitGroup
@@ -141,7 +148,7 @@ func TestCoalescerCloseDuringTraffic(t *testing.T) {
 // with exactly one key (the last one) never freed.
 func TestCoalescerReleasesKeyReferences(t *testing.T) {
 	filter, _ := newTestFilter(t, 300)
-	co := NewCoalescer(filter, CoalesceConfig{Dispatchers: 1})
+	co := newCoalescer(filter, coalesceMaxBatch, 1)
 	defer co.Close()
 
 	const n = 32
@@ -198,7 +205,7 @@ func BenchmarkCoalesce(b *testing.B) {
 	})
 	b.Run("coalesced/c8", func(b *testing.B) {
 		b.ReportAllocs()
-		co := NewCoalescer(filter, CoalesceConfig{})
+		co := newCoalescer(filter, coalesceMaxBatch, coalesceDispatchers)
 		defer co.Close()
 		b.SetParallelism(8)
 		var ctr atomic.Int64

@@ -68,8 +68,6 @@ var errBodyTooLarge = errors.New("request body exceeds " + strconv.Itoa(maxBodyB
 type Config struct {
 	// Filter is the sharded filter to serve. Required.
 	Filter *habf.Sharded
-	// Coalesce tunes (or disables) single-key request coalescing.
-	Coalesce CoalesceConfig
 	// SnapshotPath is the default target for POST /v1/snapshot and for
 	// snapshot-on-exit. Empty means snapshot requests must name a path.
 	SnapshotPath string
@@ -139,7 +137,7 @@ func New(cfg Config) (*Server, error) {
 	s.filter.Store(cfg.Filter)
 	// The coalescer dispatches through the server, not a pinned filter,
 	// so micro-batches formed before a SwapFilter land on the new filter.
-	s.co = NewCoalescer(serverBatcher{s}, cfg.Coalesce)
+	s.co = newCoalescer(serverBatcher{s}, coalesceMaxBatch, coalesceDispatchers)
 
 	s.mContains = s.reg.Counter(`habfserved_requests_total{endpoint="contains"}`, "Requests by endpoint.")
 	s.mContainsBatch = s.reg.Counter(`habfserved_requests_total{endpoint="contains_batch"}`, "Requests by endpoint.")
@@ -236,8 +234,7 @@ func (s *Server) Metrics() *metrics.Registry { return s.reg }
 // Batcher interface: every dispatch resolves the filter at call time.
 type serverBatcher struct{ s *Server }
 
-func (b serverBatcher) Contains(key []byte) bool           { return b.s.Filter().Contains(key) }
-func (b serverBatcher) ContainsBatch(keys [][]byte) []bool { return b.s.Filter().ContainsBatch(keys) }
+func (b serverBatcher) Contains(key []byte) bool { return b.s.Filter().Contains(key) }
 func (b serverBatcher) ContainsBatchInto(dst []bool, keys [][]byte) {
 	b.s.Filter().ContainsBatchInto(dst, keys)
 }

@@ -518,7 +518,7 @@ func TestEmptyKeyRejected(t *testing.T) {
 // and the coalescer.
 func TestConcurrentContainsAndAdd(t *testing.T) {
 	filter, data := newTestFilter(t, 2000)
-	_, hs := newTestServer(t, filter, Config{Coalesce: CoalesceConfig{MaxBatch: 32}})
+	_, hs := newTestServer(t, filter, Config{})
 
 	const (
 		readers = 6
