@@ -93,12 +93,11 @@ type Filter interface {
 }
 
 // WeightedKey is a known negative key with its misidentification cost
-// Θ(e). Uniform costs (all 1) reduce the weighted false-positive rate to
-// the ordinary one.
-type WeightedKey struct {
-	Key  []byte
-	Cost float64
-}
+// Θ(e), which must be finite and non-negative. Uniform costs (all 1)
+// reduce the weighted false-positive rate to the ordinary one. It is an
+// alias of the internal type, so constructors hand the caller's slice to
+// the builder without copying it.
+type WeightedKey = ihabf.WeightedKey
 
 // Stats reports what the TPJO construction algorithm did; see the fields
 // of the internal type for details.
@@ -144,14 +143,6 @@ type HABF struct {
 
 var _ Filter = (*HABF)(nil)
 
-func convertNegatives(negatives []WeightedKey) []ihabf.WeightedKey {
-	out := make([]ihabf.WeightedKey, len(negatives))
-	for i, n := range negatives {
-		out[i] = ihabf.WeightedKey{Key: n.Key, Cost: n.Cost}
-	}
-	return out
-}
-
 // New builds an HABF over positives within totalBits of memory, using the
 // negative keys and their costs to customize hash selections (TPJO).
 func New(positives [][]byte, negatives []WeightedKey, totalBits uint64, opts ...Option) (*HABF, error) {
@@ -159,7 +150,7 @@ func New(positives [][]byte, negatives []WeightedKey, totalBits uint64, opts ...
 	for _, o := range opts {
 		o(&p)
 	}
-	inner, err := ihabf.New(positives, convertNegatives(negatives), p)
+	inner, err := ihabf.New(positives, negatives, p)
 	if err != nil {
 		return nil, fmt.Errorf("habf: %w", err)
 	}
@@ -175,7 +166,7 @@ func NewFast(positives [][]byte, negatives []WeightedKey, totalBits uint64, opts
 		o(&p)
 	}
 	p.Fast = true
-	inner, err := ihabf.New(positives, convertNegatives(negatives), p)
+	inner, err := ihabf.New(positives, negatives, p)
 	if err != nil {
 		return nil, fmt.Errorf("habf: %w", err)
 	}

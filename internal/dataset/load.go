@@ -3,6 +3,7 @@ package dataset
 import (
 	"bufio"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 )
@@ -34,7 +35,7 @@ func LoadKeys(path string) ([][]byte, error) {
 	return out, nil
 }
 
-// LoadCosts reads a cost file: one non-negative float per line.
+// LoadCosts reads a cost file: one finite, non-negative float per line.
 func LoadCosts(path string) ([]float64, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -50,8 +51,8 @@ func LoadCosts(path string) ([]float64, error) {
 		if err != nil {
 			return nil, fmt.Errorf("dataset: %s:%d: %w", path, line, err)
 		}
-		if v < 0 {
-			return nil, fmt.Errorf("dataset: %s:%d: negative cost %v", path, line, v)
+		if !(v >= 0) || math.IsInf(v, 1) {
+			return nil, fmt.Errorf("dataset: %s:%d: invalid cost %v (want finite and >= 0)", path, line, v)
 		}
 		out = append(out, v)
 	}

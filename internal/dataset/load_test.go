@@ -71,11 +71,13 @@ func TestLoadErrors(t *testing.T) {
 	if _, err := LoadCosts(bad); err == nil {
 		t.Error("malformed cost accepted")
 	}
-	negv := filepath.Join(dir, "neg")
-	if err := os.WriteFile(negv, []byte("-3\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadCosts(negv); err == nil {
-		t.Error("negative cost accepted")
+	for _, line := range []string{"-3", "NaN", "+Inf"} {
+		path := filepath.Join(dir, "cost")
+		if err := os.WriteFile(path, []byte("1\n"+line+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadCosts(path); err == nil {
+			t.Errorf("cost %q accepted", line)
+		}
 	}
 }

@@ -48,8 +48,8 @@ func (r *readonlyBits) FillRatio() float64 { return r.bits.FillRatio() }
 //
 // positives and negatives should be disjoint (the problem definition of
 // §III-A assumes S ∩ O = ∅); overlapping keys are tolerated but waste
-// optimization effort. Costs must be non-negative. The paper's defaults
-// fill any zero Params field.
+// optimization effort. Costs must be finite and non-negative. The
+// paper's defaults fill any zero Params field.
 func New(positives [][]byte, negatives []WeightedKey, p Params) (*Filter, error) {
 	p = p.withDefaults()
 	if err := p.validate(); err != nil {
@@ -59,8 +59,8 @@ func New(positives [][]byte, negatives []WeightedKey, p Params) (*Filter, error)
 		return nil, fmt.Errorf("habf: empty positive key set")
 	}
 	for i, n := range negatives {
-		if n.Cost < 0 {
-			return nil, fmt.Errorf("habf: negative key %d has negative cost %v", i, n.Cost)
+		if !ValidCost(n.Cost) {
+			return nil, fmt.Errorf("habf: negative key %d has invalid cost %v (want finite and >= 0)", i, n.Cost)
 		}
 	}
 

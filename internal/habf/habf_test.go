@@ -2,6 +2,7 @@ package habf
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -40,9 +41,11 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(pos, neg, Params{TotalBits: 1 << 16, CellBits: 9}); err == nil {
 		t.Error("cell size 9 accepted")
 	}
-	bad := []WeightedKey{{Key: []byte("x"), Cost: -1}}
-	if _, err := New(pos, bad, Params{TotalBits: 1 << 16}); err == nil {
-		t.Error("negative cost accepted")
+	for _, c := range []float64{-1, math.NaN(), math.Inf(1)} {
+		bad := []WeightedKey{{Key: []byte("x"), Cost: c}}
+		if _, err := New(pos, bad, Params{TotalBits: 1 << 16}); err == nil {
+			t.Errorf("cost %v accepted", c)
+		}
 	}
 	if _, err := New(pos, neg, Params{TotalBits: 1 << 16, SpaceRatio: 1.5}); err == nil {
 		t.Error("SpaceRatio >= 1 accepted")

@@ -24,6 +24,11 @@ type WeightedKey struct {
 	Cost float64
 }
 
+// ValidCost reports whether c is usable as a cost: finite and
+// non-negative. NaN and +Inf would poison every cost sum TPJO and the
+// weighted FPR take.
+func ValidCost(c float64) bool { return c >= 0 && !math.IsInf(c, 1) }
+
 // Params configures HABF construction. The zero value is not usable; call
 // (Params).withDefaults via New, which fills in every unset field with the
 // paper's defaults (§V-D): k=3, cell size 4 bits, Δ=0.25.

@@ -3,6 +3,7 @@ package habf
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/bitset"
@@ -27,10 +28,9 @@ type builder struct {
 	positives [][]byte
 	negatives []WeightedKey
 
-	posState []keyState // prepared hashing context per positive key
-	negState []keyState
-	posH0    []uint64 // k positions per positive key under H0 (flat)
-	negH0    []uint64 // k positions per negative key under H0 (flat)
+	posHash []uint64 // f-HABF only: h1, h2 per positive key (flat)
+	posH0   []uint64 // k positions per positive key under H0 (flat)
+	negH0   []uint64 // k positions per negative key under H0 (flat)
 
 	// V: per Bloom bit, singleflag + the id of the first mapping key.
 	vSingle *bitset.Bits
@@ -103,25 +103,43 @@ func newBuilder(positives [][]byte, negatives []WeightedKey, p Params) *builder 
 	return b
 }
 
-// prepareKeys computes hashing contexts and H0 positions for every key.
+// prepareKeys computes H0 positions for every key. Negatives need their
+// hashing context only here; positives keep theirs for the adjustment
+// search, which in slow mode is just the key and in f-HABF mode the two
+// base hashes kept in posHash.
 func (b *builder) prepareKeys() {
 	k := b.p.K
-	b.posState = make([]keyState, len(b.positives))
+	fast := b.fam.fast
+	if fast {
+		b.posHash = make([]uint64, 2*len(b.positives))
+	}
 	b.posH0 = make([]uint64, len(b.positives)*k)
 	for i, key := range b.positives {
-		b.posState[i] = b.fam.prepare(key)
+		ks := b.fam.prepare(key)
+		if fast {
+			b.posHash[2*i], b.posHash[2*i+1] = ks.h1, ks.h2
+		}
 		for s, idx := range b.h0 {
-			b.posH0[i*k+s] = b.fam.pos(b.posState[i], idx, b.m)
+			b.posH0[i*k+s] = b.fam.pos(ks, idx, b.m)
 		}
 	}
-	b.negState = make([]keyState, len(b.negatives))
 	b.negH0 = make([]uint64, len(b.negatives)*k)
 	for j := range b.negatives {
-		b.negState[j] = b.fam.prepare(b.negatives[j].Key)
+		ks := b.fam.prepare(b.negatives[j].Key)
 		for s, idx := range b.h0 {
-			b.negH0[j*k+s] = b.fam.pos(b.negState[j], idx, b.m)
+			b.negH0[j*k+s] = b.fam.pos(ks, idx, b.m)
 		}
 	}
+}
+
+// posKey rebuilds positive key i's hashing context: the key itself, plus
+// its base hashes from posHash in f-HABF mode.
+func (b *builder) posKey(i int32) keyState {
+	ks := keyState{key: b.positives[i]}
+	if b.fam.fast {
+		ks.h1, ks.h2 = b.posHash[2*i], b.posHash[2*i+1]
+	}
+	return ks
 }
 
 // initBloomAndV inserts all positives with H0 and builds the V index in a
@@ -204,11 +222,9 @@ func (b *builder) addToGamma(j int32) {
 	}
 	b.inGamma[j] = true
 	k := b.p.K
-	seen := make(map[uint64]bool, k)
-	for s := 0; s < k; s++ {
-		pos := b.negH0[int(j)*k+s]
-		if !seen[pos] {
-			seen[pos] = true
+	h0 := b.negH0[int(j)*k : int(j)*k+k]
+	for s, pos := range h0 {
+		if !slices.Contains(h0[:s], pos) {
 			b.gamma[pos] = append(b.gamma[pos], j)
 		}
 	}
@@ -299,17 +315,18 @@ func (b *builder) optimize(j int32) bool {
 // gatherCandidates enumerates replacement functions hc ∈ H − φ(es) and
 // classifies them into the three preference tiers.
 func (b *builder) gatherCandidates(es int32, clearedPos uint64, cost float64) []candidate {
-	inH0 := make(map[uint8]bool, len(b.h0))
+	var inH0 uint32 // bit idx set for each H0 member; the family has ≤31 functions
 	for _, idx := range b.h0 {
-		inH0[idx] = true
+		inH0 |= 1 << idx
 	}
+	ks := b.posKey(es)
 	var cands []candidate
 	for hc := 0; hc < b.fam.size; hc++ {
 		idx := uint8(hc)
-		if inH0[idx] {
+		if inH0&(1<<idx) != 0 {
 			continue
 		}
-		npos := b.fam.pos(b.posState[es], idx, b.m)
+		npos := b.fam.pos(ks, idx, b.m)
 		if npos == clearedPos {
 			// Re-setting the bit we are about to clear would leave the
 			// collision key positive; never a valid adjustment.
@@ -355,6 +372,7 @@ func (b *builder) applyBestCandidate(j, es int32, huSlot int, clearedPos uint64,
 		phi  []uint8
 		plan insertPlan
 	}
+	ks := b.posKey(es)
 	i := 0
 	for i < len(cands) {
 		tier := cands[i].tier
@@ -363,7 +381,7 @@ func (b *builder) applyBestCandidate(j, es int32, huSlot int, clearedPos uint64,
 			phi := make([]uint8, len(b.h0))
 			copy(phi, b.h0)
 			phi[huSlot] = cands[i].hc
-			plan, ok := b.he.simulate(b.fam, b.posState[es], phi)
+			plan, ok := b.he.simulate(b.fam, ks, phi)
 			if !ok {
 				continue
 			}

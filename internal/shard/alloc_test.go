@@ -5,7 +5,29 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+
+	"repro/internal/hashes"
 )
+
+// TestPartitionAllocsFlat: the construction-time partition allocates a
+// fixed number of exactly sized arrays, whatever the key count — no
+// per-shard slice growth.
+func TestPartitionAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; run without -race for alloc counts")
+	}
+	route := func(key []byte) uint32 { return uint32(hashes.Base(key) >> 60) }
+	allocs := func(n int) float64 {
+		keys := make([][]byte, n)
+		for i := range keys {
+			keys[i] = []byte(fmt.Sprintf("member-%06d", i))
+		}
+		return testing.AllocsPerRun(5, func() { partition(keys, 16, route) })
+	}
+	if small, large := allocs(1000), allocs(100000); small != large {
+		t.Errorf("partition allocates %.0f objects at N=1,000 but %.0f at N=100,000", small, large)
+	}
+}
 
 // TestContainsBatchIntoZeroAllocs pins the zero-alloc contract of the
 // batch read path: once the scratch pool is warm, a ContainsBatchInto

@@ -172,8 +172,8 @@ func New(positives [][]byte, negatives []habf.WeightedKey, cfg Config) (*Set, er
 	// that come up empty (the backend would only see them on a later lazy
 	// build, where there is no error channel back to the caller).
 	for i, wk := range negatives {
-		if wk.Cost < 0 {
-			return nil, fmt.Errorf("shard: negative key %d has negative cost %v", i, wk.Cost)
+		if !habf.ValidCost(wk.Cost) {
+			return nil, fmt.Errorf("shard: negative key %d has invalid cost %v (want finite and >= 0)", i, wk.Cost)
 		}
 	}
 	n := cfg.Shards
@@ -213,16 +213,8 @@ func New(positives [][]byte, negatives []habf.WeightedKey, cfg Config) (*Set, er
 	}
 
 	// Partition by fingerprint prefix.
-	posByShard := make([][][]byte, n)
-	negByShard := make([][]habf.WeightedKey, n)
-	for _, key := range positives {
-		id := s.route(key)
-		posByShard[id] = append(posByShard[id], key)
-	}
-	for _, wk := range negatives {
-		id := s.route(wk.Key)
-		negByShard[id] = append(negByShard[id], wk)
-	}
+	posByShard := partition(positives, n, func(key []byte) uint32 { return uint32(s.route(key)) })
+	negByShard := partition(negatives, n, func(wk habf.WeightedKey) uint32 { return uint32(s.route(wk.Key)) })
 
 	bitsPerKey := s.bitsPerKey
 	for i := range s.shards {
@@ -263,6 +255,39 @@ func New(positives [][]byte, negatives []habf.WeightedKey, cfg Config) (*Set, er
 		}
 	}
 	return s, nil
+}
+
+// partition groups items by shard with a stable two-pass counting sort:
+// the first pass routes every item once and counts per shard, the second
+// scatters into one backing array of exactly len(items). Shard id gets
+// the window backing[lo:hi:hi], in input order; the capped capacity makes
+// a later append to one shard reallocate instead of writing into the
+// next shard's window.
+func partition[T any](items []T, nshards int, route func(T) uint32) [][]T {
+	ids := make([]uint32, len(items))
+	starts := make([]int, nshards+1)
+	for i, it := range items {
+		id := route(it)
+		ids[i] = id
+		starts[id+1]++
+	}
+	for id := 0; id < nshards; id++ {
+		starts[id+1] += starts[id]
+	}
+	backing := make([]T, len(items))
+	fill := make([]int, nshards)
+	copy(fill, starts)
+	for i, it := range items {
+		id := ids[i]
+		backing[fill[id]] = it
+		fill[id]++
+	}
+	out := make([][]T, nshards)
+	for id := range out {
+		lo, hi := starts[id], starts[id+1]
+		out[id] = backing[lo:hi:hi]
+	}
+	return out
 }
 
 // reconcileTuning makes the legacy HABF Params toggles and the tuning

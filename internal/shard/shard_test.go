@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -102,6 +103,87 @@ func TestShardCountRounding(t *testing.T) {
 	sd, _, _ := newSet(t, 500, Config{})
 	if sd.NumShards() != DefaultShards {
 		t.Fatalf("default shards = %d, want %d", sd.NumShards(), DefaultShards)
+	}
+	// Past 256 shards a narrow shard id would wrap and hand keys to the
+	// wrong shard at construction; every member must still answer true.
+	sw, pos, _ := newSet(t, 2000, Config{Shards: 300})
+	if sw.NumShards() != 512 {
+		t.Fatalf("Shards=300 should round to 512, got %d", sw.NumShards())
+	}
+	for _, key := range pos {
+		if !sw.Contains(key) {
+			t.Fatalf("512-shard set lost %q", key)
+		}
+	}
+}
+
+// TestInvalidCostRejected: a NaN or infinite cost would poison every cost
+// sum of the per-shard builds, so New refuses it up front like a
+// negative one.
+func TestInvalidCostRejected(t *testing.T) {
+	pos, neg, _ := fixture(100)
+	for _, c := range []float64{-1, math.NaN(), math.Inf(1)} {
+		bad := append([]habf.WeightedKey(nil), neg...)
+		bad[len(bad)-1].Cost = c
+		if _, err := New(pos, bad, Config{Shards: 4, TotalBits: 1200}); err == nil {
+			t.Errorf("cost %v accepted", c)
+		}
+	}
+}
+
+// TestShardWindowsStaySeparate: New hands each shard a window of one
+// shared backing array, in input order. Each window's capacity ends at
+// its length, so Adds routed to one shard reallocate its list instead of
+// writing over the next shard's keys.
+func TestShardWindowsStaySeparate(t *testing.T) {
+	s, pos, _ := newSet(t, 2000, Config{Shards: 4, RebuildThreshold: -1})
+	index := make(map[string]int, len(pos))
+	for i, key := range pos {
+		index[string(key)] = i
+	}
+	total := 0
+	for id, sh := range s.shards {
+		if cap(sh.positives) != len(sh.positives) || cap(sh.negatives) != len(sh.negatives) {
+			t.Fatalf("shard %d: positives len %d cap %d, negatives len %d cap %d",
+				id, len(sh.positives), cap(sh.positives), len(sh.negatives), cap(sh.negatives))
+		}
+		last := -1
+		for _, key := range sh.positives {
+			i := index[string(key)]
+			if i <= last || s.route(key) != id {
+				t.Fatalf("shard %d: %q out of order or misrouted", id, key)
+			}
+			last = i
+		}
+		total += len(sh.positives)
+	}
+	if total != len(pos) {
+		t.Fatalf("partition holds %d keys, want %d", total, len(pos))
+	}
+
+	neighbour := append([][]byte(nil), s.shards[1].positives...)
+	added := 0
+	for i := 0; added < 50; i++ {
+		key := []byte(fmt.Sprintf("late-%06d", i))
+		if s.route(key) == 0 {
+			s.Add(key)
+			pos = append(pos, key)
+			added++
+		}
+	}
+	got := s.shards[1].positives
+	if len(got) != len(neighbour) {
+		t.Fatalf("neighbour shard grew from %d to %d keys", len(neighbour), len(got))
+	}
+	for i := range got {
+		if string(got[i]) != string(neighbour[i]) {
+			t.Fatalf("neighbour key %d overwritten: %q, was %q", i, got[i], neighbour[i])
+		}
+	}
+	for _, key := range pos {
+		if !s.Contains(key) {
+			t.Fatalf("false negative for %q", key)
+		}
 	}
 }
 

@@ -132,7 +132,7 @@ func NewSharded(positives [][]byte, negatives []WeightedKey, totalBits uint64, o
 	for _, o := range opts {
 		o(&cfg)
 	}
-	set, err := shard.New(positives, convertNegatives(negatives), cfg)
+	set, err := shard.New(positives, negatives, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("habf: %w", err)
 	}
