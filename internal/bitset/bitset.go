@@ -42,7 +42,7 @@ func (b *Bits) SizeBytes() uint64 { return uint64(len(b.words)) * 8 }
 // Set sets bit i to 1. It panics if i is out of range.
 func (b *Bits) Set(i uint64) {
 	if i >= b.n {
-		panic(fmt.Sprintf("bitset: Set(%d) out of range [0,%d)", i, b.n))
+		panic(rangeError{op: "Set", i: i, n: b.n})
 	}
 	if b.borrowed {
 		b.materialize()
@@ -53,7 +53,7 @@ func (b *Bits) Set(i uint64) {
 // Clear sets bit i to 0. It panics if i is out of range.
 func (b *Bits) Clear(i uint64) {
 	if i >= b.n {
-		panic(fmt.Sprintf("bitset: Clear(%d) out of range [0,%d)", i, b.n))
+		panic(rangeError{op: "Clear", i: i, n: b.n})
 	}
 	if b.borrowed {
 		b.materialize()
@@ -64,7 +64,7 @@ func (b *Bits) Clear(i uint64) {
 // Test reports whether bit i is 1. It panics if i is out of range.
 func (b *Bits) Test(i uint64) bool {
 	if i >= b.n {
-		panic(fmt.Sprintf("bitset: Test(%d) out of range [0,%d)", i, b.n))
+		panic(rangeError{op: "Test", i: i, n: b.n})
 	}
 	return b.words[i>>6]&(1<<(i&63)) != 0
 }
@@ -147,6 +147,19 @@ func (b *Bits) Intersect(o *Bits) error {
 		b.words[i] &= o.words[i]
 	}
 	return nil
+}
+
+// rangeError is the panic value of an out-of-range index. The message is
+// formatted only when the panic is reported, which keeps the formatting
+// call out of the accessors so the hot ones (Test, Lanes.Get) stay within
+// the compiler's inlining budget.
+type rangeError struct {
+	op   string
+	i, n uint64
+}
+
+func (e rangeError) Error() string {
+	return fmt.Sprintf("bitset: %s(%d) out of range [0,%d)", e.op, e.i, e.n)
 }
 
 const bitsMagic = uint32(0xb1750001)

@@ -1,6 +1,7 @@
 package bitset
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -64,8 +65,11 @@ func TestOutOfRangePanics(t *testing.T) {
 	} {
 		func() {
 			defer func() {
-				if recover() == nil {
+				r := recover()
+				if r == nil {
 					t.Errorf("%s(10) on len-10 vector did not panic", name)
+				} else if want := "bitset: " + name + "(10) out of range [0,10)"; fmt.Sprint(r) != want {
+					t.Errorf("%s(10) panicked with %q, want %q", name, r, want)
 				}
 			}()
 			fn()

@@ -52,7 +52,7 @@ func (l *Lanes) SizeBytes() uint64 { return uint64(len(l.words)) * 8 }
 // Get returns lane i. It panics if i is out of range.
 func (l *Lanes) Get(i uint64) uint64 {
 	if i >= l.n {
-		panic(fmt.Sprintf("bitset: lane Get(%d) out of range [0,%d)", i, l.n))
+		panic(rangeError{op: "lane Get", i: i, n: l.n})
 	}
 	bitPos := i * uint64(l.width)
 	w, off := bitPos>>6, bitPos&63
@@ -67,7 +67,7 @@ func (l *Lanes) Get(i uint64) uint64 {
 // It panics if i is out of range.
 func (l *Lanes) Set(i uint64, v uint64) {
 	if i >= l.n {
-		panic(fmt.Sprintf("bitset: lane Set(%d) out of range [0,%d)", i, l.n))
+		panic(rangeError{op: "lane Set", i: i, n: l.n})
 	}
 	if l.borrowed {
 		l.materialize()

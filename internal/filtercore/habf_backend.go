@@ -30,7 +30,9 @@ func (b *habfBackend) Add(key []byte) error {
 
 // ContainsBatchInto implements PreparedQuerier. HABF keeps its own hash
 // family (Table II corpus / simulated double hashing), so the shared base
-// hashes are ignored and every key is probed in turn.
+// hashes are ignored; the filter's staged batch kernel probes the
+// sub-batch one hash function at a time across all its keys, overlapping
+// their cache misses.
 func (b *habfBackend) ContainsBatchInto(dst []bool, keys [][]byte, _ []uint64) {
 	b.f.ContainsBatchInto(dst, keys)
 }

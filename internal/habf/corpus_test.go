@@ -14,7 +14,8 @@ const filterCorpusDir = "testdata/fuzz/FuzzUnmarshalFilter"
 // TestFilterSeedCorpus keeps the committed seed corpus honest: every
 // file must decode, every generated hostile input must be represented,
 // and every committed seed must satisfy the fuzz target's property
-// (no panic; accepted payloads re-marshal). Regenerate the files with
+// (no panic; batch and per-key probes agree; accepted payloads
+// re-marshal). Regenerate the files with
 //
 //	UPDATE_FUZZ_CORPUS=1 go test -run TestFilterSeedCorpus ./internal/habf
 func TestFilterSeedCorpus(t *testing.T) {
@@ -34,6 +35,7 @@ func TestFilterSeedCorpus(t *testing.T) {
 			t.Errorf("seed %q not committed (regenerate with UPDATE_FUZZ_CORPUS=1)", name)
 		}
 	}
+	members := genKeys(8, "fz")
 	for _, name := range fuzzcorpus.Names(committed) {
 		data := committed[name]
 		// The fuzz target's core property, applied to each seed.
@@ -44,6 +46,7 @@ func TestFilterSeedCorpus(t *testing.T) {
 			}
 			g.Contains([]byte("probe"))
 			g.Contains(nil)
+			checkBatchParity(t, g, batchAround(data[:min(len(data), 16)], members))
 			if _, err := g.MarshalBinary(); err != nil {
 				t.Errorf("seed %q: accepted filter failed to re-marshal: %v", name, err)
 			}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/fuzzcorpus"
 )
 
@@ -44,6 +45,12 @@ func fuzzFilterSeeds(tb testing.TB) map[string][]byte {
 	hugeBits := append([]byte(nil), good...)
 	binary.LittleEndian.PutUint64(hugeBits[17+k+8+4:], ^uint64(0))
 	seeds["huge-bitset-len"] = hugeBits
+	// Empty arrays: a Bloom filter of 0 bits, or a HashExpressor of 0
+	// cells, used to decode and then divide by zero on the first query.
+	empty, _ := bitset.New(0).MarshalBinary()
+	seeds["empty-bloom"] = replaceBlocks(tb, good, empty, nil)
+	empty, _ = bitset.NewLanes(0, uint(good[7])).MarshalBinary()
+	seeds["empty-cells"] = replaceBlocks(tb, good, nil, empty)
 	// Corrupted payload byte mid-bloom (no inner CRC: may decode to a
 	// different but still well-formed filter; must not panic).
 	bitrot := append([]byte(nil), good...)
@@ -52,20 +59,79 @@ func fuzzFilterSeeds(tb testing.TB) map[string][]byte {
 	return seeds
 }
 
+// replaceBlocks returns a copy of the MarshalBinary payload good with its
+// Bloom block and HashExpressor block replaced by bloom and cells; a nil
+// replacement keeps the original block.
+func replaceBlocks(tb testing.TB, good, bloom, cells []byte) []byte {
+	tb.Helper()
+	off := 17 + int(good[16])
+	block := func() []byte {
+		n := int(binary.LittleEndian.Uint64(good[off:]))
+		b := good[off+8 : off+8+n]
+		off += 8 + n
+		return b
+	}
+	out := append([]byte(nil), good[:off]...)
+	for _, repl := range [][]byte{bloom, cells} {
+		if orig := block(); repl == nil {
+			repl = orig
+		}
+		out = binary.LittleEndian.AppendUint64(out, uint64(len(repl)))
+		out = append(out, repl...)
+	}
+	if off != len(good) {
+		tb.Fatalf("replaceBlocks: %d trailing bytes", len(good)-off)
+	}
+	return out
+}
+
+// batchAround builds a probe batch of batchChunk+7 keys, so it crosses a
+// chunk boundary of the batch kernel: key itself, one-byte extensions of
+// it, and the given members in turn.
+func batchAround(key []byte, members [][]byte) [][]byte {
+	batch := make([][]byte, 0, batchChunk+7)
+	for i := 0; len(batch) < cap(batch); i++ {
+		switch i % 3 {
+		case 0:
+			batch = append(batch, key)
+		case 1:
+			batch = append(batch, append(append([]byte{}, key...), byte(i)))
+		default:
+			batch = append(batch, members[i%len(members)])
+		}
+	}
+	return batch
+}
+
+// checkBatchParity fails unless ContainsBatch answers every key of batch
+// exactly like Contains.
+func checkBatchParity(t *testing.T, f *Filter, batch [][]byte) {
+	t.Helper()
+	got := f.ContainsBatch(batch)
+	for i, k := range batch {
+		if want := f.Contains(k); got[i] != want {
+			t.Fatalf("%s: key %q: batch=%v per-key=%v", f.Name(), k, got[i], want)
+		}
+	}
+}
+
 // FuzzUnmarshalFilter hardens the wire format: arbitrary bytes must never
-// panic, and every accepted payload must re-marshal to an equivalent
-// filter.
+// panic, every accepted payload must re-marshal to an equivalent filter,
+// and its batch probe must answer like its per-key probe, even where a
+// hostile cell holds an index outside the family.
 func FuzzUnmarshalFilter(f *testing.F) {
 	seeds := fuzzFilterSeeds(f)
 	for _, name := range fuzzcorpus.Names(seeds) {
 		f.Add(seeds[name])
 	}
+	members := genKeys(8, "fz")
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, decode := range []func([]byte) (*Filter, error){UnmarshalFilter, UnmarshalFilterBorrow} {
 			if g, err := decode(data); err == nil {
 				g.Contains([]byte("probe"))
 				g.Contains(nil)
+				checkBatchParity(t, g, batchAround(data[:min(len(data), 16)], members))
 			}
 		}
 		g, err := UnmarshalFilter(data)
@@ -91,7 +157,8 @@ func FuzzUnmarshalFilter(f *testing.F) {
 }
 
 // FuzzContains hammers the two-round query with arbitrary keys: no panics,
-// and determinism per key.
+// determinism per key, and a batch built around the key answered exactly
+// like per-key Contains.
 func FuzzContains(f *testing.F) {
 	pos := genKeys(500, "fz")
 	neg := genNegatives(500, "fn", func(i int) float64 { return float64(i + 1) })
@@ -115,6 +182,9 @@ func FuzzContains(f *testing.F) {
 		if fast.Contains(key) != fast.Contains(key) {
 			t.Fatal("f-HABF Contains not deterministic")
 		}
+		batch := batchAround(key, pos)
+		checkBatchParity(t, filter, batch)
+		checkBatchParity(t, fast, batch)
 		// Members must always pass, whatever the fuzzer feeds around them.
 		if bytes.HasPrefix(key, []byte("fz/")) {
 			for _, k := range pos[:3] {

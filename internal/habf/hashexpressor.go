@@ -37,6 +37,11 @@ func (he *hashExpressor) load(i uint64) (endbit bool, v uint8) {
 	return raw&1 == 1, uint8(raw >> 1)
 }
 
+// occupied reports whether cell i is non-empty (load's v != 0). Unlike
+// load it fits the inlining budget, which the batch kernel's branch-free
+// cell pass needs.
+func (he *hashExpressor) occupied(i uint64) bool { return he.cells.Get(i)>>1 != 0 }
+
 // store encodes (endbit, hashindex+1) into cell i.
 func (he *hashExpressor) store(i uint64, endbit bool, v uint8) {
 	raw := uint64(v) << 1

@@ -158,6 +158,10 @@ func unmarshalFilter(data []byte, borrow bool) (*Filter, error) {
 	if k < 2 || k > 32 || h0Len != k {
 		return nil, fmt.Errorf("habf: inconsistent k=%d, |H0|=%d", k, h0Len)
 	}
+	// Queries reduce positions modulo both lengths.
+	if bfBits.Len() == 0 || cells.Len() == 0 {
+		return nil, fmt.Errorf("habf: empty array (%d Bloom bits, %d cells)", bfBits.Len(), cells.Len())
+	}
 
 	p := Params{
 		TotalBits: bfBits.Len() + cells.Len()*uint64(cellBits),

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/bitset"
 )
 
 func buildForSerde(t testing.TB, fast bool) (*Filter, [][]byte, []WeightedKey) {
@@ -213,6 +215,34 @@ func TestUnmarshalBlockLengthOverflow(t *testing.T) {
 	binary.LittleEndian.PutUint64(bad[blockLenOff+8+4:], ^uint64(0)) // Bits.n field
 	if _, err := UnmarshalFilter(bad); err == nil {
 		t.Error("hostile bitset bit count accepted")
+	}
+}
+
+// Regression: a payload whose Bloom bit array or HashExpressor cell array
+// is empty decoded fine, and its first query panicked with an integer
+// divide by zero (position % m, cell % ω).
+func TestUnmarshalEmptyArrays(t *testing.T) {
+	f, _, _ := buildForSerde(t, false)
+	good, err := f.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	emptyBloom, _ := bitset.New(0).MarshalBinary()
+	emptyCells, _ := bitset.NewLanes(0, f.he.cells.Width()).MarshalBinary()
+	cases := map[string][]byte{
+		"empty bloom": replaceBlocks(t, good, emptyBloom, nil),
+		"empty cells": replaceBlocks(t, good, nil, emptyCells),
+	}
+	// The splice itself is sound: replacing nothing reproduces the input.
+	if same := replaceBlocks(t, good, nil, nil); string(same) != string(good) {
+		t.Fatal("replaceBlocks(nil, nil) changed the payload")
+	}
+	for name, data := range cases {
+		for _, decode := range []func([]byte) (*Filter, error){UnmarshalFilter, UnmarshalFilterBorrow} {
+			if _, err := decode(data); err == nil {
+				t.Errorf("%s: accepted", name)
+			}
+		}
 	}
 }
 
