@@ -184,3 +184,32 @@ func TestShardedBasics(t *testing.T) {
 		t.Fatalf("weighted FPR %.4f unexpectedly high for known negatives", wfpr)
 	}
 }
+
+// TestShardedAddFromReusedBuffer adds keys from one buffer that the caller
+// rewrites between Adds, as a bufio.Scanner loop does. Add must copy what
+// it keeps: the drift rebuilds it triggers read the retained keys, and
+// every added key must still answer true after them.
+func TestShardedAddFromReusedBuffer(t *testing.T) {
+	pos, neg := concFixture(t, 20000)
+	s, err := habf.NewSharded(pos, neg, uint64(10*len(pos)),
+		habf.WithShards(4), habf.WithShardFilterOptions(habf.WithSeed(9)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const adds = 2000
+	buf := make([]byte, 0, 20)
+	for i := 0; i < adds; i++ {
+		buf = fmt.Appendf(buf[:0], "added/%014d", i)
+		s.Add(buf)
+	}
+	s.WaitRebuilds()
+	lost := 0
+	for i := 0; i < adds; i++ {
+		if !s.Contains(fmt.Appendf(nil, "added/%014d", i)) {
+			lost++
+		}
+	}
+	if lost != 0 {
+		t.Fatalf("%d of %d keys added from a reused buffer answer false after rebuilds", lost, adds)
+	}
+}
