@@ -199,9 +199,7 @@ func (b *BinaryServer) handle(conn net.Conn) {
 				bw.Flush()
 				return
 			}
-			// The filter retains Add keys; the decoder's scratch must not
-			// escape into it, so Add gets its own copy.
-			b.s.Filter().Add(append([]byte(nil), req.Key...))
+			b.s.Filter().Add(req.Key)
 			out = wire.AppendOKResp(out[:0], wire.OpAdd, req.ID)
 			b.s.mBinAdd.Inc()
 		case wire.OpPing:

@@ -34,6 +34,7 @@
 package shard
 
 import (
+	"bytes"
 	"fmt"
 	"math/bits"
 	"runtime"
@@ -159,7 +160,8 @@ type shard struct {
 // New partitions positives and negatives across shards and builds every
 // shard in parallel. At least one positive key is required overall;
 // individual shards may come up empty and answer false until keys are
-// added to them.
+// added to them. The set keeps the key slices themselves, not copies, for
+// its rebuilds; the caller must not modify them afterwards.
 func New(positives [][]byte, negatives []habf.WeightedKey, cfg Config) (*Set, error) {
 	if len(positives) == 0 {
 		return nil, fmt.Errorf("shard: empty positive key set")
@@ -641,8 +643,10 @@ func (sh *shard) containsSub(j *batchJob, lo, hi int) {
 // exceed the rebuild threshold a background rebuild is kicked off. A
 // static backend's filter cannot absorb the key directly; it is buffered
 // as pending — queryable immediately, zero false negatives — until the
-// rebuild swap folds it in.
+// rebuild swap folds it in. The shard keeps a copy of key for its
+// rebuilds, so the caller may reuse the slice as soon as Add returns.
 func (s *Set) Add(key []byte) {
+	key = bytes.Clone(key)
 	sh := s.shards[s.route(key)]
 	sh.addMu.Lock()
 	defer sh.addMu.Unlock()

@@ -127,6 +127,10 @@ func ParseTuning(backend, tuning string) (string, error) {
 // memory, splitting the budget across shards in proportion to their key
 // share. Negatives are routed to the shard their colliding positives
 // live in, so per-shard TPJO sees exactly the conflicts it can fix.
+//
+// The set keeps the key slices of positives and negatives (not copies)
+// for its background rebuilds, so the caller must not modify them
+// afterwards. Keys passed to Add are copied.
 func NewSharded(positives [][]byte, negatives []WeightedKey, totalBits uint64, opts ...ShardedOption) (*Sharded, error) {
 	cfg := shard.Config{TotalBits: totalBits}
 	for _, o := range opts {
@@ -158,7 +162,8 @@ func (s *Sharded) ContainsBatchInto(dst []bool, keys [][]byte) { s.set.ContainsB
 
 // Add inserts a key, locking only the owning shard. The key is queryable
 // as soon as Add returns, and the zero-false-negative guarantee holds
-// across any background rebuilds it may trigger.
+// across any background rebuilds it may trigger. Add keeps a copy of
+// key, so the caller may reuse the slice.
 func (s *Sharded) Add(key []byte) { s.set.Add(key) }
 
 // Name identifies the filter variant, e.g. "Sharded[8×HABF]".
