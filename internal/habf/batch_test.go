@@ -138,6 +138,58 @@ func TestContainsBatchIntoLeavesTailUntouched(t *testing.T) {
 	}
 }
 
+// TestContainsBatchLanes checks the slow-mode kernel against Contains
+// where a round-one stage uses each 4-lane form: once over probes of one
+// length, which hash in lockstep, and once over probes of mixed lengths,
+// whose groups fall back to the scalar function.
+func TestContainsBatchLanes(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	key := func(n int) []byte {
+		k := make([]byte, n)
+		rng.Read(k)
+		return k
+	}
+	var same, mixed [][]byte // members, then as many fresh keys
+	var neg []WeightedKey
+	for i := 0; i < 2000; i++ {
+		same = append(same, key(32))
+		mixed = append(mixed, key(1+i%40))
+		neg = append(neg, WeightedKey{Key: key(32), Cost: 1}, WeightedKey{Key: key(1 + i%40), Cost: 2})
+	}
+	members := append(append([][]byte{}, same...), mixed...)
+	for i := 0; i < 2000; i++ {
+		same = append(same, key(32))
+		mixed = append(mixed, key(1+i%40))
+	}
+	for _, form := range []laneForm{laneOAAT, laneHsieh} {
+		// The first seed whose H0 includes the function with this form.
+		var f *Filter
+		for seed := int64(1); f == nil; seed++ {
+			g, err := New(members, neg, Params{TotalBits: uint64(10 * len(members)), Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, idx := range g.h0 {
+				if g.fam.lanes[idx] == form {
+					f = g
+				}
+			}
+		}
+		for name, probes := range map[string][][]byte{"same length": same, "mixed lengths": mixed} {
+			dst := make([]bool, len(probes))
+			f.ContainsBatchInto(dst, probes)
+			for i, k := range probes {
+				if want := f.Contains(k); dst[i] != want {
+					t.Fatalf("form %d, %s: key %x batch=%v per-key=%v", form, name, k, dst[i], want)
+				}
+				if i < 2000 && !dst[i] {
+					t.Fatalf("form %d, %s: false negative for member %x", form, name, k)
+				}
+			}
+		}
+	}
+}
+
 // TestContainsBatchIntoZeroAllocs pins the kernel's per-chunk state to
 // the stack.
 func TestContainsBatchIntoZeroAllocs(t *testing.T) {

@@ -65,8 +65,7 @@ func New(positives [][]byte, negatives []WeightedKey, p Params) (*Filter, error)
 	}
 
 	b := newBuilder(positives, negatives, p)
-	b.prepareKeys()
-	b.initBloomAndV()
+	b.hashKeys()
 
 	b.optimized = make([]bool, len(negatives))
 	b.inGamma = make([]bool, len(negatives))
@@ -231,7 +230,7 @@ func (f *Filter) contains(key []byte) bool {
 		if pass {
 			return true
 		}
-		return f.roundTwoFast(h1, h2, fam.entryFast(h1, h2, f.he.omega), m)
+		return f.roundTwoFast(h1, h2, fam.entryFast(h1, h2)%f.he.omega, m)
 	}
 	pass := true
 	for _, idx := range f.h0 {
@@ -243,7 +242,7 @@ func (f *Filter) contains(key []byte) bool {
 	if pass {
 		return true
 	}
-	return f.roundTwoSlow(key, fam.entrySlow(key, f.he.omega), m)
+	return f.roundTwoSlow(key, fam.entrySlow(key)%f.he.omega, m)
 }
 
 // roundTwoSlow recovers an adjusted key's customized selection from the
@@ -340,7 +339,8 @@ func (f *Filter) ContainsBatchInto(dst []bool, keys [][]byte) {
 // is predicted.
 //
 //  1. Prepare: f-HABF computes each key's two lanes once; slow mode
-//     hashes the key itself in every stage.
+//     hashes the key itself in every stage, four keys at a time where
+//     the stage's function has a 4-lane form (rawSlowSel).
 //  2. Round one, one H0 function per stage: a key whose bit is clear
 //     moves from live to miss and is not hashed again (early exit).
 //  3. Round two: compute every miss's HashExpressor entry cell and load
@@ -367,17 +367,14 @@ func (f *Filter) containsChunk(dst []bool, keys [][]byte) {
 	for _, idx := range f.h0 {
 		if fam.fast {
 			for i, j := range live[:nl] {
-				pos[i] = fam.rawFast(h1[j], h2[j], idx) % m
+				pos[i] = fam.rawFast(h1[j], h2[j], idx)
 			}
 		} else {
-			fn := fam.fns[idx]
-			for i, j := range live[:nl] {
-				pos[i] = fn(keys[j]) % m
-			}
+			fam.rawSlowSel(idx, keys, live[:nl], pos[:nl])
 		}
 		w := 0
 		for i, j := range live[:nl] {
-			hit := b2i(bits.Test(pos[i]))
+			hit := b2i(bits.Test(pos[i] % m))
 			live[w], miss[nm] = j, j
 			w += hit
 			nm += 1 - hit
@@ -391,11 +388,11 @@ func (f *Filter) containsChunk(dst []bool, keys [][]byte) {
 
 	if fam.fast {
 		for i, j := range miss[:nm] {
-			pos[i] = fam.entryFast(h1[j], h2[j], he.omega)
+			pos[i] = fam.entryFast(h1[j], h2[j]) % he.omega
 		}
 	} else {
 		for i, j := range miss[:nm] {
-			pos[i] = fam.entrySlow(keys[j], he.omega)
+			pos[i] = fam.entrySlow(keys[j]) % he.omega
 		}
 	}
 	w := 0

@@ -70,8 +70,8 @@ type insertPlan struct {
 const simulateNodeBudget = 64
 
 // simulate reports whether the selection phi (function indices) for the
-// key described by ks could be inserted, without mutating the table.
-func (he *hashExpressor) simulate(fam *family, ks keyState, phi []uint8) (insertPlan, bool) {
+// key whose hashes kh holds could be inserted, without mutating the table.
+func (he *hashExpressor) simulate(kh *keyHashes, phi []uint8) (insertPlan, bool) {
 	var best insertPlan
 	found := false
 	budget := simulateNodeBudget
@@ -116,7 +116,7 @@ func (he *hashExpressor) simulate(fam *family, ks keyState, phi []uint8) (insert
 					cur.isNew[depth] = false
 					cur.overlap++
 					used |= 1 << s
-					dfs(fam.pos(ks, p, he.omega), depth+1)
+					dfs(kh.raw[p]%he.omega, depth+1)
 					used &^= 1 << s
 					cur.overlap--
 					return // at most one slot can match a stored value
@@ -133,14 +133,14 @@ func (he *hashExpressor) simulate(fam *family, ks keyState, phi []uint8) (insert
 			cur.hidxs[depth] = p
 			cur.isNew[depth] = true
 			used |= 1 << s
-			dfs(fam.pos(ks, p, he.omega), depth+1)
+			dfs(kh.raw[p]%he.omega, depth+1)
 			used &^= 1 << s
 			if found && budget <= 0 {
 				return
 			}
 		}
 	}
-	dfs(fam.entry(ks, he.omega), 0)
+	dfs(kh.entry%he.omega, 0)
 	return best, found
 }
 

@@ -36,7 +36,8 @@ func TestHashExpressorInsertThenQuery(t *testing.T) {
 					continue
 				}
 				ks := fam.prepare(key)
-				plan, ok := he.simulate(fam, ks, phi)
+				kh := fam.hashAll(ks)
+				plan, ok := he.simulate(&kh, phi)
 				if !ok {
 					continue // table pressure; fine
 				}
@@ -84,7 +85,8 @@ func TestHashExpressorSimulateDoesNotMutate(t *testing.T) {
 	before := snapshot()
 	for i := 0; i < 50; i++ {
 		ks := fam.prepare([]byte(fmt.Sprintf("sim-%d", i)))
-		he.simulate(fam, ks, []uint8{0, 1, 2})
+		kh := fam.hashAll(ks)
+		he.simulate(&kh, []uint8{0, 1, 2})
 	}
 	after := snapshot()
 	for i := range before {
@@ -109,7 +111,8 @@ func TestHashExpressorCellNeverOverwritten(t *testing.T) {
 			continue
 		}
 		ks := fam.prepare(key)
-		plan, ok := he.simulate(fam, ks, phi)
+		kh := fam.hashAll(ks)
+		plan, ok := he.simulate(&kh, phi)
 		if !ok {
 			continue
 		}
@@ -140,7 +143,8 @@ func TestHashExpressorSaturation(t *testing.T) {
 		key := []byte(fmt.Sprintf("sat-%d", i))
 		phi := []uint8{0, 2, 4}
 		ks := fam.prepare(key)
-		plan, ok := he.simulate(fam, ks, phi)
+		kh := fam.hashAll(ks)
+		plan, ok := he.simulate(&kh, phi)
 		if ok {
 			he.commit(plan)
 			okCount++

@@ -3,10 +3,12 @@ package habf
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 
 	"repro/internal/bitset"
+	"repro/internal/hashes"
 )
 
 // builder carries the construction-time state of the TPJO algorithm
@@ -18,7 +20,6 @@ import (
 type builder struct {
 	p   Params
 	fam *family
-	rng *rand.Rand
 
 	m  uint64 // Bloom bits
 	bf *bitset.Bits
@@ -32,9 +33,9 @@ type builder struct {
 	posH0   []uint64 // k positions per positive key under H0 (flat)
 	negH0   []uint64 // k positions per negative key under H0 (flat)
 
-	// V: per Bloom bit, singleflag + the id of the first mapping key.
-	vSingle *bitset.Bits
-	vKey    []int32 // -1 = NULL
+	// V: per Bloom bit, the id of the one positive key that maps it, or
+	// vEmpty or vMulti (see vInsert).
+	v []int32
 
 	// Γ: buckets of optimized negative keys, keyed by bit position.
 	gamma     map[uint64][]int32
@@ -82,7 +83,6 @@ func newBuilder(positives [][]byte, negatives []WeightedKey, p Params) *builder 
 	b := &builder{
 		p:         p,
 		fam:       newFamily(p),
-		rng:       rand.New(rand.NewSource(p.Seed)),
 		positives: positives,
 		negatives: negatives,
 		gamma:     make(map[uint64][]int32),
@@ -94,7 +94,7 @@ func newBuilder(positives [][]byte, negatives []WeightedKey, p Params) *builder 
 	b.he = newHashExpressor(heBits, p.CellBits, p.K)
 
 	// H0: a random k-subset of the usable family, shared by all keys.
-	perm := b.rng.Perm(b.fam.size)
+	perm := rand.New(rand.NewSource(p.Seed)).Perm(b.fam.size)
 	b.h0 = make([]uint8, p.K)
 	for i := 0; i < p.K; i++ {
 		b.h0[i] = uint8(perm[i])
@@ -103,33 +103,110 @@ func newBuilder(positives [][]byte, negatives []WeightedKey, p Params) *builder 
 	return b
 }
 
-// prepareKeys computes H0 positions for every key. Negatives need their
-// hashing context only here; positives keep theirs for the adjustment
-// search, which in slow mode is just the key and in f-HABF mode the two
-// base hashes kept in posHash.
-func (b *builder) prepareKeys() {
-	k := b.p.K
-	fast := b.fam.fast
-	if fast {
-		b.posHash = make([]uint64, 2*len(b.positives))
+// V's unit states besides a key id (Fig. 4): no key maps the unit, or
+// two or more mappings do. A unit holding a key id is single-mapped.
+const (
+	vEmpty int32 = -1
+	vMulti int32 = -2
+)
+
+// chunkOrder lists the positions of a chunk in order: the selection
+// that hashes every key of a chunk with rawSlowSel.
+var chunkOrder = func() (o [batchChunk]uint8) {
+	for i := range o {
+		o[i] = uint8(i)
 	}
-	b.posH0 = make([]uint64, len(b.positives)*k)
-	for i, key := range b.positives {
-		ks := b.fam.prepare(key)
-		if fast {
-			b.posHash[2*i], b.posHash[2*i+1] = ks.h1, ks.h2
+	return o
+}()
+
+// hashKeys computes every key's H0 positions in one pass over chunks of
+// batchChunk keys. Within a chunk it runs one H0 function per stage, as
+// the batch kernel does, so slow mode's byte-serial functions hash four
+// keys in lockstep. Each chunk of positives then sets its Bloom bits and
+// enters V while its positions are still in cache (§III-D, Fig. 4).
+//
+// V does not depend on the order keys enter it: a unit's key id is read
+// only while exactly one mapping holds the unit, and then it is that
+// mapping's key whichever order the keys came in. So input order serves.
+//
+// Negatives need their hashing context only here; positives keep theirs
+// for the adjustment search, which in slow mode is just the key and in
+// f-HABF mode the two base hashes kept in posHash.
+func (b *builder) hashKeys() {
+	k, n := b.p.K, len(b.positives)
+	b.posH0 = make([]uint64, n*k)
+	if b.fam.fast {
+		b.posHash = make([]uint64, 2*n)
+	}
+	b.v = make([]int32, b.m)
+	for i := range b.v {
+		b.v[i] = vEmpty
+	}
+	for lo := 0; lo < n; lo += batchChunk {
+		hi := min(lo+batchChunk, n)
+		var h12 []uint64
+		if b.fam.fast {
+			h12 = b.posHash[2*lo : 2*hi]
 		}
-		for s, idx := range b.h0 {
-			b.posH0[i*k+s] = b.fam.pos(ks, idx, b.m)
+		b.hashChunk(b.positives[lo:hi], b.posH0[lo*k:hi*k], h12)
+		for id := lo; id < hi; id++ {
+			for _, p := range b.posH0[id*k : id*k+k] {
+				b.bf.Set(p)
+				b.vInsert(int32(id), p)
+			}
 		}
 	}
+
 	b.negH0 = make([]uint64, len(b.negatives)*k)
-	for j := range b.negatives {
-		ks := b.fam.prepare(b.negatives[j].Key)
-		for s, idx := range b.h0 {
-			b.negH0[j*k+s] = b.fam.pos(ks, idx, b.m)
+	var keys [batchChunk][]byte
+	var h12 [2 * batchChunk]uint64
+	for lo := 0; lo < len(b.negatives); lo += batchChunk {
+		hi := min(lo+batchChunk, len(b.negatives))
+		for i := range hi - lo {
+			keys[i] = b.negatives[lo+i].Key
+		}
+		b.hashChunk(keys[:hi-lo], b.negH0[lo*k:hi*k], h12[:2*(hi-lo)])
+	}
+}
+
+// hashChunk writes the H0 positions of up to batchChunk keys into h0,
+// k per key. In f-HABF mode it first writes each key's base hashes
+// h1, h2 into h12, which has two entries per key.
+func (b *builder) hashChunk(keys [][]byte, h0, h12 []uint64) {
+	k, m, fam := b.p.K, b.m, b.fam
+	var raw [batchChunk]uint64
+	touchKeys(keys)
+	if fam.fast {
+		for i, key := range keys {
+			h12[2*i], h12[2*i+1] = hashes.Split128(key, fam.seed)
 		}
 	}
+	for s, idx := range b.h0 {
+		if fam.fast {
+			for i := range keys {
+				raw[i] = fam.rawFast(h12[2*i], h12[2*i+1], idx)
+			}
+		} else {
+			fam.rawSlowSel(idx, keys, chunkOrder[:len(keys)], raw[:len(keys)])
+		}
+		for i := range keys {
+			h0[i*k+s] = raw[i] % m
+		}
+	}
+}
+
+// touchKeys loads the first byte of every key. A shard's keys lie
+// scattered across the heap, so each one's first read misses the cache;
+// this loop issues those misses back to back, where the hash stages would
+// wait for them one key at a time.
+func touchKeys(keys [][]byte) {
+	var touch byte
+	for _, key := range keys {
+		if len(key) > 0 {
+			touch |= key[0]
+		}
+	}
+	runtime.KeepAlive(touch)
 }
 
 // posKey rebuilds positive key i's hashing context: the key itself, plus
@@ -142,41 +219,16 @@ func (b *builder) posKey(i int32) keyState {
 	return ks
 }
 
-// initBloomAndV inserts all positives with H0 and builds the V index in a
-// random order (§III-D, Fig. 4).
-func (b *builder) initBloomAndV() {
-	k := b.p.K
-	for i := range b.positives {
-		for s := 0; s < k; s++ {
-			b.bf.Set(b.posH0[i*k+s])
-		}
-	}
-	b.vSingle = bitset.New(b.m)
-	for i := uint64(0); i < b.m; i++ {
-		b.vSingle.Set(i) // singleflag initialized to 1
-	}
-	b.vKey = make([]int32, b.m)
-	for i := range b.vKey {
-		b.vKey[i] = -1
-	}
-	for _, i := range b.rng.Perm(len(b.positives)) {
-		for s := 0; s < k; s++ {
-			b.vInsert(int32(i), b.posH0[i*k+s])
-		}
-	}
-}
-
-// vInsert applies the three V-update cases of Fig. 4 for key id mapping to
-// unit pos.
+// vInsert records that positive id maps Bloom unit pos, per the three
+// V-update cases of Fig. 4: an empty unit becomes single-mapped by id
+// (Case 1), a single-mapped unit becomes multi-mapped (Case 2), and a
+// multi-mapped unit stays so (Case 3).
 func (b *builder) vInsert(id int32, pos uint64) {
-	switch {
-	case b.vSingle.Test(pos) && b.vKey[pos] == -1:
-		b.vKey[pos] = id // Case 1: first mapping
-	case b.vSingle.Test(pos):
-		b.vSingle.Clear(pos) // Case 2: second mapping
-	default:
-		// Case 3: already multi-mapped; nothing changes.
+	next := vMulti
+	if b.v[pos] == vEmpty {
+		next = id
 	}
+	b.v[pos] = next
 }
 
 // testNegativePositions reports whether negative key j currently passes the
@@ -280,11 +332,11 @@ func (b *builder) optimize(j int32) bool {
 	cost := b.negatives[j].Cost
 	for s := 0; s < k; s++ {
 		pos := b.negH0[int(j)*k+s]
-		// ξck membership: singleflag = 1 ∧ keyid ≠ NULL.
-		if !b.vSingle.Test(pos) || b.vKey[pos] < 0 {
+		// ξck membership: exactly one positive key maps the unit.
+		es := b.v[pos]
+		if es < 0 {
 			continue
 		}
-		es := b.vKey[pos]
 		if b.adjusted[es] {
 			// A stored selection cannot be re-stored (the HashExpressor
 			// path is immutable); skip, preserving zero FNR.
@@ -301,11 +353,12 @@ func (b *builder) optimize(j int32) bool {
 		if huSlot < 0 {
 			continue // unreachable if V is consistent
 		}
-		cands := b.gatherCandidates(es, pos, cost)
+		kh := b.fam.hashAll(b.posKey(es))
+		cands := b.gatherCandidates(&kh, pos, cost)
 		if len(cands) == 0 {
 			continue
 		}
-		if b.applyBestCandidate(j, es, huSlot, pos, cands) {
+		if b.applyBestCandidate(j, es, huSlot, pos, cands, &kh) {
 			return true
 		}
 	}
@@ -313,20 +366,19 @@ func (b *builder) optimize(j int32) bool {
 }
 
 // gatherCandidates enumerates replacement functions hc ∈ H − φ(es) and
-// classifies them into the three preference tiers.
-func (b *builder) gatherCandidates(es int32, clearedPos uint64, cost float64) []candidate {
+// classifies them into the three preference tiers. kh holds es's hashes.
+func (b *builder) gatherCandidates(kh *keyHashes, clearedPos uint64, cost float64) []candidate {
 	var inH0 uint32 // bit idx set for each H0 member; the family has ≤31 functions
 	for _, idx := range b.h0 {
 		inH0 |= 1 << idx
 	}
-	ks := b.posKey(es)
 	var cands []candidate
 	for hc := 0; hc < b.fam.size; hc++ {
 		idx := uint8(hc)
 		if inH0&(1<<idx) != 0 {
 			continue
 		}
-		npos := b.fam.pos(ks, idx, b.m)
+		npos := kh.raw[idx] % b.m
 		if npos == clearedPos {
 			// Re-setting the bit we are about to clear would leave the
 			// collision key positive; never a valid adjustment.
@@ -366,37 +418,32 @@ func (b *builder) gatherCandidates(es int32, clearedPos uint64, cost float64) []
 // HashExpressor insertion of each resulting selection and committing the
 // best insertable one (maximum cell overlap within the first tier that has
 // any insertable candidate, per the paper's Fig. 7 example).
-func (b *builder) applyBestCandidate(j, es int32, huSlot int, clearedPos uint64, cands []candidate) bool {
-	type planned struct {
-		cand candidate
-		phi  []uint8
-		plan insertPlan
-	}
-	ks := b.posKey(es)
+func (b *builder) applyBestCandidate(j, es int32, huSlot int, clearedPos uint64, cands []candidate, kh *keyHashes) bool {
+	var buf [maxFamily]uint8
+	phi := buf[:copy(buf[:], b.h0)] // H0 with slot huSlot replaced
 	i := 0
 	for i < len(cands) {
 		tier := cands[i].tier
-		var best *planned
+		best := -1
+		var bestPlan insertPlan
 		for ; i < len(cands) && cands[i].tier == tier; i++ {
-			phi := make([]uint8, len(b.h0))
-			copy(phi, b.h0)
 			phi[huSlot] = cands[i].hc
-			plan, ok := b.he.simulate(b.fam, ks, phi)
+			plan, ok := b.he.simulate(kh, phi)
 			if !ok {
 				continue
 			}
-			pl := planned{cand: cands[i], phi: phi, plan: plan}
-			if best == nil || (!b.p.DisableOverlapRanking && plan.overlap > best.plan.overlap) {
-				best = &pl
+			if best < 0 || (!b.p.DisableOverlapRanking && plan.overlap > bestPlan.overlap) {
+				best, bestPlan = i, plan
 			}
 			if b.p.DisableOverlapRanking {
 				break
 			}
 		}
-		if best == nil {
+		if best < 0 {
 			continue // no insertable candidate in this tier; try next tier
 		}
-		b.commitAdjustment(j, es, huSlot, clearedPos, best.cand, best.phi, best.plan)
+		phi[huSlot] = cands[best].hc
+		b.commitAdjustment(j, es, huSlot, clearedPos, cands[best], slices.Clone(phi), bestPlan)
 		return true
 	}
 	return false
@@ -415,7 +462,7 @@ func (b *builder) commitAdjustment(j, es int32, huSlot int, clearedPos uint64, c
 	// The cleared unit was mapped exactly once (by es); it returns to
 	// ⟨1, NULL⟩ and its Bloom bit can be switched off.
 	b.bf.Clear(clearedPos)
-	b.vKey[clearedPos] = -1
+	b.v[clearedPos] = vEmpty
 
 	if !b.bf.Test(c.npos) {
 		b.bf.Set(c.npos)

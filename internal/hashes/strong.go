@@ -245,14 +245,39 @@ func BOB(data []byte) uint64 {
 func OAAT(data []byte) uint64 {
 	var h uint64
 	for _, b := range data {
-		h += uint64(b)
-		h += h << 10
-		h ^= h >> 6
+		h = oaatStep(h, b)
 	}
+	return oaatFinal(h)
+}
+
+// OAAT4 returns OAAT of four keys. Keys of equal length advance in
+// lockstep, one byte of each per step, so the four serial dependency
+// chains overlap; otherwise each key is hashed by OAAT on its own.
+func OAAT4(k0, k1, k2, k3 []byte) (h0, h1, h2, h3 uint64) {
+	n := len(k0)
+	if len(k1) != n || len(k2) != n || len(k3) != n {
+		return OAAT(k0), OAAT(k1), OAAT(k2), OAAT(k3)
+	}
+	k1, k2, k3 = k1[:n], k2[:n], k3[:n]
+	for i := range n {
+		h0 = oaatStep(h0, k0[i])
+		h1 = oaatStep(h1, k1[i])
+		h2 = oaatStep(h2, k2[i])
+		h3 = oaatStep(h3, k3[i])
+	}
+	return oaatFinal(h0), oaatFinal(h1), oaatFinal(h2), oaatFinal(h3)
+}
+
+func oaatStep(h uint64, b byte) uint64 {
+	h += uint64(b)
+	h += h << 10
+	return h ^ h>>6
+}
+
+func oaatFinal(h uint64) uint64 {
 	h += h << 3
 	h ^= h >> 11
-	h += h << 15
-	return h
+	return h + h<<15
 }
 
 // SuperFast is Paul Hsieh's SuperFastHash over 16-bit chunks, widened to a
@@ -296,18 +321,46 @@ func SuperFast(data []byte) uint64 {
 // lists it separately from SuperFast, so the two use different chunking and
 // a different final avalanche to stay mutually independent.
 func Hsieh(data []byte) uint64 {
-	h := uint32(0x811c9dc5)
+	h := uint32(hsiehInit)
 	for _, b := range data {
-		h += uint32(b)
-		h ^= h << 11
-		h += h >> 17
+		h = hsiehStep(h, b)
 	}
+	return hsiehFinal(h, len(data))
+}
+
+// Hsieh4 returns Hsieh of four keys, in lockstep when their lengths are
+// equal, like OAAT4.
+func Hsieh4(k0, k1, k2, k3 []byte) (h0, h1, h2, h3 uint64) {
+	n := len(k0)
+	if len(k1) != n || len(k2) != n || len(k3) != n {
+		return Hsieh(k0), Hsieh(k1), Hsieh(k2), Hsieh(k3)
+	}
+	k1, k2, k3 = k1[:n], k2[:n], k3[:n]
+	a, b, c, d := uint32(hsiehInit), uint32(hsiehInit), uint32(hsiehInit), uint32(hsiehInit)
+	for i := range n {
+		a = hsiehStep(a, k0[i])
+		b = hsiehStep(b, k1[i])
+		c = hsiehStep(c, k2[i])
+		d = hsiehStep(d, k3[i])
+	}
+	return hsiehFinal(a, n), hsiehFinal(b, n), hsiehFinal(c, n), hsiehFinal(d, n)
+}
+
+const hsiehInit = 0x811c9dc5
+
+func hsiehStep(h uint32, b byte) uint32 {
+	h += uint32(b)
+	h ^= h << 11
+	return h + h>>17
+}
+
+func hsiehFinal(h uint32, n int) uint64 {
 	h ^= h << 3
 	h += h >> 5
 	h ^= h << 2
 	h += h >> 15
 	h ^= h << 10
-	return Mix64(uint64(h)<<32 | uint64(len(data)))
+	return Mix64(uint64(h)<<32 | uint64(n))
 }
 
 // CRC hashes data with the IEEE CRC-32 polynomial (via hash/crc32) in both
