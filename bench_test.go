@@ -283,6 +283,36 @@ func BenchmarkShardedContainsBatch(b *testing.B) {
 			sharded.ContainsBatchInto(dst, probes[lo:lo+256])
 		}
 	})
+	b.Run("sharded/batch256/into/parallel", func(b *testing.B) {
+		// Concurrent batch callers, each with its own result buffer: the
+		// shape of in-process serving with several query goroutines. Each
+		// pb.Next is one key; every 256th issues the batch.
+		b.ReportAllocs()
+		var ctr atomic.Int64
+		b.RunParallel(func(pb *testing.PB) {
+			dst := make([]bool, 256)
+			lo := int(ctr.Add(1)*256) & mask
+			k := 0
+			for pb.Next() {
+				if k++; k < 256 {
+					continue
+				}
+				sharded.ContainsBatchInto(dst, probes[lo:lo+256])
+				lo = (lo + 256) & mask
+				k = 0
+			}
+		})
+	})
+	b.Run("sharded/batch4096/into", func(b *testing.B) {
+		// One caller with a large batch: answered on the caller's
+		// goroutine alone, however many cores are idle.
+		b.ReportAllocs()
+		dst := make([]bool, 4096)
+		for i := 0; i < b.N; i += 4096 {
+			lo := i & mask
+			sharded.ContainsBatchInto(dst, probes[lo:lo+4096])
+		}
+	})
 	b.Run("sharded/perkey/parallel", func(b *testing.B) {
 		// The uncoalesced per-request serving path: ≥8 concurrent
 		// clients each querying one key at a time (per-key shard lock,

@@ -5,11 +5,11 @@ import (
 )
 
 // TestContainsBatchIntoAllocsBounded pins the pooled-buffer win in the
-// chunk fan-out: per-attempt result buffers come from attemptBufPool,
-// so a batch's allocation count is a small constant per chunk (the
-// race channel and attempt closure, which cannot be pooled without
-// letting a late loser write into a recycled buffer) — it must not
-// scale with the number of keys. Before pooling, every attempt
+// chunk fan-out: per-attempt key copies and result buffers come from
+// attemptBufPool, so a batch's allocation count is a small constant per
+// chunk (the race channel, the attempt closure and its guard, which
+// cannot be pooled without letting a late loser touch a recycled
+// buffer) — it must not scale with the number of keys. Before pooling, every attempt
 // allocated an O(keys) result slice.
 func TestContainsBatchIntoAllocsBounded(t *testing.T) {
 	if raceEnabled {

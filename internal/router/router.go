@@ -323,7 +323,8 @@ func (r *Router) ContainsBatch(keys [][]byte) ([]bool, error) {
 // dst[i] answers keys[i], and len(dst) must be at least len(keys). On
 // error dst's contents are unspecified but the slice is never retained,
 // and no attempt keeps writing into it after return — losing hedges
-// fill pooled private buffers, never dst.
+// fill pooled private buffers, never dst. Neither are keys: every
+// attempt sends its own copy, so the caller may reuse them on return.
 func (r *Router) ContainsBatchInto(dst []bool, keys [][]byte) error {
 	if len(keys) == 0 {
 		return errors.New("router: empty batch")
@@ -372,37 +373,85 @@ func (r *Router) containsBatchInto(out []bool, keys [][]byte, reps []*replica) e
 	return nil
 }
 
-// chunkResult carries one attempt's outcome back to the race. out is a
-// pooled buffer the receiver owns once the result is read.
+// chunkResult carries one attempt's outcome back to the race. buf is a
+// pooled attempt buffer the receiver owns once the result is read.
 type chunkResult struct {
 	rep *replica
-	out *[]bool
+	buf *attemptBuf
 	err error
 }
 
-// attemptBufPool recycles per-attempt result buffers. An attempt owns
-// its buffer from Get until it sends the chunkResult; after that the
-// receiving runChunk owns it and puts it back. A buffer whose result is
-// never received (an attempt still in flight when runChunk returns)
-// falls to the GC with the buffered channel — correctness never depends
-// on reclaiming it.
-var attemptBufPool = sync.Pool{New: func() any { return new([]bool) }}
+// attemptBuf is one attempt's private state: a copy of its chunk's keys
+// (one flat arena and the headers into it) and its result slice. An
+// attempt that loses the race may still be sending or reading after
+// runChunk returns, and by then the caller owns its keys and dst again,
+// so the attempt touches neither.
+type attemptBuf struct {
+	keys  [][]byte
+	arena []byte
+	out   []bool
+}
+
+// load copies keys into the buffer and sizes the result slice.
+func (ab *attemptBuf) load(keys [][]byte) {
+	n := 0
+	for _, key := range keys {
+		n += len(key)
+	}
+	if cap(ab.arena) < n {
+		ab.arena = make([]byte, 0, n)
+	}
+	arena := ab.arena[:0]
+	ab.keys = ab.keys[:0]
+	for _, key := range keys {
+		lo := len(arena)
+		arena = append(arena, key...)
+		ab.keys = append(ab.keys, arena[lo:len(arena):len(arena)])
+	}
+	ab.arena = arena
+	if cap(ab.out) < len(keys) {
+		ab.out = make([]bool, len(keys))
+	}
+	ab.out = ab.out[:len(keys)]
+}
+
+// attemptBufPool recycles attempt buffers. An attempt owns its buffer
+// from Get until it sends the chunkResult; after that the receiving
+// runChunk owns it and puts it back. A buffer whose result is never
+// received (an attempt still in flight when runChunk returns) falls to
+// the GC with the buffered channel — correctness never depends on
+// reclaiming it.
+var attemptBufPool = sync.Pool{New: func() any { return new(attemptBuf) }}
 
 // runChunk answers one chunk: primary attempt, hedge on the timer,
 // first arrival wins, failure ejects and retries elsewhere.
 func (r *Router) runChunk(keys [][]byte, out []bool, reps []*replica) error {
 	primary := reps[int(r.rr.Add(1)-1)%len(reps)]
-	// Each attempt fills a private pooled buffer; only the winner is
-	// copied to out, so a losing hedge can never tear the caller's
-	// results.
+	// Each attempt copies the keys and fills a private result buffer;
+	// only the winner is copied to out, so a losing hedge can never tear
+	// the caller's results. The copy happens under mu unless runChunk
+	// has already returned, so no attempt reads the caller's keys after
+	// that.
+	var mu sync.Mutex
+	returned := false
+	defer func() {
+		mu.Lock()
+		returned = true
+		mu.Unlock()
+	}()
 	ch := make(chan chunkResult, 2)
 	attempt := func(rep *replica) {
-		pb := attemptBufPool.Get().(*[]bool)
-		if cap(*pb) < len(keys) {
-			*pb = make([]bool, len(keys))
+		ab := attemptBufPool.Get().(*attemptBuf)
+		mu.Lock()
+		if returned {
+			mu.Unlock()
+			attemptBufPool.Put(ab)
+			return
 		}
-		err := r.do(rep, keys, (*pb)[:len(keys)])
-		ch <- chunkResult{rep, pb, err}
+		ab.load(keys)
+		mu.Unlock()
+		err := r.do(rep, ab.keys, ab.out)
+		ch <- chunkResult{rep, ab, err}
 	}
 	go attempt(primary)
 	// Reclaim buffers of results that arrived but lost the race.
@@ -410,7 +459,7 @@ func (r *Router) runChunk(keys [][]byte, out []bool, reps []*replica) error {
 		for {
 			select {
 			case res := <-ch:
-				attemptBufPool.Put(res.out)
+				attemptBufPool.Put(res.buf)
 			default:
 				return
 			}
@@ -438,7 +487,7 @@ func (r *Router) runChunk(keys [][]byte, out []bool, reps []*replica) error {
 		case res := <-ch:
 			outstanding--
 			if res.err != nil {
-				attemptBufPool.Put(res.out)
+				attemptBufPool.Put(res.buf)
 				r.eject(res.rep, false, res.err)
 				if outstanding > 0 {
 					continue // the race partner may still answer
@@ -456,8 +505,8 @@ func (r *Router) runChunk(keys [][]byte, out []bool, reps []*replica) error {
 				}
 				return nil
 			}
-			copy(out, (*res.out)[:len(keys)])
-			attemptBufPool.Put(res.out)
+			copy(out, res.buf.out)
+			attemptBufPool.Put(res.buf)
 			if hedged && res.rep != primary {
 				r.hedgeWins.Add(1)
 			}

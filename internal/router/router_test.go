@@ -245,6 +245,52 @@ func TestRouterLosingHedgeCannotTearResults(t *testing.T) {
 	}
 }
 
+// TestRouterLosingAttemptLeavesCallerKeys: once ContainsBatchInto
+// returns, the caller may reuse its key slices. A hedge fired at once
+// races the primary on every batch, so some attempt keeps running after
+// the other won; it must never read the caller's keys again. The caller
+// rewrites every key and slice header right after each return, which
+// the race detector reports if a losing attempt still reads them.
+func TestRouterLosingAttemptLeavesCallerKeys(t *testing.T) {
+	f, keys := buildFilter(t, 64)
+	addrA, _ := startReplica(t, f, nil)
+	addrB, _ := startReplica(t, f, nil)
+	r, err := New(Config{Replicas: []string{addrA, addrB}, HedgeAfter: time.Nanosecond})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer r.Close()
+
+	want := f.ContainsBatch(keys)
+	batch := make([][]byte, len(keys))
+	bufs := make([][]byte, len(keys))
+	for i := range bufs {
+		bufs[i] = make([]byte, 0, 16)
+	}
+	dst := make([]bool, len(keys))
+	for round := 0; round < 200; round++ {
+		for i, key := range keys {
+			bufs[i] = append(bufs[i][:0], key...)
+			batch[i] = bufs[i]
+		}
+		if err := r.ContainsBatchInto(dst, batch); err != nil {
+			t.Fatalf("round %d: ContainsBatchInto: %v", round, err)
+		}
+		for i := range want {
+			if dst[i] != want[i] {
+				t.Fatalf("round %d key %d: routed %v, local %v", round, i, dst[i], want[i])
+			}
+		}
+		for i := range batch {
+			bufs[i] = append(bufs[i][:0], "scribbled"...)
+			batch[i] = nil
+		}
+	}
+	if st := r.Stats(); st.Hedges == 0 {
+		t.Fatalf("no hedge fired (stats %+v)", st)
+	}
+}
+
 // TestRouterEjectsDeadReplicaAndReprobes kills one of two replicas,
 // checks the router keeps answering after ejecting it, then restarts
 // the replica on the same address and waits for the health loop to

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -37,16 +36,6 @@ func TestContainsBatchIntoZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; run without -race for alloc counts")
 	}
-	// Force multicore dispatch so the worker-spawning path is the one
-	// measured: spawned workers must reuse dead goroutines, not allocate.
-	// batchCPUs is forced too so the workers spawn even on a 1-CPU host.
-	prev := runtime.GOMAXPROCS(4)
-	prevCPUs := batchCPUs
-	batchCPUs = 4
-	defer func() {
-		runtime.GOMAXPROCS(prev)
-		batchCPUs = prevCPUs
-	}()
 	for _, backend := range []string{"habf", "bloom", "xor", "wbf", "phbf"} {
 		t.Run(backend, func(t *testing.T) {
 			s, pos, negKeys := newSet(t, 2048, Config{Shards: 8, Backend: backend})
@@ -55,8 +44,7 @@ func TestContainsBatchIntoZeroAllocs(t *testing.T) {
 				batch = append(batch, pos[i*7%len(pos)], negKeys[i*11%len(negKeys)])
 			}
 			dst := make([]bool, len(batch))
-			// Warm the scratch pool and the runtime's dead-g list (the
-			// first few batches may grow both).
+			// Warm the scratch pool (the first batches may grow it).
 			for i := 0; i < 8; i++ {
 				s.ContainsBatchInto(dst, batch)
 			}
@@ -90,21 +78,11 @@ func TestContainsBatchIntoZeroAllocsSeeded64(t *testing.T) {
 	}
 }
 
-// TestBatchDispatchTorture drives the worker-pool dispatch under -race
-// with everything it must coexist with: concurrent Adds (write locks on
-// single shards), background rebuild swaps (write locks plus filter
-// replacement), and parallel batches sharing the scratch pool. GOMAXPROCS
-// and batchCPUs are forced above one so extra batch workers actually
-// spawn even on a single-core CI host.
+// TestBatchDispatchTorture drives the batch path under -race with
+// everything it must coexist with: concurrent Adds (write locks on single
+// shards), background rebuild swaps (write locks plus filter replacement),
+// and concurrent batch callers sharing the scratch pool.
 func TestBatchDispatchTorture(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	prevCPUs := batchCPUs
-	batchCPUs = 4
-	defer func() {
-		runtime.GOMAXPROCS(prev)
-		batchCPUs = prevCPUs
-	}()
-
 	s, pos, negKeys := newSet(t, 4096, Config{Shards: 8})
 	batch := make([][]byte, 0, 512)
 	for i := 0; i < 256; i++ {

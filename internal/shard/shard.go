@@ -37,7 +37,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/bits"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -413,44 +412,18 @@ func (s *Set) ContainsBatch(keys [][]byte) []bool {
 	return out
 }
 
-// minKeysPerWorker is the smallest sub-batch workload that justifies an
-// extra worker goroutine: below it, spawn cost eats the parallel win.
-const minKeysPerWorker = 64
-
-// batchCPUs caps batch workers at the hardware parallelism actually
-// available. GOMAXPROCS above NumCPU (common in container benchmarks and
-// -cpu sweeps) cannot make sub-batches run concurrently — extra workers
-// would only add spawn and context-switch cost — so the dispatch sizes
-// itself by min(GOMAXPROCS, batchCPUs). A variable so dispatch tests on
-// single-core hosts can force the multi-worker path.
-var batchCPUs = runtime.NumCPU()
-
 // batchScratch is the pooled per-batch working set of ContainsBatchInto.
 // Ownership rule: a scratch belongs to exactly one batch call from Get to
-// Put; worker goroutines borrow disjoint slices of it and must not touch
-// it after their final wg.Done. Key references are cleared before Put so
-// the pool never pins caller memory.
+// Put. Key references are cleared before Put so the pool never pins caller
+// memory.
 type batchScratch struct {
 	hashes  []uint64 // base hash per key index
 	starts  []int32  // per-shard slot ranges: shard id covers [starts[id], starts[id+1])
 	fill    []int32  // gather cursors, starts[:nshards] copied then advanced
-	order   []int32  // ids of shards with at least one key, ascending
 	perm    []int32  // slot -> original key index
 	gkeys   [][]byte // keys grouped by shard, slot-indexed
 	ghashes []uint64 // base hashes grouped by shard, slot-indexed
 	results []bool   // per-slot answers, scattered to dst via perm
-	job     batchJob // embedded so a batch spawns workers without allocating
-}
-
-// batchJob is the shared state worker goroutines pull shard sub-batches
-// from: an atomic cursor over sc.order. It lives inside batchScratch so
-// steady-state batches allocate nothing.
-type batchJob struct {
-	s      *Set
-	out    []bool
-	sc     *batchScratch
-	cursor atomic.Int32
-	wg     sync.WaitGroup
 }
 
 // getScratch returns a pooled scratch sized for n keys.
@@ -475,34 +448,35 @@ func (s *Set) getScratch(n int) *batchScratch {
 	if len(sc.starts) != nsh+1 {
 		sc.starts = make([]int32, nsh+1)
 		sc.fill = make([]int32, nsh)
-		sc.order = make([]int32, 0, nsh)
 	}
 	clear(sc.starts)
 	return sc
 }
 
 // putScratch returns a scratch to the pool, dropping every reference to
-// caller memory (keys, destination) so pooling never extends lifetimes.
+// caller keys so pooling never extends their lifetime.
 func (s *Set) putScratch(sc *batchScratch) {
 	clear(sc.gkeys)
-	sc.job.s, sc.job.out, sc.job.sc = nil, nil, nil
 	s.scratchPool.Put(sc)
 }
 
 // ContainsBatchInto writes Contains(keys[i]) into dst[i] for every key.
 // dst must have at least len(keys) elements; extra elements are left
 // untouched. Steady state allocates nothing: the grouping scratch is
-// pooled per Set and worker goroutines are spawned arg-only.
+// pooled per Set.
 //
 // The pipeline hashes each key exactly once (hashes.Base doubles as the
 // routing fingerprint and, for hash-derived backends, the probe-position
 // source), groups keys by destination shard with a counting sort, and
-// runs per-shard sub-batches on up to GOMAXPROCS workers. A worker holds
-// exactly one shard read lock at a time — same as Add and the rebuild
-// swap on the write side — so the lock graph stays trivially acyclic
-// and writers are delayed by at most one sub-batch. Each sub-batch walks
-// one shard's memory start to finish, which is also the cache-friendly
-// order single-core.
+// answers the per-shard sub-batches on the calling goroutine, in shard
+// order. It holds exactly one shard read lock at a time — same as Add and
+// the rebuild swap on the write side — so the lock graph stays trivially
+// acyclic and writers are delayed by at most one sub-batch. Each
+// sub-batch walks one shard's memory start to finish.
+//
+// Concurrency comes from the callers: one batch uses one core. A caller
+// that wants a large batch answered on several cores splits it and issues
+// the pieces from separate goroutines.
 func (s *Set) ContainsBatchInto(dst []bool, keys [][]byte) {
 	n := len(keys)
 	if n == 0 {
@@ -527,17 +501,11 @@ func (s *Set) ContainsBatchInto(dst []bool, keys [][]byte) {
 		sc.starts[(h>>shift)+1]++
 	}
 
-	// Prefix-sum the counts into slot ranges; list the non-empty shards.
-	order := sc.order[:0]
+	// Prefix-sum the counts into slot ranges.
 	for id := range s.shards {
-		c := sc.starts[id+1]
-		sc.starts[id+1] = sc.starts[id] + c
+		sc.starts[id+1] += sc.starts[id]
 		sc.fill[id] = sc.starts[id]
-		if c > 0 {
-			order = append(order, int32(id))
-		}
 	}
-	sc.order = order
 
 	// Pass 2: gather keys and hashes into shard-contiguous slots.
 	for i, key := range keys {
@@ -549,67 +517,21 @@ func (s *Set) ContainsBatchInto(dst []bool, keys [][]byte) {
 		sc.perm[slot] = int32(i)
 	}
 
-	// Execute shard sub-batches, stealing from the shared cursor. The
-	// caller is worker zero; extra workers are spawned only when both the
-	// host (GOMAXPROCS) and the workload (≥ minKeysPerWorker keys each)
-	// justify them.
-	job := &sc.job
-	job.s, job.out, job.sc = s, dst, sc
-	job.cursor.Store(0)
-	w := runtime.GOMAXPROCS(0)
-	if w > batchCPUs {
-		w = batchCPUs
-	}
-	if w > len(order) {
-		w = len(order)
-	}
-	if byWork := 1 + n/minKeysPerWorker; w > byWork {
-		w = byWork
-	}
-	if w > 1 {
-		job.wg.Add(w - 1)
-		for i := 1; i < w; i++ {
-			go batchWorker(job)
+	// Answer each non-empty shard's sub-batch in turn.
+	for id, sh := range s.shards {
+		if lo, hi := int(sc.starts[id]), int(sc.starts[id+1]); lo < hi {
+			sh.containsSub(sc, dst, lo, hi)
 		}
-	}
-	job.run()
-	if w > 1 {
-		job.wg.Wait()
 	}
 	s.putScratch(sc)
-}
-
-// batchWorker is the spawn target of extra batch workers. A package-level
-// function taking the job pointer keeps the go statement closure-free
-// (and therefore allocation-free); its last action is wg.Done, after
-// which it never touches the job again, so the caller's Wait-then-Put is
-// safe.
-func batchWorker(j *batchJob) {
-	j.run()
-	j.wg.Done()
-}
-
-// run claims shard sub-batches off the cursor until none remain.
-func (j *batchJob) run() {
-	sc := j.sc
-	for {
-		t := j.cursor.Add(1) - 1
-		if int(t) >= len(sc.order) {
-			return
-		}
-		id := sc.order[t]
-		j.s.shards[id].containsSub(j, int(sc.starts[id]), int(sc.starts[id+1]))
-	}
 }
 
 // containsSub answers one shard's slice of the batch under a single read
 // lock: the backend's batch probe with the slice's base hashes first,
 // then the sidecar/pending overlay for the misses — the same filter →
 // sidecar → pending order as Contains — and finally the scatter back to
-// the caller's dst through the slot permutation. Slots of distinct shards are disjoint, so workers write
-// disjoint dst elements.
-func (sh *shard) containsSub(j *batchJob, lo, hi int) {
-	sc := j.sc
+// dst through the slot permutation.
+func (sh *shard) containsSub(sc *batchScratch, dst []bool, lo, hi int) {
 	keys := sc.gkeys[lo:hi]
 	res := sc.results[lo:hi]
 	sh.mu.RLock()
@@ -634,7 +556,7 @@ func (sh *shard) containsSub(j *batchJob, lo, hi int) {
 	}
 	sh.mu.RUnlock()
 	for i := lo; i < hi; i++ {
-		j.out[sc.perm[i]] = sc.results[i]
+		dst[sc.perm[i]] = sc.results[i]
 	}
 }
 

@@ -43,14 +43,95 @@ func TestNoFalseNegatives(t *testing.T) {
 	}
 }
 
+// TestBatchMatchesPerKey pins ContainsBatchInto to Contains across the
+// batch-length boundaries of an 8-shard set: below the shard count (the
+// per-key route), exactly at it, around one HABF kernel chunk (64 keys),
+// at and past the serving batch size (256) and far past it. Each batch is
+// a window at an odd offset of the probe list, and dst is longer than the
+// batch and starts out holding the opposite answers, so a missed write or
+// a write past len(keys) shows. Rows cover a mutable backend, a static
+// one holding pending Adds, and a restored static one whose Adds were
+// absorbed into a sidecar.
 func TestBatchMatchesPerKey(t *testing.T) {
-	s, pos, negKeys := newSet(t, 3000, Config{Shards: 8})
-	probe := append(append([][]byte{}, pos...), negKeys...)
-	got := s.ContainsBatch(probe)
-	for i, key := range probe {
-		if want := s.Contains(key); got[i] != want {
-			t.Fatalf("key %q: batch=%v per-key=%v", key, got[i], want)
-		}
+	const n = 3000
+	rows := []struct {
+		name string
+		set  func(t *testing.T, added [][]byte) *Set
+	}{
+		{"habf", func(t *testing.T, added [][]byte) *Set {
+			s, _, _ := newSet(t, n, Config{Shards: 8})
+			return s
+		}},
+		{"xor/pending", func(t *testing.T, added [][]byte) *Set {
+			requireBackend(t, "xor")
+			s, _, _ := newSet(t, n, Config{Shards: 8, Backend: "xor", RebuildThreshold: -1})
+			for _, key := range added {
+				s.Add(key)
+			}
+			if st := s.Stats(); st.Pending == 0 {
+				t.Fatalf("no pending keys after %d Adds: %+v", len(added), st)
+			}
+			return s
+		}},
+		{"xor/restored-sidecar", func(t *testing.T, added [][]byte) *Set {
+			requireBackend(t, "xor")
+			s, _, _ := newSet(t, n, Config{Shards: 8, Backend: "xor", Tuning: "absorb=16"})
+			g := snapshotRoundtrip(t, s)
+			for _, key := range added {
+				g.Add(key)
+			}
+			g.WaitRebuilds()
+			if st := g.Stats(); st.Absorbs == 0 {
+				t.Fatalf("no sidecar absorbs after %d Adds: %+v", len(added), st)
+			}
+			return g
+		}},
+	}
+	pos, _, negKeys := fixture(n)
+	var added, probe [][]byte
+	for i := 0; i < 400; i++ {
+		added = append(added, []byte(fmt.Sprintf("late-add-%06d", i)))
+	}
+	for i := 0; i < n; i++ {
+		probe = append(probe, pos[i], negKeys[i])
+	}
+	probe = append(probe, added...)
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			s := row.set(t, added)
+			want := make([]bool, len(probe))
+			for i, key := range probe {
+				want[i] = s.Contains(key)
+			}
+			for _, length := range []int{1, 7, 8, 9, 63, 64, 256, 257, 6000} {
+				for _, off := range []int{1, 3, 101, 333} {
+					if off+length > len(probe) {
+						continue
+					}
+					const tail = 5
+					dst := make([]bool, length+tail)
+					for i := range dst {
+						if i < length {
+							dst[i] = !want[off+i]
+						} else {
+							dst[i] = i%2 == 0
+						}
+					}
+					s.ContainsBatchInto(dst[:length], probe[off:off+length])
+					for i := 0; i < length; i++ {
+						if dst[i] != want[off+i] {
+							t.Fatalf("len %d off %d: key %q batch=%v per-key=%v", length, off, probe[off+i], dst[i], want[off+i])
+						}
+					}
+					s.ContainsBatchInto(dst, probe[off:off+length])
+					for i := length; i < len(dst); i++ {
+						if dst[i] != (i%2 == 0) {
+							t.Fatalf("len %d off %d: dst[%d] past len(keys) was overwritten", length, off, i)
+						}
+					}
+				}
+			}
+		})
 	}
 }
 
