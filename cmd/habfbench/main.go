@@ -33,7 +33,7 @@
 // against the committed baseline. -proto selects the wire format(s):
 // http (default), binary (the internal/wire length-prefixed protocol,
 // scenarios suffixed "/binary"), or all; remote binary runs need
-// -addr-binary pointing at habfserved's -listen-binary port.
+// -addr-binary, the host:port of habfserved's -listen-binary listener.
 // Both serving modes take -backend: -serve benchmarks one filter family
 // per run, and -net accepts a comma-separated list. -net runs the
 // transport scenarios once, on the first backend; every further backend
@@ -76,10 +76,9 @@ func main() {
 
 		netMode   = flag.Bool("net", false, "run the network load generator against habfserved")
 		addr      = flag.String("addr", "", "net: host:port of a running habfserved (empty: in-process self-test)")
-		addrBin   = flag.String("addr-binary", "", "net: host:port of a remote habfserved binary listener (-listen-binary); comma-separate several to route across them")
+		addrBin   = flag.String("addr-binary", "", "net: host:port of a remote habfserved binary listener (-listen-binary)")
 		proto     = flag.String("proto", "http", "net: protocols to drive: http|binary|all")
 		clients   = flag.Int("clients", 8, "net: concurrent HTTP clients")
-		replicas  = flag.Int("replicas", 0, "net self-test: spawn a primary plus this-many-minus-one snapshot-shipped followers and add routed batch scenarios (needs binary proto)")
 		benchjson = flag.String("benchjson", "", "net: write machine-readable results to this JSON file")
 	)
 	flag.Parse()
@@ -110,7 +109,6 @@ func main() {
 			shards:    *shards,
 			dist:      *dist,
 			seed:      *seed,
-			replicas:  *replicas,
 			benchjson: *benchjson,
 		}
 		if flagWasSet("writers") {

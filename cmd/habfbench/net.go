@@ -17,8 +17,6 @@ import (
 	habf "repro"
 	"repro/internal/benchfmt"
 	"repro/internal/dataset"
-	"repro/internal/replica"
-	"repro/internal/router"
 	"repro/internal/server"
 	"repro/internal/wire"
 	"repro/internal/workload"
@@ -30,7 +28,7 @@ import (
 // throughput and latency percentiles.
 type netConfig struct {
 	addr      string // remote daemon base URL host:port; empty = in-process self-test
-	addrBin   string // remote daemon's -listen-binary host:port (binary protocol runs)
+	addrBin   string // remote daemon's -listen-binary host:port, dialled as is (binary protocol runs)
 	proto     string // wire formats to drive: http|binary|all ("" = http)
 	backends  string // comma-separated backend names for the self-test ("" = habf)
 	tune      string // rejected: -tune is a -serve option
@@ -42,7 +40,6 @@ type netConfig struct {
 	shards    int
 	dist      string
 	seed      int64
-	replicas  int    // self-test: primary + (replicas-1) followers, routed scenarios
 	benchjson string // write machine-readable results here
 }
 
@@ -70,12 +67,6 @@ func runNet(cfg netConfig, w io.Writer) error {
 	}
 	if cfg.addr != "" && cfg.protoHas("binary") && cfg.addrBin == "" {
 		return fmt.Errorf("net: remote binary runs need -addr-binary (the daemon's -listen-binary port)")
-	}
-	if cfg.replicas > 1 && !cfg.protoHas("binary") {
-		return fmt.Errorf("net: -replicas routes over the binary protocol; add -proto binary or -proto all")
-	}
-	if cfg.replicas > 0 && cfg.addr != "" {
-		return fmt.Errorf("net: -replicas spawns an in-process topology; to route across remote daemons, comma-separate their ports in -addr-binary")
 	}
 	data := dataset.YCSB(cfg.keys, cfg.keys, cfg.seed)
 	costs := dataset.ZipfCosts(cfg.keys, 1.1, cfg.seed)
@@ -125,21 +116,12 @@ func runNet(cfg netConfig, w io.Writer) error {
 			}
 		}
 		if cfg.protoHas("binary") {
-			// -addr-binary may name several daemons' binary ports; plain
-			// binary scenarios drive the first, the routed scenario fans
-			// batches across all of them through the replica router.
-			binAddrs := splitAddrs(cfg.addrBin)
-			g.binAddr = binAddrs[0]
+			g.binAddr = cfg.addrBin
 			if err := g.scenario("net/contains/binary", g.binaryContainsLoop); err != nil {
 				return err
 			}
 			if err := g.scenario("net/contains_batch/binary", g.binaryBatchLoop); err != nil {
 				return err
-			}
-			if len(binAddrs) > 1 {
-				if err := g.routedScenario("net/contains_batch/routed", binAddrs); err != nil {
-					return err
-				}
 			}
 		}
 		return g.finish()
@@ -200,10 +182,10 @@ func runNet(cfg netConfig, w io.Writer) error {
 }
 
 // transportScenarios runs every transport row against filter: HTTP
-// single-key (through the coalescer) and batch, their binary-protocol
-// counterparts, and with -replicas the routed batch fan-out.
+// single-key (through the coalescer) and batch, and their
+// binary-protocol counterparts.
 func (g *netGen) transportScenarios(filter *habf.Sharded, backendName, suffix string) error {
-	err := g.served(filter, backendName, func() error {
+	return g.served(filter, backendName, func() error {
 		if g.cfg.protoHas("http") {
 			if err := g.scenario("net/contains"+suffix, g.containsLoop); err != nil {
 				return err
@@ -222,18 +204,6 @@ func (g *netGen) transportScenarios(filter *habf.Sharded, backendName, suffix st
 		}
 		return nil
 	})
-	if err != nil || g.cfg.replicas < 2 {
-		return err
-	}
-	// Replica fan-out: the same filter served by a primary plus
-	// snapshot-shipped followers, batches routed across the set.
-	addrs, stop, err := g.startReplicaSet(filter, g.cfg.replicas)
-	if err != nil {
-		return fmt.Errorf("net: replica set: %w", err)
-	}
-	defer stop()
-	fmt.Fprintf(g.out, "replica set: 1 primary + %d snapshot-shipped followers\n", g.cfg.replicas-1)
-	return g.routedScenario("net/contains_batch/routed"+suffix, addrs)
 }
 
 // served runs fn with filter served in-process, after checking that the
@@ -248,17 +218,6 @@ func (g *netGen) served(filter *habf.Sharded, backendName string, fn func() erro
 		return fmt.Errorf("net: server reports backend %q, built %q", reported, backendName)
 	}
 	return fn()
-}
-
-// splitAddrs splits a comma-separated address list, dropping empties.
-func splitAddrs(s string) []string {
-	var out []string
-	for _, a := range strings.Split(s, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			out = append(out, a)
-		}
-	}
-	return out
 }
 
 // protoHas reports whether the -proto flag selects wire format p.
@@ -288,8 +247,7 @@ type netGen struct {
 	streams   [][][]byte
 	transport *http.Transport
 	base      string
-	binAddr   string         // binary-protocol listener address ("" when not serving it)
-	router    *router.Router // set for the duration of routed scenarios
+	binAddr   string // binary-protocol listener address ("" when not serving it)
 	out       io.Writer
 	results   []benchfmt.Result
 	// lastBackend is the backend the most recently started in-process
@@ -375,142 +333,6 @@ func (g *netGen) startServer(filter *habf.Sharded) (func(), error) {
 		srv.Close()
 		g.transport.CloseIdleConnections()
 	}, nil
-}
-
-// startReplicaSet serves filter as a replication topology: a primary
-// with HTTP and binary listeners, plus n-1 read-only followers that
-// each bootstrap through the real snapshot-shipping path (GET
-// /v1/snapshot → habf.Load) and serve the binary protocol. Returned
-// addresses are the binary listeners, primary first.
-func (g *netGen) startReplicaSet(filter *habf.Sharded, n int) ([]string, func(), error) {
-	var stops []func()
-	stopAll := func() {
-		for i := len(stops) - 1; i >= 0; i-- {
-			stops[i]()
-		}
-	}
-	fail := func(err error) ([]string, func(), error) {
-		stopAll()
-		return nil, nil, err
-	}
-
-	serveBinary := func(srv *server.Server) (string, error) {
-		bl, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return "", err
-		}
-		bs := server.NewBinaryServer(srv)
-		go bs.Serve(bl)
-		stops = append(stops, func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			bs.Shutdown(ctx)
-			cancel()
-			srv.Close()
-		})
-		return bl.Addr().String(), nil
-	}
-
-	prim, err := server.New(server.Config{Filter: filter})
-	if err != nil {
-		return nil, nil, err
-	}
-	hl, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		prim.Close()
-		return nil, nil, err
-	}
-	hs := &http.Server{Handler: prim.Handler()}
-	go hs.Serve(hl)
-	stops = append(stops, func() { hs.Close() })
-	primURL := "http://" + hl.Addr().String()
-	addr, err := serveBinary(prim)
-	if err != nil {
-		return fail(err)
-	}
-	addrs := []string{addr}
-
-	for i := 1; i < n; i++ {
-		var restored *habf.Sharded
-		fol, err := replica.New(replica.Config{
-			Primary: primURL,
-			OnSwap:  func(f *habf.Sharded, epoch uint64) error { restored = f; return nil },
-		})
-		if err != nil {
-			return fail(err)
-		}
-		if err := fol.Sync(context.Background()); err != nil {
-			return fail(fmt.Errorf("follower %d bootstrap: %w", i, err))
-		}
-		fsrv, err := server.New(server.Config{
-			Filter:   restored,
-			ReadOnly: true,
-			Primary:  primURL,
-		})
-		if err != nil {
-			return fail(err)
-		}
-		addr, err := serveBinary(fsrv)
-		if err != nil {
-			return fail(err)
-		}
-		addrs = append(addrs, addr)
-	}
-	return addrs, stopAll, nil
-}
-
-// routedScenario measures ContainsBatch fanned across addrs through
-// the replica router (hedging on, defaults).
-func (g *netGen) routedScenario(name string, addrs []string) error {
-	r, err := router.New(router.Config{Replicas: addrs})
-	if err != nil {
-		return err
-	}
-	defer r.Close()
-	g.router = r
-	err = g.scenario(name, g.routedBatchLoop)
-	g.router = nil
-	if err != nil {
-		return err
-	}
-	st := r.Stats()
-	fmt.Fprintf(g.out, "  routed over %d replicas: %d batches, %d hedges (%d won), %d ejections\n",
-		len(addrs), st.Batches, st.Hedges, st.HedgeWins, st.Ejections)
-	if st.Ejections > 0 {
-		return fmt.Errorf("%s: %d replicas ejected during a healthy-topology run", name, st.Ejections)
-	}
-	return nil
-}
-
-// routedBatchLoop is binaryBatchLoop through the router: batches split
-// across replicas, hedged, first arrival wins. The router is shared by
-// every client goroutine (it is concurrent-safe; connections pool per
-// replica).
-func (g *netGen) routedBatchLoop(client int, probes [][]byte, n int, lat *[]int64) error {
-	mask := len(probes) - 1
-	batch := make([][]byte, g.cfg.batch)
-	for done := 0; done < n; {
-		size := g.cfg.batch
-		if n-done < size {
-			size = n - done
-		}
-		lo := done & mask
-		for j := 0; j < size; j++ {
-			batch[j] = probes[(lo+j)&mask]
-		}
-		start := time.Now()
-		present, err := g.router.ContainsBatch(batch[:size])
-		if err != nil {
-			return err
-		}
-		*lat = append(*lat, time.Since(start).Nanoseconds())
-		for j, ok := range present {
-			if ((lo+j)&mask)%2 == 1 && !ok {
-				return fmt.Errorf("false negative through the router for member probe %d", (lo+j)&mask)
-			}
-		}
-		done += size
-	}
-	return nil
 }
 
 // binaryContainsLoop issues single-key queries over the binary wire

@@ -2,6 +2,8 @@ package main
 
 import (
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -22,7 +24,6 @@ func smallNet(t *testing.T) netConfig {
 		shards:    4,
 		dist:      "zipfian",
 		seed:      1,
-		replicas:  2,
 		benchjson: filepath.Join(t.TempDir(), "serve.json"),
 	}
 }
@@ -53,7 +54,6 @@ func TestNetScenarioMatrix(t *testing.T) {
 		"net/contains_batch",
 		"net/contains/binary",
 		"net/contains_batch/binary",
-		"net/contains_batch/routed",
 		"direct/contains_batch/bloom",
 		"net/contains_batch/binary/bloom",
 	}
@@ -77,5 +77,22 @@ func TestNetRejectsServeOnlyFlags(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "-serve") {
 			t.Errorf("-net -%s: err %v, want a rejection pointing to -serve", name, err)
 		}
+	}
+}
+
+// TestNetRemoteBadBinaryAddr pins that a malformed -addr-binary fails
+// the run with a dial error instead of panicking: the address goes to
+// wire.Dial as given.
+func TestNetRemoteBadBinaryAddr(t *testing.T) {
+	stats := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, `{"name":"remote","backend":"habf"}`)
+	}))
+	defer stats.Close()
+	cfg := smallNet(t)
+	cfg.addr = strings.TrimPrefix(stats.URL, "http://")
+	cfg.proto = "binary"
+	cfg.addrBin = ","
+	if err := runNet(cfg, io.Discard); err == nil {
+		t.Fatal("-addr-binary \",\": run succeeded, want a dial error")
 	}
 }

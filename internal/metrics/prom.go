@@ -40,9 +40,8 @@ type GaugeFunc func() float64
 
 // CounterFunc is a counter-typed metric sampled at scrape time, for
 // monotone counts owned by another component (a replication follower's
-// resync total, a router's hedge total). It renders as TYPE counter —
-// rate() works on it — without requiring that component to hold a
-// *Counter of this registry.
+// resync total). It renders as TYPE counter — rate() works on it —
+// without requiring that component to hold a *Counter of this registry.
 type CounterFunc func() uint64
 
 // Histogram counts observations into fixed, cumulative-at-scrape-time

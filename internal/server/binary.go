@@ -205,9 +205,6 @@ func (b *BinaryServer) handle(conn net.Conn) {
 		case wire.OpPing:
 			out = wire.AppendOKResp(out[:0], wire.OpPing, req.ID)
 			b.s.mBinPing.Inc()
-		case wire.OpEpoch:
-			out = wire.AppendEpochResp(out[:0], req.ID, b.s.Filter().Epoch())
-			b.s.mBinEpoch.Inc()
 		}
 		if _, err := bw.Write(out); err != nil {
 			return

@@ -163,8 +163,9 @@ func TestBinaryRejectsHostileInput(t *testing.T) {
 
 	// Each hostile frame must produce a StatusError response and then EOF.
 	hostile := map[string][]byte{
-		"bad-op":    {0x7f, 0x01},
-		"empty-key": append([]byte{byte(wire.OpContains), 1}, 0),
+		"bad-op":       {0x7f, 0x01},
+		"retired-op-5": {5, 0x01},
+		"empty-key":    append([]byte{byte(wire.OpContains), 1}, 0),
 		"huge-key-len": append([]byte{byte(wire.OpContains), 1},
 			0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01),
 	}

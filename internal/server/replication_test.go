@@ -193,36 +193,3 @@ func TestSwapFilter(t *testing.T) {
 		t.Fatal("server did not serve the swapped-in filter")
 	}
 }
-
-// TestBinaryEpoch pins the router's freshness probe on the wire
-// protocol: OpEpoch answers the filter's epoch and tracks writes.
-func TestBinaryEpoch(t *testing.T) {
-	filter, _ := newTestFilter(t, 200)
-	srv, err := New(Config{Filter: filter})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(srv.Close)
-	addr := startBinary(t, srv)
-	c, err := wire.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	epoch, err := c.Epoch()
-	if err != nil {
-		t.Fatalf("Epoch: %v", err)
-	}
-	if want := filter.Epoch(); epoch != want {
-		t.Fatalf("binary epoch = %d, filter epoch %d", epoch, want)
-	}
-	filter.Add([]byte("epoch-bump"))
-	after, err := c.Epoch()
-	if err != nil {
-		t.Fatalf("Epoch after Add: %v", err)
-	}
-	if after <= epoch {
-		t.Fatalf("binary epoch did not advance: %d -> %d", epoch, after)
-	}
-}

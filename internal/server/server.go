@@ -117,7 +117,6 @@ type Server struct {
 	mBinBatch    *metrics.Counter
 	mBinAdd      *metrics.Counter
 	mBinPing     *metrics.Counter
-	mBinEpoch    *metrics.Counter
 	hBinContains *metrics.Histogram
 	hBinBatch    *metrics.Histogram
 	binConns     atomic.Int64
@@ -157,7 +156,6 @@ func New(cfg Config) (*Server, error) {
 	s.mBinBatch = s.reg.Counter(`habfserved_requests_total{endpoint="binary_contains_batch"}`, "Requests by endpoint.")
 	s.mBinAdd = s.reg.Counter(`habfserved_requests_total{endpoint="binary_add"}`, "Requests by endpoint.")
 	s.mBinPing = s.reg.Counter(`habfserved_requests_total{endpoint="binary_ping"}`, "Requests by endpoint.")
-	s.mBinEpoch = s.reg.Counter(`habfserved_requests_total{endpoint="binary_epoch"}`, "Requests by endpoint.")
 	s.hBinContains = s.reg.Histogram("habfserved_binary_contains_duration_seconds",
 		"Handler latency of binary-protocol contains frames (decode to encode).", metrics.DurationBuckets())
 	s.hBinBatch = s.reg.Histogram("habfserved_binary_batch_duration_seconds",
@@ -565,7 +563,7 @@ func (s *Server) handleSnapshotDownload(w http.ResponseWriter) {
 
 // handleEpoch answers the filter's mutation epoch as decimal text — the
 // smallest possible freshness probe, cheap enough for every follower
-// and router to poll at high frequency.
+// to poll at high frequency.
 func (s *Server) handleEpoch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		s.fail(w, http.StatusMethodNotAllowed, "GET required")

@@ -179,21 +179,3 @@ func (c *Client) Ping() error {
 	}
 	return c.readHeader(OpPing, id)
 }
-
-// Epoch returns the server filter's mutation epoch — the freshness
-// counter a router compares across replicas to spot a stale follower.
-func (c *Client) Epoch() (uint64, error) {
-	id := c.nextID()
-	c.out = AppendEpoch(c.out[:0], id)
-	if err := c.send(); err != nil {
-		return 0, err
-	}
-	if err := c.readHeader(OpEpoch, id); err != nil {
-		return 0, err
-	}
-	epoch, err := binary.ReadUvarint(c.br)
-	if err != nil {
-		return 0, fmt.Errorf("wire: read epoch: %w", err)
-	}
-	return epoch, nil
-}

@@ -19,7 +19,6 @@ func fuzzWireSeeds() map[string][]byte {
 		AppendContainsBatch(nil, 2, [][]byte{[]byte("a"), []byte("bb"), []byte("ccc")}),
 		AppendAdd(nil, 3, []byte("fresh-key")),
 		AppendPing(nil, 4),
-		AppendEpoch(nil, 5),
 	)
 	seeds := map[string][]byte{
 		"valid-pipeline": valid,
@@ -97,8 +96,6 @@ func FuzzWireDecode(f *testing.F) {
 				reenc = AppendContainsBatch(reenc[:0], req.ID, req.Keys)
 			case OpPing:
 				reenc = AppendPing(reenc[:0], req.ID)
-			case OpEpoch:
-				reenc = AppendEpoch(reenc[:0], req.ID)
 			default:
 				t.Fatalf("decoder returned unknown op %v", req.Op)
 			}

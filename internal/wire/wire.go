@@ -14,7 +14,7 @@
 //
 //	OpContains, OpAdd:  keyLen(uvarint) key
 //	OpContainsBatch:    count(uvarint) then count × (keyLen(uvarint) key)
-//	OpPing, OpEpoch:    empty
+//	OpPing:             empty
 //
 // Response payloads (status StatusOK):
 //
@@ -22,7 +22,6 @@
 //	OpContainsBatch:    count(uvarint) then ceil(count/8) bit-packed
 //	                    presence bytes (LSB-first within each byte)
 //	OpAdd, OpPing:      empty
-//	OpEpoch:            epoch(uvarint) — the filter's mutation epoch
 //
 // A StatusError response instead carries msgLen(uvarint) + message, and
 // the server closes the connection after sending it: every error is a
@@ -68,11 +67,6 @@ const (
 	OpAdd Op = 3
 	// OpPing is a liveness round-trip carrying no payload.
 	OpPing Op = 4
-	// OpEpoch asks for the server's filter mutation epoch — the
-	// monotone counter a replica router compares across replicas to
-	// detect a stale follower, and the cheapest possible freshness
-	// probe (empty request, one-uvarint response).
-	OpEpoch Op = 5
 )
 
 // String names the op for error messages and metrics labels.
@@ -86,8 +80,6 @@ func (o Op) String() string {
 		return "add"
 	case OpPing:
 		return "ping"
-	case OpEpoch:
-		return "epoch"
 	}
 	return fmt.Sprintf("op(%d)", byte(o))
 }
@@ -276,7 +268,7 @@ func (d *Decoder) Next(req *Request) error {
 			used = nextUsed
 		}
 		req.Keys = d.keys
-	case OpPing, OpEpoch:
+	case OpPing:
 	default:
 		return fmt.Errorf("%w %d", ErrBadOp, op)
 	}
@@ -323,12 +315,6 @@ func AppendPing(dst []byte, id uint64) []byte {
 	return appendUvarint(dst, id)
 }
 
-// AppendEpoch appends an OpEpoch request frame.
-func AppendEpoch(dst []byte, id uint64) []byte {
-	dst = append(dst, byte(OpEpoch))
-	return appendUvarint(dst, id)
-}
-
 // appendRespHeader appends the shared response prefix.
 func appendRespHeader(dst []byte, op Op, id uint64, status byte) []byte {
 	dst = append(dst, byte(op))
@@ -369,13 +355,6 @@ func AppendBatchResp(dst []byte, id uint64, presents []bool) []byte {
 // AppendOKResp appends a payload-free success response (OpAdd, OpPing).
 func AppendOKResp(dst []byte, op Op, id uint64) []byte {
 	return appendRespHeader(dst, op, id, StatusOK)
-}
-
-// AppendEpochResp appends an OpEpoch success response carrying the
-// filter's mutation epoch.
-func AppendEpochResp(dst []byte, id uint64, epoch uint64) []byte {
-	dst = appendRespHeader(dst, OpEpoch, id, StatusOK)
-	return appendUvarint(dst, epoch)
 }
 
 // AppendErrorResp appends an error response carrying msg.

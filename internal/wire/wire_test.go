@@ -29,7 +29,6 @@ func TestRequestRoundTrip(t *testing.T) {
 		AppendContainsBatch(nil, 2, batch),
 		AppendAdd(nil, 3, key),
 		AppendPing(nil, 4),
-		AppendEpoch(nil, 5),
 	)
 	d := NewDecoder(bytes.NewReader(stream))
 	if err := d.ReadHandshake(); err != nil {
@@ -66,12 +65,6 @@ func TestRequestRoundTrip(t *testing.T) {
 	if req.Op != OpPing || req.ID != 4 {
 		t.Fatalf("ping decoded as %+v", req)
 	}
-	if err := d.Next(&req); err != nil {
-		t.Fatal(err)
-	}
-	if req.Op != OpEpoch || req.ID != 5 {
-		t.Fatalf("epoch decoded as %+v", req)
-	}
 	if err := d.Next(&req); err != io.EOF {
 		t.Fatalf("after last frame: %v, want io.EOF", err)
 	}
@@ -98,6 +91,7 @@ func TestDecoderRejectsHostileFrames(t *testing.T) {
 		{"bad-handshake", []byte("GET / HTTP/1.1\r\n"), ErrBadHandshake},
 		{"truncated-handshake", Handshake[:2], io.ErrUnexpectedEOF},
 		{"bad-op", encodeRequests([]byte{0x7f, 0x01}), ErrBadOp},
+		{"retired-op-5", encodeRequests([]byte{5, 0x01}), ErrBadOp},
 		{"empty-key", encodeRequests(append([]byte{byte(OpContains), 1}, 0)), ErrEmptyKey},
 		{"empty-add-key", encodeRequests(append([]byte{byte(OpAdd), 1}, 0)), ErrEmptyKey},
 		{"huge-key-len", encodeRequests(hugeLen), ErrKeyTooLong},
@@ -177,13 +171,6 @@ func TestResponseEncoders(t *testing.T) {
 	want = append(want, 0b11011001, 0b00000001)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("batch resp % x, want % x", got, want)
-	}
-
-	got = AppendEpochResp(nil, 11, 300)
-	want = append(appendUvarint([]byte{byte(OpEpoch)}, 11), StatusOK)
-	want = appendUvarint(want, 300)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("epoch resp % x, want % x", got, want)
 	}
 
 	got = AppendErrorResp(nil, OpAdd, 3, "boom")
