@@ -72,6 +72,9 @@ func runServe(cfg serveConfig, w io.Writer) error {
 			return fmt.Errorf("restore: snapshot holds a %q filter, but -backend %q was requested",
 				sharded.Backend(), cfg.backend)
 		}
+		if cfg.writers > 0 && sharded.Stats().ReadOnly {
+			return fmt.Errorf("restore: %s is a filter-only snapshot, which takes no -writers", cfg.restore)
+		}
 		// Tuning knobs are durable in the snapshot; like -backend, a -tune
 		// that contradicts them is an operator error, not a request the
 		// restore can honor.
@@ -173,7 +176,7 @@ func runServe(cfg serveConfig, w io.Writer) error {
 						case <-stop:
 							return
 						default:
-							sharded.Add([]byte(fmt.Sprintf("fresh-%d-%09d", wr, i)))
+							_ = sharded.Add([]byte(fmt.Sprintf("fresh-%d-%09d", wr, i))) // writable: checked at restore
 							i++
 						}
 					}
@@ -242,14 +245,6 @@ func runServe(cfg serveConfig, w io.Writer) error {
 	}
 	sharded.WaitRebuilds()
 	st := sharded.Stats()
-	if restored {
-		// A restored set carries no key list, so Keys counts only
-		// post-restore Adds — report it as such rather than as the
-		// (much larger) member count the filter actually serves.
-		fmt.Fprintf(w, "\nsharded stats: %d keys added post-restore, %d of %d shards from snapshot (no drift rebuilds), %.1f KiB\n",
-			st.Keys, st.Restored, st.Shards, float64(st.SizeBits)/8/1024)
-		return nil
-	}
 	fmt.Fprintf(w, "\nsharded stats: %d keys, %d adds pending rebuild, %d background rebuilds, %.1f KiB\n",
 		st.Keys, st.Added, st.Rebuilds, float64(st.SizeBits)/8/1024)
 	return nil

@@ -20,8 +20,11 @@
 //	habfserved -keys 100000 -backend xor                # serve another filter family (bloom|xor|wbf|phbf|lbf|slbf|adabf)
 //	habfserved -follow http://primary:8080              # replication follower: pull, serve, resync
 //
-// The filter comes from one of three sources: -restore loads a snapshot
-// produced by habf.SaveFile (zero-copy, query-ready in milliseconds), a
+// The filter comes from one of three sources: -restore loads a full
+// snapshot produced by habf.SaveFile or POST /v1/snapshot (zero-copy,
+// query-ready in milliseconds, and it rebuilds shards on drift from the
+// keys the snapshot carries; a filter-only file, such as a follower's
+// GET /v1/snapshot download, is refused), a
 // synthetic -keys filter is built at startup from the deterministic
 // YCSB-style key generator (the same keys `habfbench -net` probes with),
 // or -follow bootstraps from a running primary's GET /v1/snapshot.
@@ -138,6 +141,9 @@ func buildFilter(cfg config) (*habf.Sharded, error) {
 		f, err := habf.LoadFile(cfg.restore)
 		if err != nil {
 			return nil, fmt.Errorf("restore %s: %w", cfg.restore, err)
+		}
+		if f.Stats().ReadOnly {
+			return nil, fmt.Errorf("restore %s: filter-only snapshot (a GET /v1/snapshot download, or a file written before snapshots carried keys) holds no keys to serve writes from; rebuild from the source keys", cfg.restore)
 		}
 		// Load dispatches by the backend recorded in the snapshot header;
 		// an explicit -backend that contradicts the file is an operator

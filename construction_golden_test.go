@@ -12,7 +12,7 @@ import (
 )
 
 // TestShardedConstructionDigest pins the exact bytes NewSharded builds:
-// the SHA-256 of Save() over fixed fixtures. Routing, the per-shard key
+// the SHA-256 of SaveFilters() over fixed fixtures. Routing, the per-shard key
 // order handed to TPJO and every TPJO decision feed the snapshot, so a
 // construction refactor that is meant to change nothing but speed must
 // leave every digest as it is. Update them only for an intentional change
@@ -22,6 +22,10 @@ import (
 // 15-function family (cell size 5, k = 4). The mixed-length fixture gives
 // the hashing pass groups of keys whose lengths differ as well as groups
 // whose lengths match, and shard sizes that leave partial chunks.
+//
+// Each fixture also goes through a full Save and Load: the filter-only
+// save of the loaded set must hash the same, so a full snapshot brings
+// back the very filters (and epochs) that were built.
 func TestShardedConstructionDigest(t *testing.T) {
 	const n = 20000
 	fixed := func(i int, kind string) []byte {
@@ -56,13 +60,27 @@ func TestShardedConstructionDigest(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var buf bytes.Buffer
-			if err := s.Save(&buf); err != nil {
+			digest := func(s *habf.Sharded) string {
+				var buf bytes.Buffer
+				if err := s.SaveFilters(&buf); err != nil {
+					t.Fatal(err)
+				}
+				sum := sha256.Sum256(buf.Bytes())
+				return hex.EncodeToString(sum[:])
+			}
+			if got := digest(s); got != tc.want {
+				t.Errorf("snapshot digest drifted:\n got  %s\n want %s", got, tc.want)
+			}
+			var full bytes.Buffer
+			if err := s.Save(&full); err != nil {
 				t.Fatal(err)
 			}
-			sum := sha256.Sum256(buf.Bytes())
-			if got := hex.EncodeToString(sum[:]); got != tc.want {
-				t.Errorf("snapshot digest drifted:\n got  %s\n want %s", got, tc.want)
+			g, err := habf.Load(full.Bytes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := digest(g); got != tc.want {
+				t.Errorf("filter-only digest after full Save → Load drifted:\n got  %s\n want %s", got, tc.want)
 			}
 		})
 	}

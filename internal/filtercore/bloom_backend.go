@@ -3,7 +3,6 @@ package filtercore
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"repro/internal/bloom"
 	"repro/internal/habf"
@@ -18,15 +17,11 @@ import (
 // bit budget.
 type bloomBackend struct {
 	f *bloom.Filter
-	// added counts post-construction Adds; the underlying filter only
-	// tracks the total insert count.
-	added atomic.Uint64
 }
 
 var _ Backend = (*bloomBackend)(nil)
 
 func (b *bloomBackend) Contains(key []byte) bool       { return b.f.Contains(key) }
-func (b *bloomBackend) AddedKeys() uint64              { return b.added.Load() }
 func (b *bloomBackend) Name() string                   { return b.f.Name() }
 func (b *bloomBackend) SizeBits() uint64               { return b.f.SizeBits() }
 func (b *bloomBackend) Kind() Kind                     { return KindBloom }
@@ -44,7 +39,6 @@ func (b *bloomBackend) ContainsBatchInto(dst []bool, keys [][]byte, hashes []uin
 
 func (b *bloomBackend) Add(key []byte) error {
 	b.f.Add(key)
-	b.added.Add(1)
 	return nil
 }
 

@@ -68,9 +68,6 @@ type Backend interface {
 	// Add inserts a key post-construction. Static backends return
 	// ErrStaticBackend and remain unchanged; the caller owns buffering.
 	Add(key []byte) error
-	// AddedKeys reports how many keys Add absorbed since construction
-	// (always 0 for static backends).
-	AddedKeys() uint64
 	// Name identifies the filter variant ("HABF", "BF(City64)", "Xor").
 	Name() string
 	// SizeBits is the memory footprint of the query-time structure.

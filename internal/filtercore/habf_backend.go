@@ -15,7 +15,6 @@ type habfBackend struct {
 var _ Backend = (*habfBackend)(nil)
 
 func (b *habfBackend) Contains(key []byte) bool       { return b.f.Contains(key) }
-func (b *habfBackend) AddedKeys() uint64              { return b.f.AddedKeys() }
 func (b *habfBackend) Name() string                   { return b.f.Name() }
 func (b *habfBackend) SizeBits() uint64               { return b.f.SizeBits() }
 func (b *habfBackend) Kind() Kind                     { return KindHABF }

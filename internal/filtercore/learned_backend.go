@@ -43,7 +43,6 @@ var _ Backend = (*learnedBackend)(nil)
 
 func (b *learnedBackend) Contains(key []byte) bool       { return b.f.Contains(key) }
 func (b *learnedBackend) Add([]byte) error               { return ErrStaticBackend }
-func (b *learnedBackend) AddedKeys() uint64              { return 0 }
 func (b *learnedBackend) Name() string                   { return b.f.Name() }
 func (b *learnedBackend) SizeBits() uint64               { return b.f.SizeBits() }
 func (b *learnedBackend) Kind() Kind                     { return b.kind }
@@ -82,8 +81,6 @@ func learnedKnobs(extra ...Knob) []Knob {
 			Default: "0", Doc: "SGD epochs; 0 derives the family default (6 logistic, 2 gru)"},
 		{Name: "seed", Type: KnobInt, Min: 1, Max: 1 << 31,
 			Default: "1", Doc: "training RNG seed; pinned in tuning so restored sets rebuild bit-identically"},
-		{Name: "absorb", Type: KnobInt, Min: 0, Max: 1 << 20,
-			Default: "4096", Doc: "pending keys on a restored shard that trigger a background absorb into a mutable sidecar; 0 disables"},
 	}
 	return append(common, extra...)
 }

@@ -19,7 +19,6 @@ var _ Backend = (*phbfBackend)(nil)
 
 func (b *phbfBackend) Contains(key []byte) bool       { return b.f.Contains(key) }
 func (b *phbfBackend) Add([]byte) error               { return ErrStaticBackend }
-func (b *phbfBackend) AddedKeys() uint64              { return 0 }
 func (b *phbfBackend) Name() string                   { return b.f.Name() }
 func (b *phbfBackend) SizeBits() uint64               { return b.f.SizeBits() }
 func (b *phbfBackend) Kind() Kind                     { return KindPHBF }
@@ -46,8 +45,6 @@ func init() {
 				Default: "0", Doc: "key partitions, each with its own greedily chosen seed; 0 means 64"},
 			Knob{Name: "candidates", Type: KnobInt, Min: 0, Max: 1024,
 				Default: "0", Doc: "candidate seeds tried per group by the greedy selection; 0 means 8"},
-			Knob{Name: "absorb", Type: KnobInt, Min: 0, Max: 1 << 20,
-				Default: "4096", Doc: "pending keys on a restored shard that trigger a background absorb into a mutable sidecar; 0 disables"},
 		),
 		Build: func(positives [][]byte, _ []habf.WeightedKey, cfg BuildConfig) (Backend, error) {
 			f, err := phbf.New(positives, phbf.Config{

@@ -24,7 +24,7 @@ import (
 //     and snapshots of restored sets reproduce their source bytes
 //   - the static-vs-mutable Add contract: Static factories refuse with
 //     ErrStaticBackend and their wire bytes stay frozen; mutable ones
-//     absorb, count and answer immediately
+//     absorb and answer immediately
 //
 // The generator is seeded, so a failure reproduces; bump trials when
 // hunting, keep it small for CI wall-clock.
@@ -122,9 +122,6 @@ func TestBackendProperties(t *testing.T) {
 					}
 					if !b.Contains(fresh) {
 						t.Fatal("added key not queryable")
-					}
-					if b.AddedKeys() != 1 {
-						t.Fatalf("AddedKeys = %d after one Add", b.AddedKeys())
 					}
 				}
 			})

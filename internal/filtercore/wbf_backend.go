@@ -1,8 +1,6 @@
 package filtercore
 
 import (
-	"sync/atomic"
-
 	"repro/internal/habf"
 	"repro/internal/wbf"
 )
@@ -14,14 +12,12 @@ import (
 // the standard Bloom it is mutable: Add inserts with the base hash
 // count, exactly as construction inserts positives.
 type wbfBackend struct {
-	f     *wbf.Filter
-	added atomic.Uint64
+	f *wbf.Filter
 }
 
 var _ Backend = (*wbfBackend)(nil)
 
 func (b *wbfBackend) Contains(key []byte) bool       { return b.f.Contains(key) }
-func (b *wbfBackend) AddedKeys() uint64              { return b.added.Load() }
 func (b *wbfBackend) Name() string                   { return b.f.Name() }
 func (b *wbfBackend) SizeBits() uint64               { return b.f.SizeBits() }
 func (b *wbfBackend) Kind() Kind                     { return KindWBF }
@@ -40,7 +36,6 @@ func (b *wbfBackend) ContainsBatchInto(dst []bool, keys [][]byte, hashes []uint6
 
 func (b *wbfBackend) Add(key []byte) error {
 	b.f.Add(key)
-	b.added.Add(1)
 	return nil
 }
 

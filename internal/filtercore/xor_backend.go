@@ -17,7 +17,6 @@ var _ Backend = (*xorBackend)(nil)
 
 func (b *xorBackend) Contains(key []byte) bool       { return b.f.Contains(key) }
 func (b *xorBackend) Add([]byte) error               { return ErrStaticBackend }
-func (b *xorBackend) AddedKeys() uint64              { return 0 }
 func (b *xorBackend) Name() string                   { return b.f.Name() }
 func (b *xorBackend) SizeBits() uint64               { return b.f.SizeBits() }
 func (b *xorBackend) Kind() Kind                     { return KindXor }
@@ -59,8 +58,6 @@ func init() {
 		TuningSchema: NewSchema(
 			Knob{Name: "width", Type: KnobInt, Min: 0, Max: 32,
 				Default: "0", Doc: "fingerprint width in bits; 0 derives ⌊b/(1.23+32/n)⌋ from the bits-per-key budget"},
-			Knob{Name: "absorb", Type: KnobInt, Min: 0, Max: 1 << 20,
-				Default: "4096", Doc: "pending keys on a restored shard that trigger a background absorb into a mutable sidecar; 0 disables"},
 		),
 		Build: func(positives [][]byte, _ []habf.WeightedKey, cfg BuildConfig) (Backend, error) {
 			unique := dedupe(positives)

@@ -1,17 +1,18 @@
 // Package replica implements snapshot-shipping replication for the
-// serving layer: a Follower pulls a primary habfserved's snapshot over
-// HTTP (GET /v1/snapshot), restores it zero-copy, hands the restored
-// filter to its owner through a swap callback, and then polls the
-// primary's mutation epoch (GET /v1/epoch), re-syncing whenever it
+// serving layer: a Follower pulls a primary habfserved's filter-only
+// snapshot over HTTP (GET /v1/snapshot), restores it zero-copy as a
+// read-only filter (it carries no keys, so it takes no Adds), hands the
+// restored filter to its owner through a swap callback, and then polls
+// the primary's mutation epoch (GET /v1/epoch), re-syncing whenever it
 // advances.
 //
 // The freshness signal is the epoch the *primary* reports — first in
 // the snapshot response's X-Habf-Epoch header, then from the epoch
 // endpoint. The follower never compares its own locally computed epoch
-// against the primary's: restoring a snapshot re-buffers pending keys,
-// which advances the restored filter's local epoch past the value the
-// snapshot was taken at, so local epochs from different processes are
-// not comparable. Epochs are monotone, so "primary != synced" is
+// against the primary's: the primary captures each shard's frame after
+// sampling the epoch it stamps, so Adds landing mid-download put the
+// restored filter's local epoch ahead of the stamp, and local epochs
+// from different processes are not comparable. Epochs are monotone, so "primary != synced" is
 // exactly "there is something newer to pull".
 //
 // Failure handling is pull-side only and keeps the follower serving:

@@ -187,19 +187,23 @@ func (b *BinaryServer) handle(conn net.Conn) {
 			b.s.hBatchSize.Observe(float64(len(req.Keys)))
 			b.s.hBinBatch.ObserveDuration(time.Since(start))
 		case wire.OpAdd:
+			// A follower rejects writes on the binary path too. Error
+			// frames close the connection by protocol; pointing at the
+			// primary in the message is the best redirect this wire has.
+			msg := ""
 			if b.s.readOnly {
-				// A follower rejects writes on the binary path too. Error
-				// frames close the connection by protocol; pointing at the
-				// primary in the message is the best redirect this wire has.
+				msg = "read-only follower: add at the primary " + b.s.primary
+			} else if err := b.s.Filter().Add(req.Key); err != nil {
+				msg = err.Error()
+			}
+			if msg != "" {
 				b.s.mErrors.Inc()
-				out = wire.AppendErrorResp(out[:0], wire.OpAdd, req.ID,
-					"read-only follower: add at the primary "+b.s.primary)
+				out = wire.AppendErrorResp(out[:0], wire.OpAdd, req.ID, msg)
 				conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
 				bw.Write(out)
 				bw.Flush()
 				return
 			}
-			b.s.Filter().Add(req.Key)
 			out = wire.AppendOKResp(out[:0], wire.OpAdd, req.ID)
 			b.s.mBinAdd.Inc()
 		case wire.OpPing:

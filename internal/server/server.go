@@ -25,9 +25,9 @@
 // a raw TCP listener through the same coalescer and filter — the path
 // for single-key callers that can't afford HTTP request framing at all.
 //
-// The server is the unit of replication. GET /v1/snapshot streams the
-// same container SaveFile writes (stamped with the filter's mutation
-// epoch in an X-Habf-Epoch header), GET /v1/epoch is the cheap
+// The server is the unit of replication. GET /v1/snapshot streams a
+// filter-only container (SaveFilters; stamped with the filter's
+// mutation epoch in an X-Habf-Epoch header), which loads read-only, GET /v1/epoch is the cheap
 // freshness probe a follower polls, and SwapFilter atomically replaces
 // the served filter — how a follower that restored a fresher snapshot
 // cuts queries over without dropping a request. A server built with
@@ -166,7 +166,7 @@ func New(cfg Config) (*Server, error) {
 	s.reg.Gauge(fmt.Sprintf(`habfserved_backend_info{backend=%q,filter=%q}`, cfg.Filter.Backend(), cfg.Filter.Name()),
 		"Constant 1; labels identify the serving filter backend.",
 		func() float64 { return 1 })
-	s.reg.Gauge("habfserved_filter_epoch", "Filter mutation epoch (Adds + rebuild swaps + absorbs, summed across shards).",
+	s.reg.Gauge("habfserved_filter_epoch", "Filter mutation epoch (Adds + rebuild swaps, summed across shards).",
 		func() float64 { return float64(s.Filter().Epoch()) })
 	s.reg.Gauge("habfserved_filter_keys", "Positive keys currently represented.",
 		func() float64 { return float64(s.Filter().Stats().Keys) })
@@ -176,12 +176,8 @@ func New(cfg Config) (*Server, error) {
 		func() float64 { return float64(s.Filter().NumShards()) })
 	s.reg.Gauge("habfserved_filter_rebuilds", "Completed background rebuilds.",
 		func() float64 { return float64(s.Filter().Stats().Rebuilds) })
-	s.reg.Gauge("habfserved_filter_pending_keys", "Static-backend Adds buffered outside the shard filters (bounded by the backend's absorb knob on restored sets).",
+	s.reg.Gauge("habfserved_filter_pending_keys", "Static-backend Adds buffered outside the shard filters until their shard's next rebuild.",
 		func() float64 { return float64(s.Filter().Stats().Pending) })
-	s.reg.Gauge("habfserved_filter_restored_shards", "Shards serving a snapshot-restored filter (no drift rebuilds).",
-		func() float64 { return float64(s.Filter().Stats().Restored) })
-	s.reg.Gauge("habfserved_filter_absorbs", "Pending maps absorbed into mutable sidecars on restored shards.",
-		func() float64 { return float64(s.Filter().Stats().Absorbs) })
 	s.reg.Gauge("habfserved_coalesce_batches", "Micro-batches dispatched.",
 		func() float64 { return float64(s.co.Stats().Batches) })
 	s.reg.Gauge("habfserved_coalesce_keys", "Keys answered through micro-batches.",
@@ -438,7 +434,10 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 		s.failErr(w, "add", err)
 		return
 	}
-	s.Filter().Add(key)
+	if err := s.Filter().Add(key); err != nil {
+		s.fail(w, http.StatusForbidden, "add: %v", err)
+		return
+	}
 	s.mAdd.Inc()
 	if raw {
 		w.WriteHeader(http.StatusNoContent)
@@ -459,8 +458,6 @@ type statsResponse struct {
 	Added    uint64           `json:"added"`
 	Pending  uint64           `json:"pending"`
 	Rebuilds uint64           `json:"rebuilds"`
-	Absorbs  uint64           `json:"absorbs"`
-	Restored int              `json:"restored_shards"`
 	SizeBits uint64           `json:"size_bits"`
 	Shards   []habf.ShardInfo `json:"shards"`
 	Coalesce CoalesceStats    `json:"coalesce"`
@@ -488,8 +485,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Added:    st.Added,
 		Pending:  st.Pending,
 		Rebuilds: st.Rebuilds,
-		Absorbs:  st.Absorbs,
-		Restored: st.Restored,
 		SizeBits: st.SizeBits,
 		Shards:   f.ShardInfos(),
 		Coalesce: s.co.Stats(),
@@ -540,8 +535,9 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSnapshotDownload streams the filter's serving state as a
-// snapshot container — exactly the bytes SaveFile would write, so the
-// receiver restores it with habf.Load. The X-Habf-Epoch header carries
+// filter-only snapshot container (SaveFilters), so resync bytes stay
+// the size of the filter; the receiver restores it read-only with
+// habf.Load. The X-Habf-Epoch header carries
 // the filter's mutation epoch sampled before framing begins: writes
 // that land mid-stream may or may not be captured, so the header is the
 // conservative "at least this fresh" stamp a follower records as its
@@ -552,7 +548,7 @@ func (s *Server) handleSnapshotDownload(w http.ResponseWriter) {
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("X-Habf-Epoch", strconv.FormatUint(f.Epoch(), 10))
 	w.Header().Set("X-Habf-Backend", f.Backend())
-	if err := f.Save(w); err != nil {
+	if err := f.SaveFilters(w); err != nil {
 		// Headers are gone; all we can do is count it and cut the body
 		// short so the client's container checksum fails loudly.
 		s.mErrors.Inc()

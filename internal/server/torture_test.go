@@ -95,11 +95,11 @@ func httpSnapshot(base, path string) error {
 // TestServerTorture is the end-to-end stress cycle per backend, meant
 // for the race detector: concurrent contains (raw and batch forms),
 // Adds and mid-traffic snapshots against one live HTTP server, then a
-// restore → serve → add → snapshot chain on the restored set. For
-// static backends that chain exercises the pending-keys frame — the
-// restored set has no key list to rebuild from, so its post-restore
-// Adds must persist through the container's pending section — and the
-// final restore must hold every key acked at any point in the cycle.
+// restore → serve → add → snapshot chain on the restored set. The
+// restored set gets its keys back from the snapshot, so its
+// post-restore Adds ride the next snapshot's keys frames like any
+// other, and the final restore must hold every key acked at any point
+// in the cycle.
 func TestServerTorture(t *testing.T) {
 	for _, backend := range backendsUnderTest(t) {
 		backend := backend
@@ -214,9 +214,7 @@ func TestServerTorture(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Serve the restored set and add through it: on a static
-			// backend these keys can only survive via the pending-keys
-			// frame (no key list to rebuild from).
+			// Serve the restored set and add through it.
 			_, hs2 := newTestServer(t, restored, Config{})
 			var postRestore [][]byte
 			for i := 0; i < 60; i++ {
@@ -252,7 +250,7 @@ func TestServerTorture(t *testing.T) {
 			}
 			for _, key := range postRestore {
 				if !final.Contains(key) {
-					t.Fatalf("final restore lost post-restore key %q (pending-keys frame)", key)
+					t.Fatalf("final restore lost post-restore key %q", key)
 				}
 			}
 		})

@@ -11,9 +11,12 @@
 // machinery. Mutable backends absorb Adds directly; static backends
 // (Xor, PHBF) cannot, so the shard buffers added keys as pending —
 // still answered with zero false negatives — until the existing
-// rebuild-with-atomic-swap path absorbs them into a fresh filter (or,
-// on a restored set with no key list to rebuild from, until a snapshot
-// persists them through the container's pending-keys frame).
+// rebuild-with-atomic-swap path absorbs them into a fresh filter.
+//
+// Every shard keeps the keys its filter is rebuilt from, and a full
+// snapshot carries them, so a restored set is an ordinary set. A set
+// restored from a filter-only snapshot (what replication ships) has no
+// keys; it answers queries and refuses Adds with ErrReadOnly.
 //
 // Keys are routed by fingerprint prefix: the top bits of the shared base
 // hash (hashes.Base) select the shard, so the per-shard positive and
@@ -35,6 +38,7 @@ package shard
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/bits"
 	"sync"
@@ -81,6 +85,10 @@ const DefaultShards = 8
 // few percent of the original set" guidance of the Add documentation.
 const DefaultRebuildThreshold = 0.02
 
+// ErrReadOnly is what Add returns on a set restored from a filter-only
+// snapshot: it holds no keys, so it could never rebuild a shard.
+var ErrReadOnly = errors.New("habf: read-only set (loaded from a filter-only snapshot); rebuild it from the source keys to take writes")
+
 // minShardBits is the smallest per-shard budget; habf.New rejects
 // anything under 64 bits, and a tiny shard would be all false positives.
 const minShardBits = 128
@@ -94,12 +102,11 @@ type Set struct {
 	backend     *filtercore.Factory
 	tuning      filtercore.Tuning // effective knob set, reused by every (re)build
 	tuningStr   string            // canonical form of tuning, cached
-	absorbEvery int               // "absorb" knob: restored-shard pending threshold
+	readOnly    bool              // restored from a filter-only snapshot: no keys, no Adds
 	bitsPerKey  float64
 	scratchPool sync.Pool // *batchScratch, reused across ContainsBatchInto calls
 	rebuilds    atomic.Uint64
 	rebuildErrs atomic.Uint64
-	absorbs     atomic.Uint64
 	rebuildWG   sync.WaitGroup
 }
 
@@ -112,46 +119,22 @@ type shard struct {
 	// side; atomic so Stats can read it lock-free.
 	epoch atomic.Uint64
 
-	// addMu serializes writers ahead of mu and is the only way the
-	// positives list grows: Add takes addMu then mu's write side, so a
-	// holder of addMu alone freezes the shard's key set while readers
-	// (who take only mu's read side) keep serving. Snapshot-time pending
-	// absorption uses exactly that — build outside every lock with
-	// writers queued, then a brief write-locked swap — to capture acked
-	// Adds without ever blocking readers. Lock order: addMu before mu.
-	addMu sync.Mutex
-
 	// mu guards every mutable field below. Readers (Contains) take the
 	// read side; Add and the rebuild swap take the write side.
-	mu        sync.RWMutex
-	f         filtercore.Backend // nil while the shard has no positive keys
-	positives [][]byte           // every key the shard answers true for
+	mu sync.RWMutex
+	f  filtercore.Backend // nil while the shard has no positive keys
+	// positives is every key the shard answers true for. It only grows,
+	// by append, so a prefix taken under mu stays valid after release.
+	positives [][]byte
 	negatives []habf.WeightedKey
 	// pending holds keys the current filter does not represent — Adds a
 	// static backend refused, or keys whose lazy build failed. Queries
 	// consult it after the filter, preserving zero false negatives; a
 	// rebuild absorbs it. Invariant under mu: every key in positives is
 	// either represented by f or present in pending.
-	pending map[string]struct{}
-	// sidecar is a mutable overlay a restored static shard absorbs its
-	// pending keys into once they cross the absorb threshold: built over
-	// the full in-memory positives (a superset of pending), so the
-	// pending map can be cleared without breaking zero false negatives.
-	// Queries consult it between the filter and the pending map.
-	sidecar   filtercore.Backend
-	absorbing bool
-	baseline  int // keys represented by f at the last (re)build
-	// builds counts filter swaps. A background rebuild records it at
-	// start and discards its result if another swap (a snapshot-time
-	// pending absorb, built from a longer key prefix) landed meanwhile —
-	// installing the stale filter would re-pend keys a static backend
-	// had already absorbed.
-	builds     uint64
+	pending    map[string]struct{}
+	baseline   int // positives[:baseline] is what f was built from
 	rebuilding bool
-	// restored marks a shard whose filter came from a snapshot: its
-	// pre-snapshot key list is unknown, so a drift rebuild (which
-	// reconstructs from positives) would lose keys and is disabled.
-	restored   bool
 	bitsPerKey float64
 	params     habf.Params // template; TotalBits set per build
 }
@@ -202,15 +185,14 @@ func New(positives [][]byte, negatives []habf.WeightedKey, cfg Config) (*Set, er
 	}
 
 	s := &Set{
-		shards:      make([]*shard, n),
-		shift:       uint(64 - bits.TrailingZeros(uint(n))),
-		threshold:   threshold,
-		baseParams:  params,
-		backend:     backend,
-		tuning:      tun,
-		tuningStr:   tun.String(),
-		absorbEvery: tun.Int("absorb"),
-		bitsPerKey:  float64(cfg.TotalBits) / float64(len(positives)),
+		shards:     make([]*shard, n),
+		shift:      uint(64 - bits.TrailingZeros(uint(n))),
+		threshold:  threshold,
+		baseParams: params,
+		backend:    backend,
+		tuning:     tun,
+		tuningStr:  tun.String(),
+		bitsPerKey: float64(cfg.TotalBits) / float64(len(positives)),
 	}
 
 	// Partition by fingerprint prefix.
@@ -369,21 +351,10 @@ func (sh *shard) hasPending(key []byte) bool {
 	return ok
 }
 
-// drift counts post-build Adds not yet folded into a rebuild: keys the
-// mutable filter absorbed degraded plus keys a static filter left
-// pending. On a restored shard every in-memory positive is a
-// post-restore Add (the snapshot's key list never loads), so the
-// positives length is the drift — it keeps counting after a sidecar
-// absorb clears the pending map.
+// drift counts post-build Adds not yet folded into a rebuild: keys a
+// mutable filter absorbed degraded or a static one left pending.
 func (sh *shard) drift() uint64 {
-	if sh.restored {
-		return uint64(len(sh.positives))
-	}
-	var d uint64
-	if sh.f != nil {
-		d = sh.f.AddedKeys()
-	}
-	return d + uint64(len(sh.pending))
+	return uint64(len(sh.positives) - sh.baseline)
 }
 
 // Contains reports whether key may be a member. Safe for any number of
@@ -391,13 +362,7 @@ func (sh *shard) drift() uint64 {
 func (s *Set) Contains(key []byte) bool {
 	sh := s.shards[s.route(key)]
 	sh.mu.RLock()
-	ok := sh.f != nil && sh.f.Contains(key)
-	if !ok && sh.sidecar != nil {
-		ok = sh.sidecar.Contains(key)
-	}
-	if !ok {
-		ok = sh.hasPending(key)
-	}
+	ok := sh.f != nil && sh.f.Contains(key) || sh.hasPending(key)
 	sh.mu.RUnlock()
 	return ok
 }
@@ -528,9 +493,9 @@ func (s *Set) ContainsBatchInto(dst []bool, keys [][]byte) {
 
 // containsSub answers one shard's slice of the batch under a single read
 // lock: the backend's batch probe with the slice's base hashes first,
-// then the sidecar/pending overlay for the misses — the same filter →
-// sidecar → pending order as Contains — and finally the scatter back to
-// dst through the slot permutation.
+// then the pending overlay for the misses — the same filter → pending
+// order as Contains — and finally the scatter back to dst through the
+// slot permutation.
 func (sh *shard) containsSub(sc *batchScratch, dst []bool, lo, hi int) {
 	keys := sc.gkeys[lo:hi]
 	res := sc.results[lo:hi]
@@ -540,18 +505,11 @@ func (sh *shard) containsSub(sc *batchScratch, dst []bool, lo, hi int) {
 	} else {
 		clear(res) // scratch may hold a previous batch's answers
 	}
-	if sh.sidecar != nil || len(sh.pending) > 0 {
+	if len(sh.pending) > 0 {
 		for i, ok := range res {
-			if ok {
-				continue
+			if !ok {
+				_, res[i] = sh.pending[string(keys[i])]
 			}
-			if sh.sidecar != nil {
-				ok = sh.sidecar.Contains(keys[i])
-			}
-			if !ok && sh.pending != nil {
-				_, ok = sh.pending[string(keys[i])]
-			}
-			res[i] = ok
 		}
 	}
 	sh.mu.RUnlock()
@@ -567,11 +525,13 @@ func (sh *shard) containsSub(sc *batchScratch, dst []bool, lo, hi int) {
 // as pending — queryable immediately, zero false negatives — until the
 // rebuild swap folds it in. The shard keeps a copy of key for its
 // rebuilds, so the caller may reuse the slice as soon as Add returns.
-func (s *Set) Add(key []byte) {
+// On a read-only set Add returns ErrReadOnly and changes nothing.
+func (s *Set) Add(key []byte) error {
+	if s.readOnly {
+		return ErrReadOnly
+	}
 	key = bytes.Clone(key)
 	sh := s.shards[s.route(key)]
-	sh.addMu.Lock()
-	defer sh.addMu.Unlock()
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.positives = append(sh.positives, key)
@@ -591,7 +551,7 @@ func (s *Set) Add(key []byte) {
 			s.rebuildErrs.Add(1)
 			sh.addPending(key)
 		}
-		return
+		return nil
 	}
 	if err := sh.f.Add(key); err != nil {
 		// Static backend: serve the key from the pending buffer — unless
@@ -599,84 +559,18 @@ func (s *Set) Add(key []byte) {
 		// member, or a false-positive collision), where pending would add
 		// only drift and rebuild churn. Either way the key is in
 		// positives, so the next rebuild represents it directly and the
-		// answer stays true forever. A restored shard that has already
-		// absorbed into a sidecar sends the key straight there instead.
+		// answer stays true forever.
 		if !sh.f.Contains(key) {
-			if sh.restored && sh.sidecar != nil {
-				sh.sidecar.Add(key)
-			} else {
-				sh.addPending(key)
-			}
+			sh.addPending(key)
 		}
 	}
-	if s.threshold > 0 && !sh.rebuilding && !sh.restored &&
+	if s.threshold > 0 && !sh.rebuilding &&
 		float64(sh.drift()) >= s.threshold*float64(sh.baseline) {
 		sh.rebuilding = true
 		s.rebuildWG.Add(1)
 		go sh.rebuild()
 	}
-	// A restored static shard cannot drift-rebuild (no full key list in
-	// memory), so its buffered Adds are bounded differently: once they
-	// cross the absorb threshold, a background absorb folds everything
-	// added since restore into a fresh mutable sidecar.
-	if sh.restored && s.absorbEvery > 0 && !sh.absorbing &&
-		(len(sh.pending) >= s.absorbEvery ||
-			(sh.sidecar != nil && sh.sidecar.AddedKeys() >= uint64(s.absorbEvery))) {
-		sh.absorbing = true
-		s.rebuildWG.Add(1)
-		go sh.absorbIntoSidecar()
-	}
-}
-
-// absorbIntoSidecar bounds a restored static shard's buffered Adds:
-// it builds a mutable sidecar over every key added since restore (the
-// shard's in-memory positives, a superset of the pending map) and
-// installs it in place of the pending map. The same discipline as the
-// snapshot-time absorb applies — addMu freezes the key list while the
-// sidecar builds outside every lock, then a brief write-locked swap —
-// so readers are never blocked and zero false negatives hold
-// throughout.
-func (sh *shard) absorbIntoSidecar() {
-	defer sh.set.rebuildWG.Done()
-	sh.addMu.Lock()
-	defer sh.addMu.Unlock()
-
-	sh.mu.RLock()
-	n0 := len(sh.positives)
-	keys := sh.positives[:n0:n0]
-	sh.mu.RUnlock()
-
-	side, err := sh.set.buildSidecar(keys)
-
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.absorbing = false
-	if err != nil {
-		sh.set.rebuildErrs.Add(1)
-		return
-	}
-	sh.sidecar = side
-	sh.pending = nil
-	sh.epoch.Add(1)
-	sh.set.absorbs.Add(1)
-}
-
-// buildSidecar builds the mutable overlay restored static shards absorb
-// into: a standard Bloom filter at default tuning over keys, sized by
-// the set's bits-per-key budget.
-func (s *Set) buildSidecar(keys [][]byte) (filtercore.Backend, error) {
-	if len(keys) == 0 {
-		return nil, fmt.Errorf("shard: empty sidecar key set")
-	}
-	side, err := filtercore.ByName("bloom")
-	if err != nil {
-		return nil, err
-	}
-	totalBits := uint64(s.bitsPerKey * float64(len(keys)))
-	if totalBits < minShardBits {
-		totalBits = minShardBits
-	}
-	return side.Build(keys, nil, filtercore.BuildConfig{TotalBits: totalBits})
+	return nil
 }
 
 // rebuild reconstructs the shard's filter over its full current key set —
@@ -689,7 +583,6 @@ func (sh *shard) rebuild() {
 
 	sh.mu.RLock()
 	n0 := len(sh.positives)
-	b0 := sh.builds
 	// Three-index slice: appends by concurrent Adds reallocate instead of
 	// writing into the snapshot's backing array.
 	snap := sh.positives[:n0:n0]
@@ -704,34 +597,23 @@ func (sh *shard) rebuild() {
 		sh.set.rebuildErrs.Add(1)
 		return
 	}
-	if sh.builds != b0 {
-		// A snapshot-time absorb swapped a filter built from a longer
-		// prefix while we were building; ours is stale. Installing it
-		// would demote already-absorbed keys back to pending (or, on a
-		// mutable backend, to degraded per-key re-Adds) and could let a
-		// concurrent Save frame miss acked keys.
-		return
-	}
 	sh.swap(f, n0)
 	sh.set.rebuilds.Add(1)
 }
 
 // swap installs a filter built over positives[:built], replaying the
 // keys added since: a mutable backend absorbs them, a static one leaves
-// them pending. Callers hold mu's write side.
+// those it does not already answer true for pending. Callers hold mu's
+// write side.
 func (sh *shard) swap(f filtercore.Backend, built int) {
 	sh.pending = nil
-	absorbed := built
 	for _, key := range sh.positives[built:] { // added while we were building
-		if f.Add(key) == nil {
-			absorbed++
-		} else {
+		if f.Add(key) != nil && !f.Contains(key) {
 			sh.addPending(key)
 		}
 	}
 	sh.f = f
-	sh.baseline = absorbed
-	sh.builds++
+	sh.baseline = built
 	sh.epoch.Add(1)
 }
 
@@ -744,13 +626,11 @@ func (s *Set) WaitRebuilds() { s.rebuildWG.Wait() }
 func (s *Set) NumShards() int { return len(s.shards) }
 
 // Epoch returns the set's mutation epoch: the sum of every shard's
-// per-shard epoch. Each Add, rebuild swap and sidecar absorb bumps its
-// shard's counter, so the sum is monotone under serving traffic and two
-// observations are equal only if no mutation landed between them —
-// which is exactly the freshness signal replication needs. A restored
-// set resumes at the epochs recorded in its snapshot frames (plus one
-// bump per shard that re-buffered pending keys), so a follower compares
-// epochs it fetched from the primary, never locally recomputed ones.
+// per-shard epoch. Each Add and rebuild swap bumps its shard's counter,
+// so the sum is monotone under serving traffic and two observations are
+// equal only if no mutation landed between them — which is exactly the
+// freshness signal replication needs. A restored set resumes at the
+// epochs recorded in its snapshot frames.
 func (s *Set) Epoch() uint64 {
 	var total uint64
 	for _, sh := range s.shards {
@@ -780,9 +660,6 @@ func (s *Set) SizeBits() uint64 {
 		if sh.f != nil {
 			total += sh.f.SizeBits()
 		}
-		if sh.sidecar != nil {
-			total += sh.sidecar.SizeBits()
-		}
 		sh.mu.RUnlock()
 	}
 	return total
@@ -796,15 +673,10 @@ type Stats struct {
 	Pending       uint64 // Adds a static backend buffered outside its filter
 	Rebuilds      uint64 // background rebuilds completed
 	RebuildErrors uint64
-	// Absorbs counts sidecar absorbs on restored static shards: pending
-	// maps folded into a mutable overlay once they crossed the backend's
-	// "absorb" tuning knob.
-	Absorbs  uint64
-	SizeBits uint64
-	// Restored counts shards serving a snapshot-restored filter. Those
-	// shards do not auto-rebuild on drift (their pre-snapshot key list is
-	// not in memory); rotate them with a full rebuild when Added grows.
-	Restored int
+	SizeBits      uint64
+	// ReadOnly reports a set restored from a filter-only snapshot: it
+	// holds no keys (Keys is 0) and its Add returns ErrReadOnly.
+	ReadOnly bool
 }
 
 // ShardInfo describes one shard at a point in time — the per-shard
@@ -817,9 +689,7 @@ type ShardInfo struct {
 	Pending    uint64 `json:"pending"`    // static-backend Adds served from the pending buffer
 	Epoch      uint64 `json:"epoch"`      // mutation epoch (Adds + rebuild swaps)
 	SizeBits   uint64 `json:"size_bits"`  // query-time footprint
-	Restored   bool   `json:"restored"`   // serving a snapshot-restored filter
 	Rebuilding bool   `json:"rebuilding"` // background rebuild in flight
-	Sidecar    bool   `json:"sidecar"`    // restored shard absorbed pending into a sidecar
 }
 
 // ShardInfos samples every shard, one at a time (totals are approximate
@@ -834,15 +704,10 @@ func (s *Set) ShardInfos() []ShardInfo {
 			Added:      sh.drift(),
 			Pending:    uint64(len(sh.pending)),
 			Epoch:      sh.epoch.Load(),
-			Restored:   sh.restored,
 			Rebuilding: sh.rebuilding,
-			Sidecar:    sh.sidecar != nil,
 		}
 		if sh.f != nil {
 			info.SizeBits = sh.f.SizeBits()
-		}
-		if sh.sidecar != nil {
-			info.SizeBits += sh.sidecar.SizeBits()
 		}
 		sh.mu.RUnlock()
 		out[i] = info
@@ -857,21 +722,15 @@ func (s *Set) Stats() Stats {
 		Shards:        len(s.shards),
 		Rebuilds:      s.rebuilds.Load(),
 		RebuildErrors: s.rebuildErrs.Load(),
-		Absorbs:       s.absorbs.Load(),
+		ReadOnly:      s.readOnly,
 	}
 	for _, sh := range s.shards {
 		sh.mu.RLock()
 		st.Keys += uint64(len(sh.positives))
 		st.Added += sh.drift()
 		st.Pending += uint64(len(sh.pending))
-		if sh.restored {
-			st.Restored++
-		}
 		if sh.f != nil {
 			st.SizeBits += sh.f.SizeBits()
-		}
-		if sh.sidecar != nil {
-			st.SizeBits += sh.sidecar.SizeBits()
 		}
 		sh.mu.RUnlock()
 	}

@@ -50,8 +50,8 @@ func TestNoFalseNegatives(t *testing.T) {
 // a window at an odd offset of the probe list, and dst is longer than the
 // batch and starts out holding the opposite answers, so a missed write or
 // a write past len(keys) shows. Rows cover a mutable backend, a static
-// one holding pending Adds, and a restored static one whose Adds were
-// absorbed into a sidecar.
+// one holding pending Adds, and a read-only restore of the latter, whose
+// pending keys came from the container's pending-keys frame.
 func TestBatchMatchesPerKey(t *testing.T) {
 	const n = 3000
 	rows := []struct {
@@ -73,16 +73,15 @@ func TestBatchMatchesPerKey(t *testing.T) {
 			}
 			return s
 		}},
-		{"xor/restored-sidecar", func(t *testing.T, added [][]byte) *Set {
+		{"xor/read-only", func(t *testing.T, added [][]byte) *Set {
 			requireBackend(t, "xor")
-			s, _, _ := newSet(t, n, Config{Shards: 8, Backend: "xor", Tuning: "absorb=16"})
-			g := snapshotRoundtrip(t, s)
+			s, _, _ := newSet(t, n, Config{Shards: 8, Backend: "xor", RebuildThreshold: -1})
 			for _, key := range added {
-				g.Add(key)
+				s.Add(key)
 			}
-			g.WaitRebuilds()
-			if st := g.Stats(); st.Absorbs == 0 {
-				t.Fatalf("no sidecar absorbs after %d Adds: %+v", len(added), st)
+			g := filterOnlyRoundtrip(t, s)
+			if st := g.Stats(); st.Pending == 0 {
+				t.Fatalf("no pending keys after a filter-only restore: %+v", st)
 			}
 			return g
 		}},

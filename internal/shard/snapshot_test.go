@@ -1,6 +1,8 @@
 package shard
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -9,23 +11,47 @@ import (
 	"repro/internal/snapshot"
 )
 
-func snapshotRoundtrip(t *testing.T, s *Set) *Set {
+// saveSnapshot writes s as a full (withKeys) or filter-only container.
+func saveSnapshot(t testing.TB, s *Set, withKeys bool) []byte {
 	t.Helper()
-	snap, err := s.Snapshot()
+	var buf bytes.Buffer
+	if err := s.WriteSnapshot(&buf, withKeys); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// takeSnapshot decodes a fresh container of s; its payloads and keys
+// alias a buffer only the returned snapshot references.
+func takeSnapshot(t testing.TB, s *Set, withKeys bool) *snapshot.Snapshot {
+	t.Helper()
+	snap, err := snapshot.Unmarshal(saveSnapshot(t, s, withKeys))
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := snap.MarshalBinary()
+	return snap
+}
+
+// snapshotRoundtrip saves s as a full container and restores it.
+func snapshotRoundtrip(t testing.TB, s *Set) *Set {
+	t.Helper()
+	g, err := Restore(takeSnapshot(t, s, true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	decoded, err := snapshot.Unmarshal(data)
+	return g
+}
+
+// filterOnlyRoundtrip saves s as a filter-only container and restores
+// it, read-only.
+func filterOnlyRoundtrip(t testing.TB, s *Set) *Set {
+	t.Helper()
+	g, err := Restore(takeSnapshot(t, s, false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := Restore(decoded)
-	if err != nil {
-		t.Fatal(err)
+	if !g.Stats().ReadOnly {
+		t.Fatal("filter-only restore is not read-only")
 	}
 	return g
 }
@@ -78,14 +104,7 @@ func TestRestoreIsZeroCopy(t *testing.T) {
 
 func TestRestoredSetAbsorbsAddsWithCopyOnWrite(t *testing.T) {
 	s, pos, _ := newSet(t, 3000, Config{Shards: 4})
-	snap, err := s.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := snap.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := saveSnapshot(t, s, true)
 	before := append([]byte(nil), data...)
 	decoded, err := snapshot.Unmarshal(data)
 	if err != nil {
@@ -95,8 +114,13 @@ func TestRestoredSetAbsorbsAddsWithCopyOnWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got, want := g.Stats().Keys, s.Stats().Keys; got != want {
+		t.Fatalf("restored set holds %d keys, want %d", got, want)
+	}
 	for i := 0; i < 500; i++ {
-		g.Add([]byte(fmt.Sprintf("late-%06d", i)))
+		if err := g.Add([]byte(fmt.Sprintf("late-%06d", i))); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for i := 0; i < 500; i++ {
 		if !g.Contains([]byte(fmt.Sprintf("late-%06d", i))) {
@@ -108,35 +132,51 @@ func TestRestoredSetAbsorbsAddsWithCopyOnWrite(t *testing.T) {
 			t.Fatalf("Add after restore lost original member %q", key)
 		}
 	}
-	// Copy-on-write: mutations must never leak into the snapshot buffer.
+	// Copy-on-write: neither the Adds nor the drift rebuilds they set
+	// off may write into the snapshot buffer the filters and keys alias.
+	g.WaitRebuilds()
 	if string(before) != string(data) {
 		t.Fatal("Add after restore mutated the snapshot buffer")
 	}
-	st := g.Stats()
-	if st.Restored == 0 {
-		t.Fatal("Stats does not report restored shards")
+	// The snapshot carried the keys, so the restored shards rebuild on
+	// drift like built ones.
+	if st := g.Stats(); st.Rebuilds == 0 || st.ReadOnly || st.Keys != 3500 {
+		t.Fatalf("restored set after 500 Adds: %+v; want rebuilds, writable, 3500 keys", st)
 	}
-	// Restored shards must not schedule drift rebuilds (they have no key
-	// list to rebuild from).
-	g.WaitRebuilds()
-	if got := g.Stats().Rebuilds; got != 0 {
-		t.Fatalf("restored set ran %d drift rebuilds; want 0", got)
+}
+
+// TestFilterOnlyRestoreIsReadOnly: a filter-only container answers
+// every query exactly as the full one does, and the read-only set it
+// restores refuses Adds without moving its epoch.
+func TestFilterOnlyRestoreIsReadOnly(t *testing.T) {
+	s, _, _ := newSet(t, 4000, Config{Shards: 8})
+	full := snapshotRoundtrip(t, s)
+	ro := filterOnlyRoundtrip(t, s)
+	for i := 0; i < 1<<16; i++ {
+		probe := []byte(fmt.Sprintf("probe-%06d", i))
+		if full.Contains(probe) != ro.Contains(probe) {
+			t.Fatalf("filter-only set disagrees with the full load on %q", probe)
+		}
+	}
+	epoch := ro.Epoch()
+	if err := ro.Add([]byte("refused")); !errors.Is(err, ErrReadOnly) {
+		t.Fatalf("Add on a read-only set returned %v, want ErrReadOnly", err)
+	}
+	if ro.Epoch() != epoch || ro.Stats().Keys != 0 {
+		t.Fatalf("refused Add changed the set: epoch %d → %d, %d keys", epoch, ro.Epoch(), ro.Stats().Keys)
+	}
+	if epoch != s.Epoch() || full.Epoch() != s.Epoch() {
+		t.Fatalf("restored epochs %d (filter-only) and %d (full), want %d", epoch, full.Epoch(), s.Epoch())
 	}
 }
 
 func TestSnapshotEpochsAdvance(t *testing.T) {
 	s, _, _ := newSet(t, 2000, Config{Shards: 4, RebuildThreshold: -1})
-	snap1, err := s.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap1 := takeSnapshot(t, s, true)
 	for i := 0; i < 100; i++ {
 		s.Add([]byte(fmt.Sprintf("epoch-%06d", i)))
 	}
-	snap2, err := s.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap2 := takeSnapshot(t, s, true)
 	var e1, e2 uint64
 	for i := range snap1.Frames {
 		e1 += snap1.Frames[i].Epoch
@@ -149,10 +189,7 @@ func TestSnapshotEpochsAdvance(t *testing.T) {
 
 func TestRestoreRejectsBadShardCount(t *testing.T) {
 	s, _, _ := newSet(t, 1000, Config{Shards: 4})
-	snap, err := s.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := takeSnapshot(t, s, true)
 	snap.Frames = snap.Frames[:3] // not a power of two
 	if _, err := Restore(snap); err == nil {
 		t.Fatal("restore accepted a 3-shard snapshot")
@@ -169,10 +206,7 @@ func TestRestoreRejectsBadShardCount(t *testing.T) {
 // panicking in make(). Restore must bound the meta instead.
 func TestRestoreRejectsHostileMeta(t *testing.T) {
 	s, _, _ := newSet(t, 1000, Config{Shards: 4})
-	good, err := s.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	good := takeSnapshot(t, s, true)
 	cases := map[string]func(m *snapshot.Meta){
 		"huge bits-per-key": func(m *snapshot.Meta) { m.BitsPerKey = 1e300 },
 		"inf bits-per-key":  func(m *snapshot.Meta) { m.BitsPerKey = math.Inf(1) },
@@ -200,10 +234,7 @@ func TestRestoreRejectsHostileMeta(t *testing.T) {
 // must be refused, not served with false negatives.
 func TestRestoreRejectsLegacyRouteSeed(t *testing.T) {
 	s, _, _ := newSet(t, 1000, Config{Shards: 4})
-	snap, err := s.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := takeSnapshot(t, s, true)
 	if snap.Meta.RouteSeed != hashes.BaseSeed {
 		t.Fatalf("snapshot records route seed %#x, want hashes.BaseSeed", snap.Meta.RouteSeed)
 	}

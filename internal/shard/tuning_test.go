@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/filtercore"
@@ -50,10 +49,7 @@ func TestBackendTuningRoundTripsThroughSnapshot(t *testing.T) {
 			if got := s.Tuning(); got != want {
 				t.Fatalf("Tuning() = %q, want %q", got, want)
 			}
-			snap, err := s.Snapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
+			snap := takeSnapshot(t, s, true)
 			if snap.Meta.Tuning != want {
 				t.Fatalf("snapshot Meta.Tuning = %q, want %q", snap.Meta.Tuning, want)
 			}
@@ -72,10 +68,7 @@ func TestBackendTuningRoundTripsThroughSnapshot(t *testing.T) {
 			if got := d.Tuning(); got != f.DefaultTuning().String() {
 				t.Fatalf("default Tuning() = %q, want %q", got, f.DefaultTuning().String())
 			}
-			dsnap, err := d.Snapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
+			dsnap := takeSnapshot(t, d, true)
 			if dsnap.Meta.Tuning != "" {
 				t.Fatalf("default-tuned set persisted tuning frame %q", dsnap.Meta.Tuning)
 			}
@@ -96,10 +89,7 @@ func TestRestoreRejectsBadTuning(t *testing.T) {
 		{"malformed", "k"},
 		{"non-canonical value", "k=08"},
 	} {
-		snap, err := s.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
+		snap := takeSnapshot(t, s, true)
 		snap.Meta.Tuning = tc.tuning
 		if _, err := Restore(snap); err == nil {
 			t.Errorf("%s: Restore accepted tuning %q", tc.name, tc.tuning)
@@ -116,94 +106,5 @@ func TestTuningRejectedAtBuild(t *testing.T) {
 		if _, err := New(pos, neg, Config{TotalBits: 1200, Backend: "bloom", Tuning: tuning}); err == nil {
 			t.Errorf("New accepted tuning %q", tuning)
 		}
-	}
-}
-
-// TestRestoredStaticBackendAbsorbsPendingIntoSidecar pins the absorb
-// path that bounds a restored static shard's pending growth: once
-// post-restore Adds pass the absorb knob's threshold, they are folded
-// into a mutable bloom sidecar in the background (an absorb, not a
-// rebuild), the pending buffer empties, and every acked key keeps
-// answering — including across a further snapshot → restore cycle,
-// which absorbs synchronously at load.
-func TestRestoredStaticBackendAbsorbsPendingIntoSidecar(t *testing.T) {
-	requireBackend(t, "xor")
-	s, pos, _ := newSet(t, 800, Config{Shards: 2, Backend: "xor", Tuning: "absorb=64"})
-	gen1 := snapshotRoundtrip(t, s)
-
-	var fresh [][]byte
-	for i := 0; i < 300; i++ {
-		k := []byte(fmt.Sprintf("late-absorb-%06d", i))
-		fresh = append(fresh, k)
-		gen1.Add(k)
-	}
-	gen1.WaitRebuilds()
-	st := gen1.Stats()
-	if st.Absorbs == 0 {
-		t.Fatalf("no absorbs after 300 adds at absorb=64: %+v", st)
-	}
-	if st.Rebuilds != 0 {
-		t.Fatalf("restored static set ran %d drift rebuilds (absorbs must not count as rebuilds)", st.Rebuilds)
-	}
-	sidecars := 0
-	for _, info := range gen1.ShardInfos() {
-		if info.Sidecar {
-			sidecars++
-		}
-	}
-	if sidecars == 0 {
-		t.Fatal("no shard reports a sidecar after absorbing")
-	}
-	for _, key := range append(append([][]byte{}, pos...), fresh...) {
-		if !gen1.Contains(key) {
-			t.Fatalf("false negative for %q after absorb", key)
-		}
-	}
-
-	// The sidecar is never serialized; the snapshot re-buffers the full
-	// positive set of sidecar shards, and the restore — seeing pending
-	// past the threshold — absorbs synchronously before serving.
-	gen2 := snapshotRoundtrip(t, gen1)
-	st2 := gen2.Stats()
-	if st2.Pending != 0 {
-		t.Fatalf("restore left %d keys pending past the absorb threshold", st2.Pending)
-	}
-	if st2.Absorbs == 0 {
-		t.Fatal("restore did not absorb the oversized pending buffer")
-	}
-	for _, key := range append(append([][]byte{}, pos...), fresh...) {
-		if !gen2.Contains(key) {
-			t.Fatalf("generation 2 lost %q", key)
-		}
-	}
-}
-
-// TestAbsorbDisabledKeepsPending: absorb=0 switches the sidecar off,
-// restoring the pre-absorb behavior where pending grows unboundedly.
-func TestAbsorbDisabledKeepsPending(t *testing.T) {
-	requireBackend(t, "xor")
-	s, _, _ := newSet(t, 600, Config{Shards: 2, Backend: "xor", Tuning: "absorb=0"})
-	g := snapshotRoundtrip(t, s)
-	// A fresh key that happens to be a false positive of the static
-	// filter is served by the filter and never buffered, so the expected
-	// pending count is the adds the filter did not already claim.
-	want := 0
-	for i := 0; i < 200; i++ {
-		key := []byte(fmt.Sprintf("no-absorb-%06d", i))
-		if !g.Contains(key) {
-			want++
-		}
-		g.Add(key)
-	}
-	g.WaitRebuilds()
-	st := g.Stats()
-	if st.Absorbs != 0 {
-		t.Fatalf("absorb=0 still absorbed %d times", st.Absorbs)
-	}
-	if want < 190 {
-		t.Fatalf("only %d of 200 fresh keys missed the filter — FP rate implausibly high", want)
-	}
-	if st.Pending != uint64(want) {
-		t.Fatalf("pending = %d, want %d with absorbs disabled", st.Pending, want)
 	}
 }

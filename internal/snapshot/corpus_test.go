@@ -1,9 +1,11 @@
 package snapshot_test
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"testing"
 
@@ -13,10 +15,29 @@ import (
 	"repro/internal/snapshot"
 )
 
+// saveContainer writes set as a full (withKeys) or filter-only
+// container.
+func saveContainer(tb testing.TB, set *shard.Set, withKeys bool) []byte {
+	var buf bytes.Buffer
+	if err := set.WriteSnapshot(&buf, withKeys); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// fixHeaderCRC recomputes a mutated header's CRC, so a seed reaches the
+// check behind it instead of dying on the checksum.
+func fixHeaderCRC(b []byte) []byte {
+	binary.LittleEndian.PutUint32(b[60:64], crc32.Checksum(b[:60], crc32.MakeTable(crc32.Castagnoli)))
+	return b
+}
+
 // fuzzSnapshotSeeds builds the hostile container inputs
 // FuzzUnmarshalSnapshot starts from; the same set is committed under
 // testdata/fuzz/FuzzUnmarshalSnapshot so the CI fuzz smoke starts from
-// real decoder edge cases.
+// real decoder edge cases. The valid-* seeds of one backend each are
+// filter-only saves; valid-keys-container and the keys-* seeds are full
+// ones.
 func fuzzSnapshotSeeds(tb testing.TB) map[string][]byte {
 	pos := make([][]byte, 300)
 	neg := make([]habf.WeightedKey, 300)
@@ -28,14 +49,7 @@ func fuzzSnapshotSeeds(tb testing.TB) map[string][]byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	snap, err := set.Snapshot()
-	if err != nil {
-		tb.Fatal(err)
-	}
-	good, err := snap.MarshalBinary()
-	if err != nil {
-		tb.Fatal(err)
-	}
+	good := saveContainer(tb, set, false)
 
 	seeds := map[string][]byte{
 		"valid-container": good,
@@ -59,34 +73,29 @@ func fuzzSnapshotSeeds(tb testing.TB) map[string][]byte {
 	// of dying on the CRC check.
 	huge := append([]byte(nil), good...)
 	huge[52], huge[53], huge[54], huge[55] = 0xFF, 0xFF, 0xFF, 0x7F
-	binary.LittleEndian.PutUint32(huge[60:64], crc32.Checksum(huge[:60], crc32.MakeTable(crc32.Castagnoli)))
-	seeds["huge-shard-count"] = huge
+	seeds["huge-shard-count"] = fixHeaderCRC(huge)
 	// Wrong container kind (CRC fixed up the same way): the type
 	// discriminator, not shard.Restore, must reject it.
 	wrongKind := append([]byte(nil), good...)
 	wrongKind[48] = 2 // KindFilterBlocks in a sharded-set restore path
-	binary.LittleEndian.PutUint32(wrongKind[60:64], crc32.Checksum(wrongKind[:60], crc32.MakeTable(crc32.Castagnoli)))
-	seeds["wrong-kind"] = wrongKind
+	seeds["wrong-kind"] = fixHeaderCRC(wrongKind)
 	// Unknown backend kind in header byte 49 (CRC fixed): the filtercore
 	// registry lookup must reject it before any frame is decoded.
 	wrongBackend := append([]byte(nil), good...)
 	wrongBackend[49] = 0xEE
-	binary.LittleEndian.PutUint32(wrongBackend[60:64], crc32.Checksum(wrongBackend[:60], crc32.MakeTable(crc32.Castagnoli)))
-	seeds["wrong-backend-kind"] = wrongBackend
+	seeds["wrong-backend-kind"] = fixHeaderCRC(wrongBackend)
 	// A route seed other than hashes.BaseSeed (CRC fixed up the same way),
 	// as containers routed by the old xx64 fingerprint recorded: the
 	// container decodes, and shard.Restore must refuse it.
 	legacyRoute := append([]byte(nil), good...)
 	binary.LittleEndian.PutUint64(legacyRoute[16:24], 0x9e3779b97f4a7c15)
-	binary.LittleEndian.PutUint32(legacyRoute[60:64], crc32.Checksum(legacyRoute[:60], crc32.MakeTable(crc32.Castagnoli)))
-	seeds["legacy-route-seed"] = legacyRoute
+	seeds["legacy-route-seed"] = fixHeaderCRC(legacyRoute)
 	// Cross-backend frames: a header claiming the xor backend (kind 2)
 	// over HABF frame payloads. The xor wire decoder must refuse the
 	// frames (wrong magic), never misparse them.
 	crossBackend := append([]byte(nil), good...)
 	crossBackend[49] = 2
-	binary.LittleEndian.PutUint32(crossBackend[60:64], crc32.Checksum(crossBackend[:60], crc32.MakeTable(crc32.Castagnoli)))
-	seeds["cross-backend-frame"] = crossBackend
+	seeds["cross-backend-frame"] = fixHeaderCRC(crossBackend)
 	// Valid containers of the non-default backends, so the fuzzer mutates
 	// every registered frame decoder (bloom, xor, wbf cache entries, phbf
 	// seed tables, and the learned families' model + nested bloom blocks).
@@ -95,15 +104,7 @@ func fuzzSnapshotSeeds(tb testing.TB) map[string][]byte {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		snap, err := set.Snapshot()
-		if err != nil {
-			tb.Fatal(err)
-		}
-		data, err := snap.MarshalBinary()
-		if err != nil {
-			tb.Fatal(err)
-		}
-		seeds["valid-"+backend+"-container"] = data
+		seeds["valid-"+backend+"-container"] = saveContainer(tb, set, false)
 	}
 	// Learned-container attacks: container-valid (CRCs recomputed by
 	// MarshalBinary) but with a hostile shard payload, so the fuzzer
@@ -143,38 +144,60 @@ func fuzzSnapshotSeeds(tb testing.TB) map[string][]byte {
 		p[20] ^= 0xFF
 		return p
 	})
-	// Pending-keys section: restore a static-backend container, add keys
-	// (they pend — no key list to rebuild from), snapshot again. The
-	// result carries the flagged extra frame, giving the fuzzer the
-	// pending decoder to mutate; plus truncated and bit-rotted variants
-	// targeting that frame specifically.
-	restoredSnap, err := snapshot.Unmarshal(seeds["valid-xor-container"])
-	if err != nil {
-		tb.Fatal(err)
-	}
-	restoredSet, err := shard.Restore(restoredSnap)
+	// Pending-keys section: a static-backend set holding Adds its
+	// filters do not represent saves them in the flagged extra frame of a
+	// filter-only container, giving the fuzzer the pending decoder to
+	// mutate; plus truncated and bit-rotted variants targeting that frame
+	// specifically.
+	xorSet, err := shard.New(pos, neg, shard.Config{Shards: 4, TotalBits: 300 * 12, Backend: "xor", RebuildThreshold: -1})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
-		restoredSet.Add([]byte(fmt.Sprintf("fz-pend-%04d", i)))
+		xorSet.Add([]byte(fmt.Sprintf("fz-pend-%04d", i)))
 	}
-	pendSnap, err := restoredSet.Snapshot()
-	if err != nil {
-		tb.Fatal(err)
-	}
-	if len(pendSnap.Pending) == 0 {
-		tb.Fatal("pending seed carries no pending keys")
-	}
-	pend, err := pendSnap.MarshalBinary()
-	if err != nil {
-		tb.Fatal(err)
+	pend := saveContainer(tb, xorSet, false)
+	if s, err := snapshot.Unmarshal(pend); err != nil || len(s.Pending) == 0 {
+		tb.Fatalf("pending seed carries no pending keys (%v)", err)
 	}
 	seeds["valid-pending-section"] = pend
 	seeds["pending-truncated"] = pend[:len(pend)-40]
 	pendRot := append([]byte(nil), pend...)
 	pendRot[len(pendRot)-30] ^= 0x10 // inside the pending frame / footer region
 	seeds["pending-bitrot"] = pendRot
+	// Keys frames: a full container of an HABF set and of a xor set with
+	// pending Adds, giving the fuzzer the keys decoder and the restore
+	// path's pending recomputation; plus variants container-valid (CRCs
+	// recomputed) but hostile inside the first keys frame.
+	habfSet, err := shard.New(pos, neg, shard.Config{Shards: 2, TotalBits: 300 * 12, RebuildThreshold: -1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		habfSet.Add([]byte(fmt.Sprintf("fz-add-%04d", i)))
+	}
+	keysFull := saveContainer(tb, habfSet, true)
+	xorFull := saveContainer(tb, xorSet, true)
+	seeds["valid-keys-container"] = keysFull
+	seeds["valid-keys-xor-container"] = xorFull
+	seeds["keys-truncated"] = keysFull[:len(keysFull)-100]
+	keysRot := append([]byte(nil), keysFull...)
+	keysRot[len(keysRot)-200] ^= 0x04 // inside the last keys frame
+	seeds["keys-bitrot"] = keysRot
+	// The first keys frame is frame 2 (two shards, default tuning).
+	seeds["keys-hostile-count"] = patchFrame(keysFull, 2, func(p []byte) {
+		binary.LittleEndian.PutUint64(p[0:8], 1<<40) // positives
+	})
+	seeds["keys-bad-offsets"] = patchFrame(keysFull, 2, func(p []byte) {
+		binary.LittleEndian.PutUint32(p[24+4*3:], 0xFFFFFF00) // offset past the key bytes
+	})
+	seeds["keys-nan-cost"] = patchFrame(keysFull, 2, func(p []byte) {
+		binary.LittleEndian.PutUint64(p[len(p)-8:], math.Float64bits(math.NaN())) // last negative's cost
+	})
+	// A header flag bit the format does not define (CRC fixed up).
+	unknownFlag := append([]byte(nil), good...)
+	unknownFlag[5] |= 1 << 7
+	seeds["unknown-flag-bit"] = fixHeaderCRC(unknownFlag)
 	// Tuning frame: a non-default knob set makes the snapshot carry the
 	// flagged tuning frame, giving the fuzzer the tuning decoder and the
 	// restore path's schema validation to mutate.
@@ -182,16 +205,10 @@ func fuzzSnapshotSeeds(tb testing.TB) map[string][]byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tunedSnap, err := tunedSet.Snapshot()
-	if err != nil {
-		tb.Fatal(err)
-	}
-	if tunedSnap.Meta.Tuning == "" {
-		tb.Fatal("tuned seed carries no tuning frame")
-	}
-	tuned, err := tunedSnap.MarshalBinary()
-	if err != nil {
-		tb.Fatal(err)
+	tuned := saveContainer(tb, tunedSet, false)
+	tunedSnap, err := snapshot.Unmarshal(tuned)
+	if err != nil || tunedSnap.Meta.Tuning == "" {
+		tb.Fatalf("tuned seed carries no tuning frame (%v)", err)
 	}
 	seeds["valid-tuning-frame"] = tuned
 	seeds["tuning-truncated"] = tuned[:len(tuned)-40]
@@ -202,7 +219,7 @@ func fuzzSnapshotSeeds(tb testing.TB) map[string][]byte {
 	// an unknown knob and an out-of-bounds value.
 	for name, tuning := range map[string]string{
 		"tuning-unknown-knob":  "bogus=1",
-		"tuning-out-of-bounds": "absorb=4096,width=999",
+		"tuning-out-of-bounds": "width=999",
 	} {
 		bad := &snapshot.Snapshot{Meta: tunedSnap.Meta, Frames: tunedSnap.Frames}
 		bad.Meta.Tuning = tuning
@@ -213,6 +230,26 @@ func fuzzSnapshotSeeds(tb testing.TB) map[string][]byte {
 		seeds[name] = data
 	}
 	return seeds
+}
+
+// patchFrame copies container, applies mutate to frame i's payload in
+// place and recomputes that frame's CRC, so the result passes every
+// container check and reaches the payload decoder.
+func patchFrame(container []byte, i int, mutate func(payload []byte)) []byte {
+	out := append([]byte(nil), container...)
+	indexOff := binary.LittleEndian.Uint64(out[len(out)-16:])
+	off := binary.LittleEndian.Uint64(out[indexOff+8*uint64(i):])
+	hdr := out[off : off+24]
+	start := off + 24 + uint64(binary.LittleEndian.Uint32(hdr[20:24]))
+	payload := out[start : start+binary.LittleEndian.Uint64(hdr[8:16])]
+	mutate(payload)
+	tab := crc32.MakeTable(crc32.Castagnoli)
+	crc := crc32.Update(0, tab, hdr[0:16])
+	crc = crc32.Update(crc, tab, hdr[20:24])
+	crc = crc32.Update(crc, tab, out[off+24:start])
+	crc = crc32.Update(crc, tab, payload)
+	binary.LittleEndian.PutUint32(hdr[16:20], crc)
+	return out
 }
 
 // snapshotCorpusDir is where the committed FuzzUnmarshalSnapshot seeds

@@ -1,6 +1,7 @@
 package snapshot_test
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/fuzzcorpus"
@@ -11,9 +12,11 @@ import (
 // FuzzUnmarshalSnapshot hardens the container decoder and the full
 // restore path behind it: arbitrary bytes must never panic and must
 // never trigger an allocation not bounded by the input length (hostile
-// shard counts, frame lengths and bitset lengths are all rejected
-// against len(data) before any make). Accepted containers must restore
-// into a set whose queries do not panic.
+// shard counts, frame lengths, key counts, key offsets and bitset
+// lengths are all rejected against len(data) before any make).
+// Accepted containers must restore into a set whose queries do not
+// panic; an Add it accepts answers true, and an Add it refuses as
+// read-only leaves the epoch where it was.
 func FuzzUnmarshalSnapshot(f *testing.F) {
 	seeds := fuzzSnapshotSeeds(f)
 	for _, name := range fuzzcorpus.Names(seeds) {
@@ -32,9 +35,19 @@ func FuzzUnmarshalSnapshot(f *testing.F) {
 		// Whatever survived both validators must serve without panicking.
 		restored.Contains([]byte("probe"))
 		restored.Contains(nil)
-		restored.Add([]byte("post-restore-add"))
-		if !restored.Contains([]byte("post-restore-add")) {
-			t.Fatal("restored set lost an added key")
+		key := []byte("post-restore-add")
+		epoch := restored.Epoch()
+		switch err := restored.Add(key); {
+		case err == nil:
+			if !restored.Contains(key) {
+				t.Fatal("restored set lost an added key")
+			}
+		case errors.Is(err, shard.ErrReadOnly):
+			if restored.Epoch() != epoch {
+				t.Fatalf("refused Add moved the epoch from %d to %d", epoch, restored.Epoch())
+			}
+		default:
+			t.Fatalf("Add: %v", err)
 		}
 		restored.WaitRebuilds()
 	})

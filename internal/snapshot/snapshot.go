@@ -11,6 +11,9 @@
 //	  threshold f64 | kind u8 | backend u8 | reserved u8×2 | shardCount u32 |
 //	  reserved u32 | headerCRC u32 (CRC32C of the 60 bytes above)
 //
+// A decoder rejects a header that sets a flag bit this package does not
+// define or a non-zero reserved byte.
+//
 // The backend byte names the filter family whose wire format fills the
 // frames (a filtercore.Kind; 0 is HABF). A loader that does not
 // recognize the byte must refuse to decode the frames rather than
@@ -38,18 +41,28 @@
 //	containers stay byte-identical to pre-tuning files; a restore parses
 //	it against the backend's schema and fails loudly on unknown knobs,
 //	out-of-bounds values or a non-canonical rendering.
+//	keys frames (only when the flagKeys header bit is set): shardCount
+//	more frames, in shard order, after the tuning frame. Each holds the
+//	keys its shard's filter is rebuilt from, in arena layout:
+//	  positives u64 | negatives u64 | baseline u64 |
+//	  (positives+negatives+1) × offset u32 | key bytes |
+//	  negatives × cost f64
+//	— positive keys first, then negative keys, key i spanning key
+//	bytes [offset i, offset i+1). baseline is how many of the positives
+//	the shard's filter was built from; the rest were added since. The
+//	writer aligns the cost array to 8 bytes in the file. A container
+//	with keys frames is "full"; one without is "filter-only".
 //	pending-keys frame (optional, only when the flagPendingKeys header
-//	bit is set): one more frame — after the tuning frame if both are
-//	present — whose payload is
+//	bit is set, and only in filter-only containers): one more frame,
+//	last, whose payload is
 //	  count u64 | count × (keyLen u32 | key bytes)
-//	— keys no shard filter represents (Adds a restored static backend
-//	buffered as pending), re-buffered at restore so acked Adds survive
-//	save/restore cycles. Files without the flag are byte-identical to
-//	pre-flag containers.
+//	— Adds a static backend acked but no shard filter represents yet,
+//	so a filter-only load answers them true. Files without the flag are
+//	byte-identical to pre-flag containers.
 //	footer:
 //	  offset table: frameCount × u64 (file offset of each frame header,
-//	  pending frame included) | indexOff u64 | footerCRC u32 (CRC32C of
-//	  table + indexOff) | tail magic u32 "PNSH"
+//	  tuning, keys and pending frames included) | indexOff u64 |
+//	  footerCRC u32 (CRC32C of table + indexOff) | tail magic u32 "PNSH"
 //
 // The per-frame pad exists for zero-copy loads: the writer shifts each
 // payload so the word arrays inside it land 8-byte aligned in the file
@@ -68,6 +81,8 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+
+	"repro/internal/habf"
 )
 
 const (
@@ -80,6 +95,7 @@ const (
 	headerSize   = 64
 	frameHdrSize = 24
 	footerSize   = 16 // indexOff + footerCRC + tail magic
+	keysHdrSize  = 24 // positives, negatives, baseline
 )
 
 // Kind discriminates what a container holds, so a file of one kind fed
@@ -99,15 +115,21 @@ const (
 	flagDisableGamma
 	flagDisableOverlapRanking
 	flagDisableCostOrdering
-	// flagPendingKeys marks a container carrying one extra frame after
-	// the shard frames: a serialized key list the shard filters do not
-	// represent (Adds a restored static backend buffered as pending).
+	// flagPendingKeys marks a filter-only container carrying one extra
+	// frame, last: keys acked by Add that no shard filter represents.
 	// Containers without the flag are byte-identical to pre-flag files.
 	flagPendingKeys
-	// flagTuning marks a container carrying a tuning frame between the
-	// shard frames and the pending-keys frame: the backend's canonical
-	// non-default knob string. Default-tuned containers never set it.
+	// flagTuning marks a container carrying a tuning frame right after
+	// the shard frames: the backend's canonical non-default knob string.
+	// Default-tuned containers never set it.
 	flagTuning
+	// flagKeys marks a full container: one keys frame per shard follows
+	// the shard frames (and the tuning frame, when present).
+	flagKeys
+
+	// knownFlags is every bit this package defines; a header setting any
+	// other bit was not written by it and is rejected.
+	knownFlags = flagKeys<<1 - 1
 )
 
 // maxTuningLen bounds the tuning frame's payload; canonical knob
@@ -137,16 +159,17 @@ type Meta struct {
 	SpaceRatio            float64 // Δ split of the template
 	BitsPerKey            float64 // budget for shards built after restore
 	Threshold             float64 // rebuild threshold (negative = disabled)
-	// HasPending declares that a pending-keys frame follows the shard
-	// frames (the flagPendingKeys header bit). A streaming Writer must
-	// know it before the header goes out; Snapshot.WriteTo derives it
-	// from len(Pending) automatically.
+	// HasKeys declares one keys frame per shard (the flagKeys header
+	// bit); HasPending declares a pending-keys frame (flagPendingKeys).
+	// A streaming Writer must know both before the header goes out;
+	// Snapshot.WriteTo derives them from len(Keys) and len(Pending).
+	HasKeys    bool
 	HasPending bool
 	// Tuning is the backend's canonical knob string ("k=v,k=v", sorted
 	// names). Empty means "all defaults" and writes no tuning frame, so
 	// default-tuned containers are byte-identical to pre-tuning files;
 	// non-empty sets the flagTuning header bit and rides its own
-	// checksummed frame between the shard and pending frames.
+	// checksummed frame right after the shard frames.
 	Tuning string
 }
 
@@ -162,34 +185,44 @@ type Frame struct {
 	Align int
 }
 
+// Keys is one shard's key lists, the content of its keys frame:
+// everything a rebuild of the shard's filter reads.
+type Keys struct {
+	Positives [][]byte
+	Negatives []habf.WeightedKey
+	// Baseline is how many of Positives the shard's filter was built
+	// from; Positives[Baseline:] were added since.
+	Baseline int
+}
+
 // Snapshot is a decoded (or to-be-written) container.
 type Snapshot struct {
 	Meta   Meta
 	Frames []Frame
-	// Pending holds keys no shard frame represents — Adds a restored
-	// static-backend set buffered after its filters were frozen. A
-	// restore re-buffers them (still answered with zero false negatives)
-	// so acked Adds survive arbitrarily many save/restore cycles and the
-	// next full rebuild absorbs them. Empty for most containers; when
-	// present it rides an extra frame flagged in the header.
+	// Keys holds one entry per frame in a full container and is nil in a
+	// filter-only one.
+	Keys []Keys
+	// Pending holds keys a filter-only container's frames do not
+	// represent: Adds a static backend acked before its next rebuild.
+	// Empty for most containers; when present it rides an extra frame
+	// flagged in the header.
 	Pending [][]byte
 }
 
 // Writer streams a container one frame at a time, so a multi-GB
 // snapshot never has to be materialized in memory: the caller marshals
 // one shard, hands the frame over, and releases it before the next.
-// Usage: NewWriter (writes the header), shardCount × WriteFrame, Close
-// (writes the footer).
+// Usage: NewWriter (writes the header), shardCount × WriteFrame, then
+// WriteTuning, shardCount × WriteKeys and WritePending as the header
+// promised, and Close (writes the footer).
 type Writer struct {
-	w           io.Writer
-	written     int64
-	want        int
-	offsets     []uint64
-	closed      bool
-	wantTuning  bool // header promised a tuning frame
-	wroteTuning bool
-	wantPending bool // header promised a pending-keys frame
-	wrotePend   bool
+	w       io.Writer
+	written int64
+	shards  int
+	offsets []uint64
+	closed  bool
+	// What the header promised beyond the shard frames.
+	tuning, keys, pending bool
 }
 
 // NewWriter writes the container header and returns a Writer expecting
@@ -204,9 +237,12 @@ func NewWriter(w io.Writer, meta Meta, shardCount int) (*Writer, error) {
 	if len(meta.Tuning) > maxTuningLen {
 		return nil, fmt.Errorf("snapshot: tuning string %d bytes long (max %d)", len(meta.Tuning), maxTuningLen)
 	}
-	sw := &Writer{w: w, want: shardCount, wantPending: meta.HasPending,
-		wantTuning: meta.Tuning != "",
-		offsets:    make([]uint64, 0, shardCount)}
+	if meta.HasKeys && meta.HasPending {
+		return nil, errors.New("snapshot: a full container carries no pending-keys frame")
+	}
+	sw := &Writer{w: w, shards: shardCount, tuning: meta.Tuning != "",
+		keys: meta.HasKeys, pending: meta.HasPending,
+		offsets: make([]uint64, 0, shardCount)}
 
 	var head [headerSize]byte
 	binary.LittleEndian.PutUint32(head[0:4], magic)
@@ -229,6 +265,9 @@ func NewWriter(w io.Writer, meta Meta, shardCount int) (*Writer, error) {
 	}
 	if meta.Tuning != "" {
 		flags |= flagTuning
+	}
+	if meta.HasKeys {
+		flags |= flagKeys
 	}
 	head[5] = flags
 	head[6] = uint8(meta.K)
@@ -255,10 +294,24 @@ func (sw *Writer) emit(b []byte) error {
 	return err
 }
 
+// Frame indexes in file order: shard frames [0, shards), the tuning
+// frame, keys frames [keysStart, keysStart+shards), the pending frame.
+func (sw *Writer) keysStart() int { return sw.shards + b2i(sw.tuning) }
+func (sw *Writer) frameCount() int {
+	return sw.keysStart() + sw.shards*b2i(sw.keys) + b2i(sw.pending)
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // WriteFrame appends one shard's frame. The payload is not retained.
 func (sw *Writer) WriteFrame(fr Frame) error {
-	if len(sw.offsets) >= sw.want {
-		return fmt.Errorf("snapshot: more than %d frames written", sw.want)
+	if len(sw.offsets) >= sw.shards {
+		return fmt.Errorf("snapshot: more than %d frames written", sw.shards)
 	}
 	return sw.writeFrame(fr)
 }
@@ -268,45 +321,46 @@ func (sw *Writer) WriteFrame(fr Frame) error {
 // (Meta.Tuning non-empty), so the flag bit and the footer table stay in
 // agreement. The string must match what NewWriter saw.
 func (sw *Writer) WriteTuning(tuning string) error {
-	if !sw.wantTuning {
+	if !sw.tuning {
 		return errors.New("snapshot: tuning frame not declared in header")
 	}
-	if sw.wroteTuning {
-		return errors.New("snapshot: tuning frame already written")
+	if len(sw.offsets) != sw.shards {
+		return fmt.Errorf("snapshot: tuning frame must be frame %d, not %d", sw.shards, len(sw.offsets))
 	}
 	if tuning == "" || len(tuning) > maxTuningLen {
 		return fmt.Errorf("snapshot: tuning frame payload %d bytes (want 1..%d)", len(tuning), maxTuningLen)
 	}
-	if len(sw.offsets) != sw.want {
-		return fmt.Errorf("snapshot: tuning frame before all %d shard frames", sw.want)
-	}
-	sw.wroteTuning = true
 	return sw.writeFrame(Frame{Payload: []byte(tuning)})
 }
 
-// WritePending appends the pending-keys frame after the shard frames
-// (and the tuning frame, when the header promised one). It must be
-// called exactly once, and only when the header promised it
-// (Meta.HasPending), so the flag bit and the footer table stay in
-// agreement.
+// WriteKeys appends the next shard's keys frame, after the shard frames
+// and the tuning frame. It must be called once per shard, in shard
+// order, and only when the header promised keys frames (Meta.HasKeys).
+// A shard whose key bytes exceed 4 GiB cannot be framed.
+func (sw *Writer) WriteKeys(k Keys) error {
+	if !sw.keys {
+		return errors.New("snapshot: keys frames not declared in header")
+	}
+	if n, lo := len(sw.offsets), sw.keysStart(); n < lo || n >= lo+sw.shards {
+		return fmt.Errorf("snapshot: keys frame out of place at frame %d", n)
+	}
+	payload, costs, err := encodeKeys(k)
+	if err != nil {
+		return err
+	}
+	return sw.writeFrame(Frame{Payload: payload, Align: costs})
+}
+
+// WritePending appends the pending-keys frame, last. It must be called
+// exactly once, and only when the header promised it (Meta.HasPending),
+// so the flag bit and the footer table stay in agreement.
 func (sw *Writer) WritePending(keys [][]byte) error {
-	if !sw.wantPending {
+	if !sw.pending {
 		return errors.New("snapshot: pending frame not declared in header")
 	}
-	if sw.wrotePend {
-		return errors.New("snapshot: pending frame already written")
+	if n := len(sw.offsets); n != sw.frameCount()-1 {
+		return fmt.Errorf("snapshot: pending frame out of place at frame %d", n)
 	}
-	want := sw.want
-	if sw.wantTuning {
-		if !sw.wroteTuning {
-			return errors.New("snapshot: pending frame before the tuning frame")
-		}
-		want++
-	}
-	if len(sw.offsets) != want {
-		return fmt.Errorf("snapshot: pending frame before all %d shard frames", sw.want)
-	}
-	sw.wrotePend = true
 	return sw.writeFrame(Frame{Payload: encodePendingKeys(keys)})
 }
 
@@ -337,26 +391,13 @@ func (sw *Writer) writeFrame(fr Frame) error {
 }
 
 // Close writes the footer (offset table, CRC, tail magic). It fails if
-// fewer frames were written than NewWriter promised.
+// fewer frames were written than the header promised.
 func (sw *Writer) Close() error {
 	if sw.closed {
 		return errors.New("snapshot: writer already closed")
 	}
-	wantFrames := sw.want
-	if sw.wantTuning {
-		wantFrames++
-		if !sw.wroteTuning {
-			return errors.New("snapshot: header promised a tuning frame that was never written")
-		}
-	}
-	if sw.wantPending {
-		wantFrames++
-		if !sw.wrotePend {
-			return errors.New("snapshot: header promised a pending frame that was never written")
-		}
-	}
-	if len(sw.offsets) != wantFrames {
-		return fmt.Errorf("snapshot: wrote %d of %d frames", len(sw.offsets), wantFrames)
+	if want := sw.frameCount(); len(sw.offsets) != want {
+		return fmt.Errorf("snapshot: wrote %d of %d frames", len(sw.offsets), want)
 	}
 	sw.closed = true
 	indexOff := uint64(sw.written)
@@ -383,7 +424,11 @@ func (sw *Writer) Written() int64 { return sw.written }
 // identical bytes.
 func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
 	meta := s.Meta
+	meta.HasKeys = len(s.Keys) > 0
 	meta.HasPending = len(s.Pending) > 0
+	if meta.HasKeys && len(s.Keys) != len(s.Frames) {
+		return 0, fmt.Errorf("snapshot: %d keys entries for %d frames", len(s.Keys), len(s.Frames))
+	}
 	sw, err := NewWriter(w, meta, len(s.Frames))
 	if err != nil {
 		return 0, err
@@ -395,6 +440,11 @@ func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
 	}
 	if meta.Tuning != "" {
 		if err := sw.WriteTuning(meta.Tuning); err != nil {
+			return sw.Written(), err
+		}
+	}
+	for _, k := range s.Keys {
+		if err := sw.WriteKeys(k); err != nil {
 			return sw.Written(), err
 		}
 	}
@@ -418,11 +468,12 @@ func (s *Snapshot) MarshalBinary() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Unmarshal decodes a container. Frame payloads alias data (zero-copy):
-// the caller must keep data alive and unmodified while any structure
-// decoded from the frames is in use. Every length is validated against
-// len(data) before use and every checksum is verified, so hostile input
-// is rejected with an error — never a panic or an unbounded allocation.
+// Unmarshal decodes a container. Frame payloads and keys alias data
+// (zero-copy): the caller must keep data alive and unmodified while any
+// structure decoded from them is in use. Every length is validated
+// against len(data) before use and every checksum is verified, so
+// hostile input is rejected with an error — never a panic or an
+// unbounded allocation.
 func Unmarshal(data []byte) (*Snapshot, error) {
 	if len(data) < headerSize+footerSize {
 		return nil, errors.New("snapshot: truncated container")
@@ -441,6 +492,12 @@ func Unmarshal(data []byte) (*Snapshot, error) {
 		return nil, fmt.Errorf("snapshot: unknown container kind %d", kind)
 	}
 	flags := data[5]
+	if flags&^knownFlags != 0 {
+		return nil, fmt.Errorf("snapshot: unknown header flags %#02x", flags&^knownFlags)
+	}
+	if binary.LittleEndian.Uint16(data[50:52]) != 0 || binary.LittleEndian.Uint32(data[56:60]) != 0 {
+		return nil, errors.New("snapshot: reserved header bytes are not zero")
+	}
 	s := &Snapshot{Meta: Meta{
 		Kind:                  kind,
 		Backend:               data[49],
@@ -455,8 +512,12 @@ func Unmarshal(data []byte) (*Snapshot, error) {
 		SpaceRatio:            getFloat(data[24:32]),
 		BitsPerKey:            getFloat(data[32:40]),
 		Threshold:             getFloat(data[40:48]),
+		HasKeys:               flags&flagKeys != 0,
 		HasPending:            flags&flagPendingKeys != 0,
 	}}
+	if s.Meta.HasKeys && s.Meta.HasPending {
+		return nil, errors.New("snapshot: full container with a pending-keys frame")
+	}
 
 	shardCount := binary.LittleEndian.Uint32(data[52:56])
 	// Each frame costs at least a header and each table entry 8 bytes, so
@@ -465,18 +526,13 @@ func Unmarshal(data []byte) (*Snapshot, error) {
 	if shardCount == 0 || uint64(shardCount) > uint64(len(data))/frameHdrSize {
 		return nil, fmt.Errorf("snapshot: implausible shard count %d for %d bytes", shardCount, len(data))
 	}
-	// The tuning and pending-keys flags each add one frame (and one
-	// table entry) beyond the shard frames; everything below walks
+	// The tuning, keys and pending-keys flags add frames (and table
+	// entries) beyond the shard frames; everything below walks
 	// frameCount, while shardCount keeps meaning what the restore layer
 	// checks (power-of-two shard topology).
-	hasTuning := flags&flagTuning != 0
-	frameCount := uint64(shardCount)
-	if hasTuning {
-		frameCount++
-	}
-	if s.Meta.HasPending {
-		frameCount++
-	}
+	layout := Writer{shards: int(shardCount), tuning: flags&flagTuning != 0,
+		keys: s.Meta.HasKeys, pending: s.Meta.HasPending}
+	frameCount := uint64(layout.frameCount())
 	if frameCount > uint64(len(data))/frameHdrSize {
 		return nil, fmt.Errorf("snapshot: implausible frame count %d for %d bytes", frameCount, len(data))
 	}
@@ -532,19 +588,27 @@ func Unmarshal(data []byte) (*Snapshot, error) {
 	if prevEnd != indexOff64 {
 		return nil, errors.New("snapshot: trailing bytes between frames and footer")
 	}
-	extra := uint64(shardCount)
-	if hasTuning {
-		payload := s.Frames[extra].Payload
+	if layout.tuning {
+		payload := s.Frames[shardCount].Payload
 		// An empty payload with the flag set can never come from a Writer
 		// (Meta.Tuning == "" writes no frame), so it is corruption.
 		if len(payload) == 0 || len(payload) > maxTuningLen {
 			return nil, fmt.Errorf("snapshot: tuning frame payload %d bytes (want 1..%d)", len(payload), maxTuningLen)
 		}
 		s.Meta.Tuning = string(payload)
-		extra++
 	}
-	if s.Meta.HasPending {
-		pending, err := decodePendingKeys(s.Frames[extra].Payload)
+	if layout.keys {
+		s.Keys = make([]Keys, shardCount)
+		for i, fr := range s.Frames[layout.keysStart():][:shardCount] {
+			k, err := decodeKeys(fr.Payload)
+			if err != nil {
+				return nil, fmt.Errorf("snapshot: keys frame %d: %w", i, err)
+			}
+			s.Keys[i] = k
+		}
+	}
+	if layout.pending {
+		pending, err := decodePendingKeys(s.Frames[frameCount-1].Payload)
 		if err != nil {
 			return nil, err
 		}
@@ -552,6 +616,103 @@ func Unmarshal(data []byte) (*Snapshot, error) {
 	}
 	s.Frames = s.Frames[:shardCount]
 	return s, nil
+}
+
+// encodeKeys renders a keys frame payload in arena layout and returns
+// it with the offset of its cost array, which the writer aligns.
+func encodeKeys(k Keys) (payload []byte, costsOff int, err error) {
+	if k.Baseline < 0 || k.Baseline > len(k.Positives) {
+		return nil, 0, fmt.Errorf("snapshot: keys baseline %d outside [0,%d]", k.Baseline, len(k.Positives))
+	}
+	nkeys := len(k.Positives) + len(k.Negatives)
+	keyBytes := 0
+	for _, key := range k.Positives {
+		keyBytes += len(key)
+	}
+	for _, wk := range k.Negatives {
+		keyBytes += len(wk.Key)
+	}
+	if uint64(keyBytes) > math.MaxUint32 {
+		return nil, 0, fmt.Errorf("snapshot: %d key bytes in one shard (max %d)", keyBytes, uint64(math.MaxUint32))
+	}
+	offsOff := keysHdrSize
+	bytesOff := offsOff + 4*(nkeys+1)
+	costsOff = bytesOff + keyBytes
+	out := make([]byte, costsOff+8*len(k.Negatives))
+	binary.LittleEndian.PutUint64(out[0:], uint64(len(k.Positives)))
+	binary.LittleEndian.PutUint64(out[8:], uint64(len(k.Negatives)))
+	binary.LittleEndian.PutUint64(out[16:], uint64(k.Baseline))
+	off := 0
+	put := func(i int, key []byte) {
+		copy(out[bytesOff+off:], key)
+		off += len(key)
+		binary.LittleEndian.PutUint32(out[offsOff+4*(i+1):], uint32(off))
+	}
+	for i, key := range k.Positives {
+		put(i, key)
+	}
+	for i, wk := range k.Negatives {
+		put(len(k.Positives)+i, wk.Key)
+		putFloat(out[costsOff+8*i:], wk.Cost)
+	}
+	return out, costsOff, nil
+}
+
+// decodeKeys parses a keys frame payload. The returned keys alias data,
+// each capped at its own length so an append never writes into the
+// next. Counts and offsets are bounded by the payload before the slices
+// they size are allocated, and every cost must be finite and
+// non-negative, as habf.New requires.
+func decodeKeys(data []byte) (Keys, error) {
+	if len(data) < keysHdrSize+4 { // the header and the leading zero offset
+		return Keys{}, errors.New("truncated")
+	}
+	npos := binary.LittleEndian.Uint64(data[0:])
+	nneg := binary.LittleEndian.Uint64(data[8:])
+	baseline := binary.LittleEndian.Uint64(data[16:])
+	// A positive costs at least its 4-byte offset, a negative its offset
+	// and 8-byte cost.
+	room := uint64(len(data) - keysHdrSize - 4)
+	if npos > room/4 || nneg > room/12 || 4*npos+12*nneg > room {
+		return Keys{}, fmt.Errorf("implausible key counts %d+%d for %d bytes", npos, nneg, len(data))
+	}
+	if baseline > npos {
+		return Keys{}, fmt.Errorf("baseline %d past %d positives", baseline, npos)
+	}
+	nkeys := int(npos + nneg)
+	bytesOff := keysHdrSize + 4*(nkeys+1)
+	costsOff := len(data) - 8*int(nneg)
+	offs := data[keysHdrSize:bytesOff]
+	keyBytes := data[bytesOff:costsOff]
+	if binary.LittleEndian.Uint32(offs) != 0 || uint64(len(keyBytes)) > math.MaxUint32 ||
+		binary.LittleEndian.Uint32(offs[4*nkeys:]) != uint32(len(keyBytes)) {
+		return Keys{}, errors.New("key offsets do not span the key bytes")
+	}
+	k := Keys{
+		Positives: make([][]byte, npos),
+		Negatives: make([]habf.WeightedKey, nneg),
+		Baseline:  int(baseline),
+	}
+	lo := uint32(0)
+	for i := 0; i < nkeys; i++ {
+		hi := binary.LittleEndian.Uint32(offs[4*(i+1):])
+		if hi < lo || hi > uint32(len(keyBytes)) {
+			return Keys{}, fmt.Errorf("key %d offsets [%d,%d) out of order", i, lo, hi)
+		}
+		key := keyBytes[lo:hi:hi]
+		if i < int(npos) {
+			k.Positives[i] = key
+		} else {
+			j := i - int(npos)
+			cost := getFloat(data[costsOff+8*j:])
+			if !habf.ValidCost(cost) {
+				return Keys{}, fmt.Errorf("negative %d has invalid cost %v", j, cost)
+			}
+			k.Negatives[j] = habf.WeightedKey{Key: key, Cost: cost}
+		}
+		lo = hi
+	}
+	return k, nil
 }
 
 // encodePendingKeys renders the pending-keys frame payload:

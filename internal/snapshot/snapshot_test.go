@@ -2,11 +2,15 @@ package snapshot_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
+	"hash/crc32"
+	"math"
 	"strings"
 	"testing"
 	"unsafe"
 
+	"repro/internal/habf"
 	"repro/internal/snapshot"
 )
 
@@ -155,6 +159,15 @@ func TestContainerRejectsCorruption(t *testing.T) {
 			b[52], b[53], b[54], b[55] = 0xFF, 0xFF, 0xFF, 0xFF
 		}),
 		"trailing": append(append([]byte(nil), good...), 0x00),
+		// Header bits and bytes the format does not define, with the
+		// header CRC recomputed so only the new checks can refuse them.
+		// Flag bit 6 marks keys frames this container does not have.
+		"flag bit 6":       headerMut(good, func(b []byte) { b[5] |= 1 << 6 }),
+		"flag bit 7":       headerMut(good, func(b []byte) { b[5] |= 1 << 7 }),
+		"reserved byte 50": headerMut(good, func(b []byte) { b[50] = 1 }),
+		"reserved byte 51": headerMut(good, func(b []byte) { b[51] = 0x80 }),
+		"reserved byte 56": headerMut(good, func(b []byte) { b[56] = 1 }),
+		"reserved byte 59": headerMut(good, func(b []byte) { b[59] = 0x80 }),
 		// A well-formed version-1 container (payload-only frame CRCs): the
 		// format is no longer read.
 		"version 1": version1,
@@ -163,6 +176,115 @@ func TestContainerRejectsCorruption(t *testing.T) {
 		if _, err := snapshot.Unmarshal(data); err == nil {
 			t.Errorf("%s: corrupt container accepted", name)
 		}
+	}
+}
+
+// headerMut copies a container, mutates its header and recomputes the
+// header CRC.
+func headerMut(good []byte, f func(b []byte)) []byte {
+	b := append([]byte(nil), good...)
+	f(b)
+	binary.LittleEndian.PutUint32(b[60:64], crc32.Checksum(b[:60], crc32.MakeTable(crc32.Castagnoli)))
+	return b
+}
+
+// keysSnapshot is testSnapshot as a full container: one keys frame per
+// shard frame, including an empty one and an empty key.
+func keysSnapshot() *snapshot.Snapshot {
+	s := testSnapshot()
+	s.Keys = []snapshot.Keys{
+		{Positives: [][]byte{[]byte("a"), []byte("bc"), {}}, Baseline: 2,
+			Negatives: []habf.WeightedKey{{Key: []byte("neg"), Cost: 2.5}, {Key: []byte("n2"), Cost: 0}}},
+		{},
+		{Positives: [][]byte{[]byte("only")}, Baseline: 1},
+		{Negatives: []habf.WeightedKey{{Key: []byte("x"), Cost: 1}}},
+	}
+	return s
+}
+
+func TestKeysFrameRoundtrip(t *testing.T) {
+	s := keysSnapshot()
+	data, err := s.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := snapshot.Unmarshal(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !g.Meta.HasKeys || len(g.Keys) != len(s.Keys) {
+		t.Fatalf("keys frames did not round-trip: HasKeys=%v, %d entries", g.Meta.HasKeys, len(g.Keys))
+	}
+	for i, want := range s.Keys {
+		got := g.Keys[i]
+		if got.Baseline != want.Baseline || len(got.Positives) != len(want.Positives) || len(got.Negatives) != len(want.Negatives) {
+			t.Fatalf("shard %d: got %+v, want %+v", i, got, want)
+		}
+		for j, key := range want.Positives {
+			if !bytes.Equal(got.Positives[j], key) || cap(got.Positives[j]) != len(key) {
+				t.Fatalf("shard %d positive %d = %q (cap %d), want %q", i, j, got.Positives[j], cap(got.Positives[j]), key)
+			}
+			if len(key) > 0 && offsetIn(data, got.Positives[j]) < 0 {
+				t.Fatalf("shard %d positive %d was copied, not aliased", i, j)
+			}
+		}
+		for j, wk := range want.Negatives {
+			if !bytes.Equal(got.Negatives[j].Key, wk.Key) || got.Negatives[j].Cost != wk.Cost {
+				t.Fatalf("shard %d negative %d = %+v, want %+v", i, j, got.Negatives[j], wk)
+			}
+		}
+	}
+	for i := range g.Frames {
+		g.Frames[i].Align = s.Frames[i].Align // not stored
+	}
+	again, err := g.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, data) {
+		t.Fatal("full container re-serialization is not byte-identical")
+	}
+	// Without keys the same snapshot writes the filter-only container.
+	s.Keys = nil
+	filterOnly, err := s.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := testSnapshot().MarshalBinary(); !bytes.Equal(filterOnly, want) {
+		t.Fatal("filter-only container differs from one written without keys")
+	}
+}
+
+// TestKeysFrameRejectsCorruption feeds keys frames that pass every
+// container checksum but lie inside: each must be refused before any
+// allocation it sizes.
+func TestKeysFrameRejectsCorruption(t *testing.T) {
+	good, err := keysSnapshot().MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Frame 4 is shard 0's keys frame: 3 positives, 2 negatives, key
+	// offsets 0 1 3 3 6 8.
+	cases := map[string]func(p []byte){
+		"huge positives":    func(p []byte) { binary.LittleEndian.PutUint64(p[0:], 1<<62) },
+		"huge negatives":    func(p []byte) { binary.LittleEndian.PutUint64(p[8:], 1<<40) },
+		"counts past bytes": func(p []byte) { binary.LittleEndian.PutUint64(p[0:], 9) },
+		"baseline past":     func(p []byte) { binary.LittleEndian.PutUint64(p[16:], 4) },
+		"first offset":      func(p []byte) { binary.LittleEndian.PutUint32(p[24:], 1) },
+		"offsets backwards": func(p []byte) { binary.LittleEndian.PutUint32(p[24+4*2:], 0) },
+		"offset past bytes": func(p []byte) { binary.LittleEndian.PutUint32(p[24+4*1:], 1<<20) },
+		"last offset short": func(p []byte) { binary.LittleEndian.PutUint32(p[24+4*5:], 7) },
+		"nan cost":          func(p []byte) { binary.LittleEndian.PutUint64(p[len(p)-8:], math.Float64bits(math.NaN())) },
+		"negative cost":     func(p []byte) { binary.LittleEndian.PutUint64(p[len(p)-16:], math.Float64bits(-1)) },
+		"infinite cost":     func(p []byte) { binary.LittleEndian.PutUint64(p[len(p)-8:], math.Float64bits(math.Inf(1))) },
+	}
+	for name, mutate := range cases {
+		if _, err := snapshot.Unmarshal(patchFrame(good, 4, mutate)); err == nil {
+			t.Errorf("%s: hostile keys frame accepted", name)
+		}
+	}
+	if _, err := snapshot.Unmarshal(patchFrame(good, 4, func([]byte) {})); err != nil {
+		t.Fatalf("patching without a change broke the container: %v", err)
 	}
 }
 

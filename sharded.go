@@ -160,11 +160,18 @@ func (s *Sharded) ContainsBatch(keys [][]byte) []bool { return s.set.ContainsBat
 // slice is fully overwritten in [0, len(keys)) and not retained.
 func (s *Sharded) ContainsBatchInto(dst []bool, keys [][]byte) { s.set.ContainsBatchInto(dst, keys) }
 
+// ErrReadOnly is what Add returns on a filter loaded from a filter-only
+// snapshot (SaveFilters, a follower's download, or any file written
+// before snapshots carried keys): it holds no keys to rebuild a shard
+// from, so it answers queries but takes no writes.
+var ErrReadOnly = shard.ErrReadOnly
+
 // Add inserts a key, locking only the owning shard. The key is queryable
 // as soon as Add returns, and the zero-false-negative guarantee holds
 // across any background rebuilds it may trigger. Add keeps a copy of
-// key, so the caller may reuse the slice.
-func (s *Sharded) Add(key []byte) { s.set.Add(key) }
+// key, so the caller may reuse the slice. On a read-only filter Add
+// returns ErrReadOnly and changes nothing; otherwise it returns nil.
+func (s *Sharded) Add(key []byte) error { return s.set.Add(key) }
 
 // Name identifies the filter variant, e.g. "Sharded[8×HABF]".
 func (s *Sharded) Name() string { return s.set.Name() }
@@ -176,10 +183,10 @@ func (s *Sharded) SizeBits() uint64 { return s.set.SizeBits() }
 func (s *Sharded) NumShards() int { return s.set.NumShards() }
 
 // Epoch returns the filter's mutation epoch — a counter that advances
-// on every Add, background rebuild swap and pending absorb, summed
-// across shards. Replication uses it as the freshness signal: a
-// follower that restored a snapshot taken at epoch E is up to date
-// exactly while the primary still reports E.
+// on every Add and background rebuild swap, summed across shards.
+// Replication uses it as the freshness signal: a follower that restored
+// a snapshot taken at epoch E is up to date exactly while the primary
+// still reports E.
 func (s *Sharded) Epoch() uint64 { return s.set.Epoch() }
 
 // Backend returns the registry name of the filter backend every shard
@@ -197,7 +204,7 @@ type ShardStats = shard.Stats
 func (s *Sharded) Stats() ShardStats { return s.set.Stats() }
 
 // ShardInfo is the per-shard detail behind Stats (keys, drift, mutation
-// epoch, restore/rebuild state) — what a serving daemon's stats endpoint
+// epoch, rebuild state) — what a serving daemon's stats endpoint
 // reports per shard.
 type ShardInfo = shard.ShardInfo
 
@@ -205,25 +212,35 @@ type ShardInfo = shard.ShardInfo
 // under concurrent writes.
 func (s *Sharded) ShardInfos() []ShardInfo { return s.set.ShardInfos() }
 
-// Save writes a snapshot of the filter's serving state to w: a
-// versioned, checksummed container (magic, per-shard CRC32C frames,
-// footer with offsets) wrapping each shard's wire format. Save coexists
-// with live traffic — readers are never blocked, an Add stalls only
-// while its own shard is being framed, and background rebuilds land
-// before or after their shard's frame — so every key whose Add returned
-// before Save was called is captured; keys added concurrently may or may
-// not be. A static-backend shard holding pending Adds is rebuilt
-// synchronously before framing so those keys are captured too; on a
-// *restored* static set that rebuild is impossible (no key list in
-// memory), so the pending keys are written verbatim into the
-// container's pending-keys frame instead and re-buffered at load —
-// acked Adds stay durable across any number of save/restore cycles.
-// The snapshot holds only query-time state: a restored filter
-// answers Contains identically but carries no construction statistics
-// and no key list (see Load). Frames stream to w one shard at a time,
-// so Save's memory overhead is one shard's wire size, not the set's.
+// Save writes a full snapshot of the filter to w: a versioned,
+// checksummed container (magic, per-shard CRC32C frames, footer with
+// offsets) holding each shard's filter in its wire format and, beside
+// it, the keys the shard rebuilds from — its members, its negatives
+// with their costs, and how many members its filter was built from.
+// Load brings back a filter that answers, takes Adds and rebuilds on
+// drift exactly like the one saved. Save coexists with live traffic —
+// readers are never blocked, an Add stalls only while its own shard is
+// being captured, and background rebuilds land before or after their
+// shard's capture — so every key whose Add returned before Save was
+// called is captured; keys added concurrently may or may not be.
+// Frames stream to w one shard at a time, so Save's memory overhead is
+// about one shard's filter and keys, not the set's. The keys make a
+// full snapshot much larger than the filter alone — a 20-byte member
+// costs 24 bytes and a 20-byte negative 32 — see SaveFilters.
 func (s *Sharded) Save(w io.Writer) error {
-	if err := s.set.WriteSnapshot(w); err != nil {
+	if err := s.set.WriteSnapshot(w, true); err != nil {
+		return fmt.Errorf("habf: save: %w", err)
+	}
+	return nil
+}
+
+// SaveFilters writes a filter-only snapshot: the same container as
+// Save without the keys, plus any Adds a static backend holds pending,
+// so it is about as small as the filter itself. It is the form
+// replication ships. Load of it answers queries exactly like the saved
+// filter, but the result is read-only (Add returns ErrReadOnly).
+func (s *Sharded) SaveFilters(w io.Writer) error {
+	if err := s.set.WriteSnapshot(w, false); err != nil {
 		return fmt.Errorf("habf: save: %w", err)
 	}
 	return nil
@@ -261,7 +278,7 @@ func (s *Sharded) SaveFile(path string) error {
 		return fail(fmt.Errorf("habf: save: %w", err))
 	}
 	// CreateTemp makes the file 0600; widen to what a plain os.Create
-	// would have produced, so backup jobs and sidecars can read the
+	// would have produced, so backup jobs and other readers can read the
 	// published snapshot.
 	if err := f.Chmod(0o644); err != nil {
 		return fail(fmt.Errorf("habf: save: %w", err))
@@ -288,19 +305,21 @@ func (s *Sharded) SaveFile(path string) error {
 	return nil
 }
 
-// Load restores a Sharded from a snapshot produced by Save. The load is
-// zero-copy: after validating checksums, each shard's filter serves
-// queries directly out of data, so a multi-gigabyte filter is
-// query-ready as soon as the frames are verified. The caller must keep
-// data alive and unmodified for the lifetime of the returned filter; a
-// post-load Add copies the affected shard's arrays before mutating them
-// (copy-on-first-write), never writing data itself.
+// Load restores a Sharded from a snapshot produced by Save or
+// SaveFilters. The load is zero-copy: after validating checksums, each
+// shard's filter serves queries directly out of data and its keys alias
+// it, so a multi-gigabyte filter is query-ready as soon as the frames
+// are verified. The caller must keep data alive and unmodified for the
+// lifetime of the returned filter; a post-load Add copies the affected
+// shard's arrays before mutating them (copy-on-first-write), never
+// writing data itself.
 //
-// A restored filter routes, queries and absorbs Adds exactly like the
-// original, but shards restored with a filter do not auto-rebuild on
-// drift: the key list behind the snapshot is not in memory, so a drift
-// rebuild would forget it. Rotate a long-lived restored filter by
-// rebuilding from the source-of-truth key set once Stats().Added grows.
+// A full snapshot (Save) loads as an ordinary filter: Stats().Keys
+// counts its members, Adds land, and shards rebuild on drift. A
+// filter-only snapshot (SaveFilters, or a file written before
+// snapshots carried keys) loads read-only: it answers queries exactly
+// as the saved filter did, Stats().ReadOnly is true, and Add returns
+// ErrReadOnly. Rebuild from the source keys to take writes again.
 func Load(data []byte) (*Sharded, error) {
 	snap, err := snapshot.Unmarshal(data)
 	if err != nil {

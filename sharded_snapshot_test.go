@@ -5,6 +5,7 @@ package habf_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -83,12 +84,52 @@ func TestShardedSaveFileLoadFile(t *testing.T) {
 		}
 	}
 	// The restored filter keeps absorbing writes.
-	g.Add([]byte("added-after-restore"))
+	if err := g.Add([]byte("added-after-restore")); err != nil {
+		t.Fatal(err)
+	}
 	if !g.Contains([]byte("added-after-restore")) {
 		t.Fatal("Add after LoadFile lost the key")
 	}
-	if st := g.Stats(); st.Restored == 0 {
-		t.Fatal("Stats().Restored is zero after restore")
+	if st := g.Stats(); st.ReadOnly || st.Keys != uint64(len(pos))+1 {
+		t.Fatalf("restored filter stats %+v; want writable with %d keys", st, len(pos)+1)
+	}
+}
+
+// TestLoadFilterOnlyIsReadOnly: a SaveFilters container answers exactly
+// like the full one over 64k probes, and the filter it loads refuses
+// Adds with ErrReadOnly without moving its epoch.
+func TestLoadFilterOnlyIsReadOnly(t *testing.T) {
+	s, _, _ := snapshotFixture(t, 3000)
+	var full, filters bytes.Buffer
+	if err := s.Save(&full); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SaveFilters(&filters); err != nil {
+		t.Fatal(err)
+	}
+	if filters.Len()*4 > full.Len() {
+		t.Fatalf("filter-only container %d bytes, full %d: keys missing from the full one?", filters.Len(), full.Len())
+	}
+	g, err := habf.Load(full.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ro, err := habf.Load(filters.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1<<16; i++ {
+		probe := []byte(fmt.Sprintf("probe-%06d", i))
+		if g.Contains(probe) != ro.Contains(probe) {
+			t.Fatalf("filter-only load disagrees with the full load on %q", probe)
+		}
+	}
+	epoch := ro.Epoch()
+	if err := ro.Add([]byte("refused")); !errors.Is(err, habf.ErrReadOnly) {
+		t.Fatalf("Add on a filter-only load returned %v, want ErrReadOnly", err)
+	}
+	if ro.Epoch() != epoch || !ro.Stats().ReadOnly {
+		t.Fatalf("refused Add: epoch %d → %d, stats %+v", epoch, ro.Epoch(), ro.Stats())
 	}
 }
 
