@@ -267,7 +267,6 @@ func run(cfg config) error {
 		SnapshotPath: cfg.snapPath,
 	}
 	if fol != nil {
-		scfg.ReadOnly = true
 		scfg.Primary = fol.Primary()
 	}
 	srv, err := server.New(scfg)

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	habf "repro"
 	"repro/internal/wire"
 )
 
@@ -187,16 +188,15 @@ func (b *BinaryServer) handle(conn net.Conn) {
 			b.s.hBatchSize.Observe(float64(len(req.Keys)))
 			b.s.hBinBatch.ObserveDuration(time.Since(start))
 		case wire.OpAdd:
-			// A follower rejects writes on the binary path too. Error
-			// frames close the connection by protocol; pointing at the
-			// primary in the message is the best redirect this wire has.
-			msg := ""
-			if b.s.readOnly {
-				msg = "read-only follower: add at the primary " + b.s.primary
-			} else if err := b.s.Filter().Add(req.Key); err != nil {
-				msg = err.Error()
-			}
-			if msg != "" {
+			// A follower's read-only filter rejects writes on the binary
+			// path too. Error frames close the connection by protocol;
+			// pointing at the primary in the message is the best redirect
+			// this wire has.
+			if err := b.s.Filter().Add(req.Key); err != nil {
+				msg := err.Error()
+				if errors.Is(err, habf.ErrReadOnly) && b.s.primary != "" {
+					msg = "read-only follower: add at the primary " + b.s.primary
+				}
 				b.s.mErrors.Inc()
 				out = wire.AppendErrorResp(out[:0], wire.OpAdd, req.ID, msg)
 				conn.SetWriteDeadline(time.Now().Add(2 * time.Second))

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"io"
 	"net/http"
 	"strconv"
@@ -101,17 +102,36 @@ func TestEpochEndpoint(t *testing.T) {
 	}
 }
 
-// TestReadOnlyRejectsWrites pins the follower write contract: /v1/add
-// answers 307 with a Location at the primary (or 403 with no primary),
-// binary OpAdd gets an error frame, and reads keep working throughout.
+// TestReadOnlyRejectsWrites pins the follower write contract: a
+// server over a filter-only load (what a follower serves) answers
+// /v1/add with 307 and a Location at the primary (or 403 with no
+// primary), binary OpAdd gets an error frame, stats report the follower
+// role, and reads keep working throughout.
 func TestReadOnlyRejectsWrites(t *testing.T) {
-	filter, data := newTestFilter(t, 200)
-	srv, hs := newTestServer(t, filter, Config{ReadOnly: true, Primary: "http://primary:8080"})
+	built, data := newTestFilter(t, 200)
+	var snap bytes.Buffer
+	if err := built.SaveFilters(&snap); err != nil {
+		t.Fatal(err)
+	}
+	filter, err := habf.Load(snap.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, hs := newTestServer(t, filter, Config{Primary: "http://primary:8080"})
+	resp, err := http.Get(hs.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || !strings.Contains(string(stats), `"role":"follower"`) {
+		t.Fatalf("stats of a read-only server: %s, %v; want role follower", stats, err)
+	}
 
 	noRedirect := &http.Client{
 		CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse },
 	}
-	resp, err := noRedirect.Post(hs.URL+"/v1/add", "application/octet-stream",
+	resp, err = noRedirect.Post(hs.URL+"/v1/add", "application/octet-stream",
 		strings.NewReader("new-key"))
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +165,7 @@ func TestReadOnlyRejectsWrites(t *testing.T) {
 	}
 
 	// No primary configured: the redirect degrades to a plain 403.
-	_, hs2 := newTestServer(t, filter, Config{ReadOnly: true})
+	_, hs2 := newTestServer(t, filter, Config{})
 	resp, err = noRedirect.Post(hs2.URL+"/v1/add", "application/octet-stream",
 		strings.NewReader("new-key"))
 	if err != nil {

@@ -30,9 +30,10 @@
 // mutation epoch in an X-Habf-Epoch header), which loads read-only, GET /v1/epoch is the cheap
 // freshness probe a follower polls, and SwapFilter atomically replaces
 // the served filter — how a follower that restored a fresher snapshot
-// cuts queries over without dropping a request. A server built with
-// Config.ReadOnly (a follower) rejects writes with a 307 redirect to
-// its primary, keeping the write path single-master.
+// cuts queries over without dropping a request. A follower serves a
+// filter-only load, which refuses Adds with habf.ErrReadOnly; the
+// server answers such a write with a 307 redirect to Config.Primary,
+// keeping the write path single-master.
 package server
 
 import (
@@ -71,12 +72,9 @@ type Config struct {
 	// SnapshotPath is the default target for POST /v1/snapshot and for
 	// snapshot-on-exit. Empty means snapshot requests must name a path.
 	SnapshotPath string
-	// ReadOnly makes the server a replication follower: /v1/add and
-	// binary OpAdd are rejected, redirecting writers to Primary. Reads,
-	// stats, metrics and snapshot downloads serve normally.
-	ReadOnly bool
 	// Primary is the primary's base URL (e.g. "http://10.0.0.1:8080"),
-	// the redirect target for writes on a ReadOnly server.
+	// set on a replication follower: a write the read-only filter
+	// refuses is redirected there. Without it such a write gets 403.
 	Primary string
 }
 
@@ -90,7 +88,6 @@ type Server struct {
 	co       *Coalescer
 	mux      *http.ServeMux
 	snapPath string
-	readOnly bool
 	primary  string
 
 	// snapMu serializes snapshot writes to the default path so two
@@ -129,7 +126,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		snapPath: cfg.SnapshotPath,
-		readOnly: cfg.ReadOnly,
 		primary:  cfg.Primary,
 		reg:      metrics.NewRegistry(),
 	}
@@ -415,26 +411,22 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	if s.readOnly {
-		// A follower never accepts writes — its filter is a restored
-		// snapshot that the next resync would silently overwrite. Point
-		// the writer at the primary; 307 preserves method and body, so a
-		// client that follows redirects retries the identical POST there.
-		s.mErrors.Inc()
-		if s.primary != "" {
-			w.Header().Set("Location", strings.TrimSuffix(s.primary, "/")+"/v1/add")
-			http.Error(w, "read-only follower: add at the primary", http.StatusTemporaryRedirect)
-		} else {
-			http.Error(w, "read-only follower: no primary configured", http.StatusForbidden)
-		}
-		return
-	}
 	key, raw, err := readKey(r)
 	if err != nil {
 		s.failErr(w, "add", err)
 		return
 	}
 	if err := s.Filter().Add(key); err != nil {
+		// A follower's filter is read-only: the next resync would
+		// overwrite any local write. Point the writer at the primary;
+		// 307 preserves method and body, so a client that follows
+		// redirects retries the identical POST there.
+		if errors.Is(err, habf.ErrReadOnly) && s.primary != "" {
+			s.mErrors.Inc()
+			w.Header().Set("Location", strings.TrimSuffix(s.primary, "/")+"/v1/add")
+			http.Error(w, "read-only follower: add at the primary", http.StatusTemporaryRedirect)
+			return
+		}
 		s.fail(w, http.StatusForbidden, "add: %v", err)
 		return
 	}
@@ -471,7 +463,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	f := s.Filter()
 	st := f.Stats()
 	role := "primary"
-	if s.readOnly {
+	if st.ReadOnly {
 		role = "follower"
 	}
 	s.writeJSON(w, statsResponse{

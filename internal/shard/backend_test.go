@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"strings"
@@ -282,6 +283,59 @@ func TestBackendRestoredSetRebuildsOnDrift(t *testing.T) {
 			for _, key := range acked {
 				if !gen.Contains(key) {
 					t.Fatalf("generation 3 lost acked key %q", key)
+				}
+			}
+		})
+	}
+}
+
+// TestBackendReadOnlySaveStaysReadOnly: a read-only set holds no keys,
+// so even a full save of it writes the filter-only form. That file
+// restores read-only again, with every member and pending Add still
+// answering true, instead of as a writable set whose first rebuild
+// would keep only the keys added after the load.
+func TestBackendReadOnlySaveStaysReadOnly(t *testing.T) {
+	for _, backend := range backendsUnderTest() {
+		backend := backend
+		t.Run(backend, func(t *testing.T) {
+			s, pos, _ := newSet(t, 2000, Config{Shards: 4, Backend: backend, RebuildThreshold: -1})
+			acked := append([][]byte{}, pos...)
+			for i := 0; i < 30; i++ {
+				key := []byte(fmt.Sprintf("absent-%06d", 600000+i))
+				acked = append(acked, key)
+				if err := s.Add(key); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ro := filterOnlyRoundtrip(t, s)
+			data := saveSnapshot(t, ro, true)
+			if want := saveSnapshot(t, s, false); !bytes.Equal(data, want) {
+				t.Fatal("full save of a read-only set differs from the filter-only save it was loaded from")
+			}
+			snap, err := snapshot.Unmarshal(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := Restore(snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !g.Stats().ReadOnly {
+				t.Fatal("full save of a read-only set restored writable")
+			}
+			epoch := g.Epoch()
+			for i := 0; i < 100; i++ {
+				if err := g.Add([]byte(fmt.Sprintf("late-%06d", i))); !errors.Is(err, ErrReadOnly) {
+					t.Fatalf("Add on the re-restored set returned %v, want ErrReadOnly", err)
+				}
+			}
+			g.WaitRebuilds()
+			if g.Epoch() != epoch {
+				t.Fatalf("refused Adds moved the epoch: %d → %d", epoch, g.Epoch())
+			}
+			for _, key := range acked {
+				if !g.Contains(key) {
+					t.Fatalf("re-restored read-only set lost acked key %q", key)
 				}
 			}
 		})

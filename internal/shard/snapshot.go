@@ -26,7 +26,11 @@ import (
 // an ordinary set that rebuilds on drift. Without it the container is
 // filter-only, the form replication ships: its frames hold only the
 // filters, plus a pending-keys frame when a static backend holds acked
-// Adds its filter does not represent yet, and it restores read-only.
+// Adds its filter does not represent yet, and it restores read-only. A
+// read-only set has no keys to write, so it always writes the
+// filter-only form, whatever withKeys asks: its save restores read-only
+// again, with its pending keys, instead of as a writable set whose
+// first rebuild would drop every member it cannot see.
 //
 // WriteSnapshot coexists with live traffic: each shard's filter,
 // epoch, baseline and key prefix (or pending keys) are taken under its
@@ -39,6 +43,7 @@ import (
 // append-only), so peak memory is one shard's wire size plus one
 // shard's key frame, not the set's.
 func (s *Set) WriteSnapshot(w io.Writer, withKeys bool) error {
+	withKeys = withKeys && !s.readOnly
 	meta := s.snapshotMeta()
 	meta.HasKeys = withKeys
 	// The header flags the pending frame, so the decision precedes the
@@ -264,9 +269,16 @@ func Restore(snap *snapshot.Snapshot) (*Set, error) {
 		if s.readOnly {
 			continue
 		}
+		// A filter is only ever built from at least one positive, so a
+		// shard has a filter exactly when its baseline is positive. A keys
+		// frame that breaks this would let the first rebuild replace the
+		// filter with one built from keys that do not cover its members.
 		k := snap.Keys[i]
 		if sh.f == nil && k.Baseline > 0 {
 			return nil, fmt.Errorf("shard %d: keys frame claims a filter built from %d keys, but the shard has none", i, k.Baseline)
+		}
+		if sh.f != nil && k.Baseline == 0 {
+			return nil, fmt.Errorf("shard %d: keys frame holds none of the keys the shard's filter was built from", i)
 		}
 		sh.positives, sh.negatives, sh.baseline = k.Positives, k.Negatives, k.Baseline
 		for _, key := range sh.positives[sh.baseline:] {

@@ -244,6 +244,24 @@ func TestRestoreRejectsLegacyRouteSeed(t *testing.T) {
 	}
 }
 
+// TestRestoreRejectsKeysFrameWithoutBaseline: a shard has a filter
+// exactly when its keys frame records the positives it was built from.
+// A frame that records none beside a real filter would let the first
+// Add rebuild that filter from the new key alone, so Restore refuses it.
+func TestRestoreRejectsKeysFrameWithoutBaseline(t *testing.T) {
+	s, _, _ := newSet(t, 1000, Config{Shards: 4})
+	snap := takeSnapshot(t, s, true)
+	snap.Keys[0].Positives, snap.Keys[0].Baseline = nil, 0
+	if _, err := Restore(snap); err == nil {
+		t.Fatal("restore accepted a keys frame with no build keys beside a filter")
+	}
+	snap = takeSnapshot(t, s, true)
+	snap.Keys[1].Baseline = 0
+	if _, err := Restore(snap); err == nil {
+		t.Fatal("restore accepted a keys frame with baseline 0 beside a filter")
+	}
+}
+
 func TestRestoredEmptyShardBuildsLazily(t *testing.T) {
 	// A set whose keys all route to few shards leaves others empty; after
 	// restore those shards must lazily build on their first Add, exactly

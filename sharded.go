@@ -226,7 +226,9 @@ func (s *Sharded) ShardInfos() []ShardInfo { return s.set.ShardInfos() }
 // Frames stream to w one shard at a time, so Save's memory overhead is
 // about one shard's filter and keys, not the set's. The keys make a
 // full snapshot much larger than the filter alone — a 20-byte member
-// costs 24 bytes and a 20-byte negative 32 — see SaveFilters.
+// costs 24 bytes and a 20-byte negative 32 — see SaveFilters. A
+// read-only filter holds no keys, so Save of it writes the filter-only
+// form, which loads read-only again.
 func (s *Sharded) Save(w io.Writer) error {
 	if err := s.set.WriteSnapshot(w, true); err != nil {
 		return fmt.Errorf("habf: save: %w", err)

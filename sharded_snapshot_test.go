@@ -131,6 +131,15 @@ func TestLoadFilterOnlyIsReadOnly(t *testing.T) {
 	if ro.Epoch() != epoch || !ro.Stats().ReadOnly {
 		t.Fatalf("refused Add: epoch %d → %d, stats %+v", epoch, ro.Epoch(), ro.Stats())
 	}
+	// A read-only filter has no keys to save: Save of it writes the
+	// filter-only container again, which loads read-only.
+	var again bytes.Buffer
+	if err := ro.Save(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), filters.Bytes()) {
+		t.Fatal("Save of a filter-only load differs from the filter-only container")
+	}
 }
 
 func TestLoadRejectsCorruption(t *testing.T) {
