@@ -223,26 +223,6 @@ func UnmarshalHABF(data []byte) (*HABF, error) {
 	return &HABF{inner: inner}, nil
 }
 
-// Borrowed reports whether the filter still serves from the buffer it
-// was decoded from (UnmarshalHABFBorrow before any mutation). Useful for
-// verifying that a zero-copy load actually engaged — misalignment or a
-// big-endian host silently degrades to a copy.
-func (f *HABF) Borrowed() bool { return f.inner.Borrowed() }
-
-// UnmarshalHABFBorrow decodes a filter produced by MarshalBinary without
-// copying its two large arrays when they are 8-byte aligned inside data:
-// the filter then serves queries directly from data, which the caller
-// must keep alive and unmodified. A post-load Add copies the touched
-// array before mutating it, never writing data. This is the single-filter
-// form of the zero-copy load that Load performs per shard.
-func UnmarshalHABFBorrow(data []byte) (*HABF, error) {
-	inner, err := ihabf.UnmarshalFilterBorrow(data)
-	if err != nil {
-		return nil, fmt.Errorf("habf: %w", err)
-	}
-	return &HABF{inner: inner}, nil
-}
-
 // WeightedFPR measures Eq. 1/20 of the paper over known negatives: the
 // cost mass of false positives divided by total cost mass.
 func WeightedFPR(f Filter, negatives [][]byte, costs []float64) (float64, error) {

@@ -60,24 +60,11 @@ func TestLogisticCannotLearnRandomKeys(t *testing.T) {
 	}
 }
 
-func TestMLPLearnsStructuredKeys(t *testing.T) {
-	pos, neg := shallaSmall()
-	m := TrainMLP(pos[:3000], neg[:3000], 16, TrainConfig{Epochs: 2})
-	if got := auc(m, pos[3000:], neg[3000:]); got < 0.75 {
-		t.Errorf("MLP holdout AUC on Shalla = %.3f, want >= 0.75", got)
-	}
-}
-
 func TestModelSizes(t *testing.T) {
 	pos, neg := shallaSmall()
 	lg := TrainLogistic(pos[:500], neg[:500], TrainConfig{Epochs: 1})
 	if lg.SizeBits() != (featureDim+1)*32 {
 		t.Errorf("logistic SizeBits = %d", lg.SizeBits())
-	}
-	mlp := TrainMLP(pos[:500], neg[:500], 8, TrainConfig{Epochs: 1})
-	want := uint64(featureDim*8+8+8+1) * 32
-	if mlp.SizeBits() != want {
-		t.Errorf("MLP SizeBits = %d, want %d", mlp.SizeBits(), want)
 	}
 }
 

@@ -3,14 +3,13 @@
 // (SLBF, Mitzenmacher) and Adaptive LBF (Ada-BF, Dai & Shrivastava).
 //
 // The paper's Keras GRU/DNN classifiers are replaced with a from-scratch
-// stdlib-only classifier: logistic regression (optionally a one-hidden-
-// layer MLP) over hashed byte-trigram features, trained with SGD. The
-// substitution preserves everything the experiments measure: a per-key
-// score in [0,1], good separation on structured keys (Shalla) and chance
-// separation on random keys (YCSB), a construction cost dominated by
-// training, and a query cost dominated by model evaluation. The
-// serialized model size is charged against the space budget exactly as
-// the paper does.
+// stdlib-only classifier: logistic regression over hashed byte-trigram
+// features, trained with SGD. The substitution preserves everything the
+// experiments measure: a per-key score in [0,1], good separation on
+// structured keys (Shalla) and chance separation on random keys (YCSB),
+// a construction cost dominated by training, and a query cost dominated
+// by model evaluation. The serialized model size is charged against the
+// space budget exactly as the paper does.
 package learned
 
 import (
@@ -177,119 +176,4 @@ func (m *Logistic) Score(key []byte) float64 {
 // SizeBits charges 32 bits per parameter (float32 weights + bias).
 func (m *Logistic) SizeBits() uint64 {
 	return uint64(len(m.w)+1) * 32
-}
-
-// MLP is a one-hidden-layer network (featureDim → hidden → 1, ReLU),
-// standing in for the paper's six-layer DNN. It shares the feature
-// extraction with Logistic.
-type MLP struct {
-	hidden int
-	w1     []float32 // featureDim × hidden
-	b1     []float32
-	w2     []float32 // hidden
-	b2     float32
-}
-
-// TrainMLP fits the network with SGD. hidden defaults to 16 (the paper's
-// GRU dimension).
-func TrainMLP(positives, negatives [][]byte, hidden int, cfg TrainConfig) *MLP {
-	cfg = cfg.withDefaults()
-	if hidden == 0 {
-		hidden = 16
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	m := &MLP{
-		hidden: hidden,
-		w1:     make([]float32, featureDim*hidden),
-		b1:     make([]float32, hidden),
-		w2:     make([]float32, hidden),
-	}
-	scale := float32(math.Sqrt(2.0 / float64(hidden)))
-	for i := range m.w1 {
-		m.w1[i] = (rng.Float32() - 0.5) * scale
-	}
-	for i := range m.w2 {
-		m.w2[i] = (rng.Float32() - 0.5) * scale
-	}
-
-	type example struct {
-		key   []byte
-		label float64
-	}
-	examples := make([]example, 0, len(positives)+len(negatives))
-	for _, k := range positives {
-		examples = append(examples, example{k, 1})
-	}
-	for _, k := range negatives {
-		examples = append(examples, example{k, 0})
-	}
-
-	var feat []uint16
-	act := make([]float32, hidden)
-	pre := make([]float32, hidden)
-	lr := float32(cfg.LR)
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		rng.Shuffle(len(examples), func(i, j int) {
-			examples[i], examples[j] = examples[j], examples[i]
-		})
-		for _, ex := range examples {
-			feat = featurize(ex.key, feat[:0])
-			p := m.forward(feat, pre, act)
-			g := float32(p - ex.label)
-			// Output layer gradients.
-			for h := 0; h < hidden; h++ {
-				gw2 := g * act[h]
-				// Backprop into hidden (ReLU gate).
-				if pre[h] > 0 {
-					gh := g * m.w2[h]
-					inv := float32(1.0 / float64(len(feat)))
-					for _, idx := range feat {
-						m.w1[int(idx)*hidden+h] -= lr * gh * inv
-					}
-					m.b1[h] -= lr * gh
-				}
-				m.w2[h] -= lr * gw2
-			}
-			m.b2 -= lr * g
-		}
-		lr *= 0.7
-	}
-	return m
-}
-
-func (m *MLP) forward(feat []uint16, pre, act []float32) float64 {
-	inv := float32(1.0 / float64(len(feat)))
-	for h := 0; h < m.hidden; h++ {
-		pre[h] = m.b1[h]
-	}
-	for _, idx := range feat {
-		row := m.w1[int(idx)*m.hidden : int(idx+1)*m.hidden]
-		for h, w := range row {
-			pre[h] += w * inv
-		}
-	}
-	var z float32 = m.b2
-	for h := 0; h < m.hidden; h++ {
-		a := pre[h]
-		if a < 0 {
-			a = 0
-		}
-		act[h] = a
-		z += m.w2[h] * a
-	}
-	return sigmoid(float64(z))
-}
-
-// Score returns the membership probability estimate for key.
-func (m *MLP) Score(key []byte) float64 {
-	var buf [128]uint16
-	feat := featurize(key, buf[:0])
-	pre := make([]float32, m.hidden)
-	act := make([]float32, m.hidden)
-	return m.forward(feat, pre, act)
-}
-
-// SizeBits charges 32 bits per parameter.
-func (m *MLP) SizeBits() uint64 {
-	return uint64(len(m.w1)+len(m.b1)+len(m.w2)+1) * 32
 }

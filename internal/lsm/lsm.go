@@ -8,15 +8,13 @@
 // each run guarded by a pluggable membership filter. The "disk" is
 // simulated: every run probe is counted against the level's read cost, so
 // experiments can compare filter policies by total I/O cost rather than
-// wall time.
+// wall time. Runs and their guards live in memory only; the tree
+// persists nothing.
 package lsm
 
 import (
 	"fmt"
-	"io"
 	"sort"
-
-	"repro/internal/snapshot"
 )
 
 // Filter is the membership interface a run guard must satisfy.
@@ -27,29 +25,6 @@ type Filter interface {
 // FilterBuilder constructs a guard for a freshly written run at the given
 // level. A nil builder (or nil return) leaves the run unguarded.
 type FilterBuilder func(keys [][]byte, level int) Filter
-
-// FilterCodec serializes run guards to and from filter blocks — the
-// on-disk form real LSM engines store next to each SSTable. When a codec
-// is configured, every guard built by NewFilter is round-tripped through
-// its encoded block at build time, so the read path serves from exactly
-// the bytes that would be persisted (a decoder with a zero-copy mode,
-// like habf.UnmarshalHABFBorrow, serves straight from the block).
-type FilterCodec struct {
-	// Encode serializes a guard built by NewFilter. Returning an error
-	// fails the flush/compaction loudly rather than silently dropping
-	// filter protection.
-	Encode func(f Filter) ([]byte, error)
-	// Decode reconstructs a serving guard from an encoded block. The
-	// block slice stays alive as long as the run does, so zero-copy
-	// decoders may alias it.
-	Decode func(block []byte) (Filter, error)
-	// Align reports the offset within an encoded block that must land
-	// 8-byte aligned for Decode to alias it instead of copying (e.g.
-	// habf.WireAlignOffset of the block's k). Optional; when nil,
-	// SaveFilterBlocks aligns block starts only, and zero-copy reloads
-	// depend on the block's internal layout happening to line up.
-	Align func(block []byte) int
-}
 
 // Config tunes the tree shape.
 type Config struct {
@@ -67,9 +42,6 @@ type Config struct {
 	ReadCost []float64
 	// NewFilter guards freshly written runs. Optional.
 	NewFilter FilterBuilder
-	// Codec persists run guards as filter blocks (see FilterCodec).
-	// Optional; requires NewFilter.
-	Codec *FilterCodec
 }
 
 func (c Config) withDefaults() Config {
@@ -110,10 +82,6 @@ type Stats struct {
 	// WastedCost is the share of CostIncurred from wasted reads — the
 	// quantity HABF minimizes when guards are cost-aware.
 	WastedCost float64
-	// FilterBlockBytes is the summed size of the encoded filter blocks
-	// currently guarding runs (0 without a Codec) — the on-disk filter
-	// footprint of the tree.
-	FilterBlockBytes uint64
 }
 
 // run is one immutable sorted string table.
@@ -121,10 +89,6 @@ type run struct {
 	keys   []string
 	values [][]byte
 	guard  Filter
-	// filterBlock is the guard's encoded form when a Codec is configured;
-	// guard is decoded from (and may alias) it.
-	filterBlock []byte
-	level       int
 }
 
 func (r *run) get(key string) ([]byte, bool) {
@@ -190,7 +154,6 @@ func (s *Store) Flush() {
 }
 
 func (s *Store) buildGuard(r *run, level int) Filter {
-	r.level = level
 	if s.cfg.NewFilter == nil {
 		return nil
 	}
@@ -198,22 +161,7 @@ func (s *Store) buildGuard(r *run, level int) Filter {
 	for i, k := range r.keys {
 		keys[i] = []byte(k)
 	}
-	g := s.cfg.NewFilter(keys, level)
-	if g == nil || s.cfg.Codec == nil {
-		return g
-	}
-	// Round-trip through the filter block so the serving guard is the
-	// on-disk representation, not the freshly built in-memory one.
-	block, err := s.cfg.Codec.Encode(g)
-	if err != nil {
-		panic(fmt.Sprintf("lsm: filter block encode at level %d: %v", level, err))
-	}
-	decoded, err := s.cfg.Codec.Decode(block)
-	if err != nil {
-		panic(fmt.Sprintf("lsm: filter block decode at level %d: %v", level, err))
-	}
-	r.filterBlock = block
-	return decoded
+	return s.cfg.NewFilter(keys, level)
 }
 
 // compact merges all of L0 into level 1, cascading down while a level
@@ -316,9 +264,6 @@ func (s *Store) Stats() Stats {
 	out.Reads = append([]uint64(nil), s.stats.Reads...)
 	out.WastedReads = append([]uint64(nil), s.stats.WastedReads...)
 	out.FilterRejects = append([]uint64(nil), s.stats.FilterRejects...)
-	for _, r := range s.runs() {
-		out.FilterBlockBytes += uint64(len(r.filterBlock))
-	}
 	return out
 }
 
@@ -345,98 +290,6 @@ func (s *Store) Runs() []int {
 		}
 	}
 	return out
-}
-
-// runs returns every live run in a stable scan order: L0 newest-first,
-// then each deeper level.
-func (s *Store) runs() []*run {
-	out := append([]*run(nil), s.l0...)
-	for _, r := range s.levels {
-		if r != nil {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// SaveFilterBlocks persists every run's filter block into one snapshot
-// container (see internal/snapshot): a checksummed frame per run in scan
-// order, the frame epoch recording the run's level. Runs without a block
-// (no Codec, or an unguarded run) get empty frames. This is the
-// filter-block section of a checkpoint: on reopen with the same run
-// topology, LoadFilterBlocks re-attaches every guard without rebuilding
-// a single filter.
-func (s *Store) SaveFilterBlocks(w io.Writer) error {
-	runs := s.runs()
-	if len(runs) == 0 {
-		return fmt.Errorf("lsm: no runs to save filter blocks for")
-	}
-	snap := &snapshot.Snapshot{
-		Meta:   snapshot.Meta{Kind: snapshot.KindFilterBlocks},
-		Frames: make([]snapshot.Frame, len(runs)),
-	}
-	for i, r := range runs {
-		fr := snapshot.Frame{
-			Epoch:   uint64(r.level),
-			Payload: r.filterBlock,
-		}
-		if len(fr.Payload) > 0 && s.cfg.Codec != nil && s.cfg.Codec.Align != nil {
-			fr.Align = s.cfg.Codec.Align(fr.Payload)
-		}
-		snap.Frames[i] = fr
-	}
-	if _, err := snap.WriteTo(w); err != nil {
-		return fmt.Errorf("lsm: save filter blocks: %w", err)
-	}
-	return nil
-}
-
-// LoadFilterBlocks re-attaches run guards from a container written by
-// SaveFilterBlocks. The store's run topology must match the one saved
-// (same run count and levels, e.g. a clean reopen of the same tree); the
-// configured Codec decodes each block, and zero-copy decoders serve
-// directly from data, which must then outlive the store.
-func (s *Store) LoadFilterBlocks(data []byte) error {
-	if s.cfg.Codec == nil {
-		return fmt.Errorf("lsm: LoadFilterBlocks requires a Codec")
-	}
-	snap, err := snapshot.Unmarshal(data)
-	if err != nil {
-		return fmt.Errorf("lsm: load filter blocks: %w", err)
-	}
-	if snap.Meta.Kind != snapshot.KindFilterBlocks {
-		return fmt.Errorf("lsm: container kind %d is not a filter-block checkpoint", snap.Meta.Kind)
-	}
-	runs := s.runs()
-	if len(snap.Frames) != len(runs) {
-		return fmt.Errorf("lsm: snapshot has %d filter blocks, store has %d runs", len(snap.Frames), len(runs))
-	}
-	// Decode and validate every frame before touching any run, so a
-	// failure partway leaves the store exactly as it was — never a mix of
-	// old guards and guards aliasing a buffer the caller will discard.
-	guards := make([]Filter, len(runs))
-	for i, fr := range snap.Frames {
-		if uint64(runs[i].level) != fr.Epoch {
-			return fmt.Errorf("lsm: filter block %d is for level %d, run is at level %d", i, fr.Epoch, runs[i].level)
-		}
-		if len(fr.Payload) == 0 {
-			continue
-		}
-		g, err := s.cfg.Codec.Decode(fr.Payload)
-		if err != nil {
-			return fmt.Errorf("lsm: filter block %d: %w", i, err)
-		}
-		guards[i] = g
-	}
-	for i, fr := range snap.Frames {
-		runs[i].guard = guards[i]
-		if guards[i] != nil {
-			runs[i].filterBlock = fr.Payload
-		} else {
-			runs[i].filterBlock = nil
-		}
-	}
-	return nil
 }
 
 // LevelKeys returns the keys currently resident at the given level

@@ -564,20 +564,30 @@ func (s *Set) Add(key []byte) error {
 			sh.addPending(key)
 		}
 	}
+	sh.maybeRebuild()
+	return nil
+}
+
+// maybeRebuild starts a background rebuild once the shard's drift
+// reaches the threshold and none is in flight. Callers hold mu's write
+// side.
+func (sh *shard) maybeRebuild() {
+	s := sh.set
 	if s.threshold > 0 && !sh.rebuilding &&
 		float64(sh.drift()) >= s.threshold*float64(sh.baseline) {
 		sh.rebuilding = true
 		s.rebuildWG.Add(1)
 		go sh.rebuild()
 	}
-	return nil
 }
 
 // rebuild reconstructs the shard's filter over its full current key set —
 // re-running the optimization that per-key Add cannot, and absorbing any
 // pending keys a static backend buffered — and swaps it in. Construction
 // happens outside the lock; only the final swap (plus a replay of keys
-// added mid-rebuild) blocks the shard's readers.
+// added mid-rebuild) blocks the shard's readers. If the keys added
+// mid-rebuild already reach the threshold, the next rebuild starts at
+// once rather than waiting for another Add.
 func (sh *shard) rebuild() {
 	defer sh.set.rebuildWG.Done()
 
@@ -599,6 +609,7 @@ func (sh *shard) rebuild() {
 	}
 	sh.swap(f, n0)
 	sh.set.rebuilds.Add(1)
+	sh.maybeRebuild()
 }
 
 // swap installs a filter built over positives[:built], replaying the

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/filtercore"
 	"repro/internal/habf"
 )
 
@@ -310,6 +311,55 @@ func TestBackgroundRebuildFoldsAddsIn(t *testing.T) {
 	}
 	if st.Keys != uint64(len(pos)+len(fresh)) {
 		t.Fatalf("Stats.Keys = %d, want %d", st.Keys, len(pos)+len(fresh))
+	}
+}
+
+// TestRebuildCascadesOnMidRebuildDrift holds a shard's rebuild open
+// while more Adds land than the threshold allows, then lets it finish
+// with no further Add: the swap must start the follow-up rebuild itself,
+// so the shard does not serve a drifted filter until its next write.
+func TestRebuildCascadesOnMidRebuildDrift(t *testing.T) {
+	const n, threshold = 1000, 0.1
+	s, _, _ := newSet(t, n, Config{Shards: 1, RebuildThreshold: threshold})
+	gate := make(chan struct{})
+	started := make(chan struct{}, 1)
+	fac := *s.backend
+	build := fac.Build
+	fac.Build = func(pos [][]byte, neg []habf.WeightedKey, cfg filtercore.BuildConfig) (filtercore.Backend, error) {
+		select {
+		case started <- struct{}{}:
+		default:
+		}
+		<-gate
+		return build(pos, neg, cfg)
+	}
+	s.backend = &fac
+
+	add := func(from, to int) {
+		for i := from; i < to; i++ {
+			if err := s.Add([]byte(fmt.Sprintf("late-%06d", i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	add(0, n/10) // drift 100 = 0.1 × 1000 starts the first rebuild
+	<-started
+	// Built over 1100 keys; 200 more is past 0.1 × 1100.
+	add(n/10, n/10+200)
+	close(gate)
+	s.WaitRebuilds()
+
+	st := s.Stats()
+	if st.Rebuilds != 2 || st.RebuildErrors != 0 {
+		t.Fatalf("want the first rebuild plus one follow-up: %+v", st)
+	}
+	if float64(st.Added) >= threshold*float64(st.Keys-st.Added) {
+		t.Fatalf("drift %d still at the threshold after WaitRebuilds: %+v", st.Added, st)
+	}
+	for i := 0; i < n/10+200; i++ {
+		if key := []byte(fmt.Sprintf("late-%06d", i)); !s.Contains(key) {
+			t.Fatalf("false negative for %q", key)
+		}
 	}
 }
 

@@ -135,7 +135,6 @@ func (s *Set) nonDefaultTuning() string {
 func (s *Set) snapshotMeta() snapshot.Meta {
 	return snapshot.Meta{
 		Tuning:                s.nonDefaultTuning(),
-		Kind:                  snapshot.KindShardedSet,
 		Backend:               uint8(s.backend.Kind),
 		BaseSeed:              s.baseParams.Seed,
 		RouteSeed:             hashes.BaseSeed,
@@ -168,9 +167,6 @@ func (s *Set) snapshotMeta() snapshot.Meta {
 // read-only set whose Add returns ErrReadOnly; its pending-keys frame,
 // if any, goes back into the pending maps so those keys answer true.
 func Restore(snap *snapshot.Snapshot) (*Set, error) {
-	if snap.Meta.Kind != snapshot.KindShardedSet {
-		return nil, fmt.Errorf("shard: container kind %d is not a sharded-set snapshot", snap.Meta.Kind)
-	}
 	backend, err := filtercore.ByKind(filtercore.Kind(snap.Meta.Backend))
 	if err != nil {
 		return nil, fmt.Errorf("shard: %w", err)

@@ -77,7 +77,7 @@ func fuzzSnapshotSeeds(tb testing.TB) map[string][]byte {
 	// Wrong container kind (CRC fixed up the same way): the type
 	// discriminator, not shard.Restore, must reject it.
 	wrongKind := append([]byte(nil), good...)
-	wrongKind[48] = 2 // KindFilterBlocks in a sharded-set restore path
+	wrongKind[48] = 2 // the retired LSM filter-block kind
 	seeds["wrong-kind"] = fixHeaderCRC(wrongKind)
 	// Unknown backend kind in header byte 49 (CRC fixed): the filtercore
 	// registry lookup must reject it before any frame is decoded.

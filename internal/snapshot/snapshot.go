@@ -11,8 +11,9 @@
 //	  threshold f64 | kind u8 | backend u8 | reserved u8×2 | shardCount u32 |
 //	  reserved u32 | headerCRC u32 (CRC32C of the 60 bytes above)
 //
-// A decoder rejects a header that sets a flag bit this package does not
-// define or a non-zero reserved byte.
+// The kind byte is always 1, a sharded-set checkpoint. A decoder rejects
+// any other kind, a header that sets a flag bit this package does not
+// define, and a non-zero reserved byte.
 //
 // The backend byte names the filter family whose wire format fills the
 // frames (a filtercore.Kind; 0 is HABF). A loader that does not
@@ -98,16 +99,11 @@ const (
 	keysHdrSize  = 24 // positives, negatives, baseline
 )
 
-// Kind discriminates what a container holds, so a file of one kind fed
-// to another kind's loader fails loudly at decode instead of producing
-// a structure that routes wrong (e.g. an LSM filter-block container
-// restored as a sharded set would answer false negatives).
-const (
-	// KindShardedSet is a sharded filter checkpoint (one frame per shard).
-	KindShardedSet uint8 = 1
-	// KindFilterBlocks is an LSM filter-block checkpoint (one frame per run).
-	KindFilterBlocks uint8 = 2
-)
+// kindShardedSet is the one container kind (header byte 48): a sharded
+// filter checkpoint, one frame per shard. A decoder rejects any other
+// value, so a file of some other kind fails loudly instead of being
+// restored as a set that routes wrong.
+const kindShardedSet = 1
 
 // Meta flags (header byte 5).
 const (
@@ -144,7 +140,6 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // per-shard filter payloads: how keys route to shards and how shards that
 // were empty at save time should build their first filter.
 type Meta struct {
-	Kind uint8 // container content type (Kind* constants)
 	// Backend is the filtercore.Kind of the filter family framed inside
 	// (0 = HABF).
 	Backend               uint8
@@ -231,9 +226,6 @@ func NewWriter(w io.Writer, meta Meta, shardCount int) (*Writer, error) {
 	if shardCount == 0 {
 		return nil, errors.New("snapshot: no frames")
 	}
-	if meta.Kind != KindShardedSet && meta.Kind != KindFilterBlocks {
-		return nil, fmt.Errorf("snapshot: unknown container kind %d", meta.Kind)
-	}
 	if len(meta.Tuning) > maxTuningLen {
 		return nil, fmt.Errorf("snapshot: tuning string %d bytes long (max %d)", len(meta.Tuning), maxTuningLen)
 	}
@@ -277,7 +269,7 @@ func NewWriter(w io.Writer, meta Meta, shardCount int) (*Writer, error) {
 	putFloat(head[24:32], meta.SpaceRatio)
 	putFloat(head[32:40], meta.BitsPerKey)
 	putFloat(head[40:48], meta.Threshold)
-	head[48] = meta.Kind
+	head[48] = kindShardedSet
 	head[49] = meta.Backend
 	// head[50:52] and head[56:60] reserved, zero, CRC-covered.
 	binary.LittleEndian.PutUint32(head[52:56], uint32(shardCount))
@@ -487,8 +479,7 @@ func Unmarshal(data []byte) (*Snapshot, error) {
 	if got, want := crc32.Checksum(data[:60], castagnoli), binary.LittleEndian.Uint32(data[60:64]); got != want {
 		return nil, fmt.Errorf("snapshot: header CRC mismatch (%08x != %08x)", got, want)
 	}
-	kind := data[48]
-	if kind != KindShardedSet && kind != KindFilterBlocks {
+	if kind := data[48]; kind != kindShardedSet {
 		return nil, fmt.Errorf("snapshot: unknown container kind %d", kind)
 	}
 	flags := data[5]
@@ -499,7 +490,6 @@ func Unmarshal(data []byte) (*Snapshot, error) {
 		return nil, errors.New("snapshot: reserved header bytes are not zero")
 	}
 	s := &Snapshot{Meta: Meta{
-		Kind:                  kind,
 		Backend:               data[49],
 		K:                     int(data[6]),
 		CellBits:              uint(data[7]),

@@ -31,7 +31,6 @@ func offsetIn(data, p []byte) int {
 func testSnapshot() *snapshot.Snapshot {
 	return &snapshot.Snapshot{
 		Meta: snapshot.Meta{
-			Kind:       snapshot.KindShardedSet,
 			Backend:    2, // non-default backend byte must round-trip
 			BaseSeed:   42,
 			RouteSeed:  0x123456789abcdef0,
@@ -159,9 +158,11 @@ func TestContainerRejectsCorruption(t *testing.T) {
 			b[52], b[53], b[54], b[55] = 0xFF, 0xFF, 0xFF, 0xFF
 		}),
 		"trailing": append(append([]byte(nil), good...), 0x00),
-		// Header bits and bytes the format does not define, with the
-		// header CRC recomputed so only the new checks can refuse them.
-		// Flag bit 6 marks keys frames this container does not have.
+		// Header values the format does not define, with the header CRC
+		// recomputed so only the field checks can refuse them. Kind 2
+		// was the retired LSM filter-block checkpoint; flag bit 6 marks
+		// keys frames this container does not have.
+		"kind 2":           headerMut(good, func(b []byte) { b[48] = 2 }),
 		"flag bit 6":       headerMut(good, func(b []byte) { b[5] |= 1 << 6 }),
 		"flag bit 7":       headerMut(good, func(b []byte) { b[5] |= 1 << 7 }),
 		"reserved byte 50": headerMut(good, func(b []byte) { b[50] = 1 }),
@@ -294,7 +295,6 @@ func TestKeysFrameRejectsCorruption(t *testing.T) {
 func TestGoldenContainer(t *testing.T) {
 	s := &snapshot.Snapshot{
 		Meta: snapshot.Meta{
-			Kind:       snapshot.KindShardedSet,
 			BaseSeed:   1,
 			RouteSeed:  0xdeadbeefcafe,
 			K:          3,

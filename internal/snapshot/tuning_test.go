@@ -127,7 +127,6 @@ func TestTuningFrameRejectsCorruption(t *testing.T) {
 func TestGoldenContainerWithTuning(t *testing.T) {
 	s := &snapshot.Snapshot{
 		Meta: snapshot.Meta{
-			Kind:       snapshot.KindShardedSet,
 			BaseSeed:   1,
 			RouteSeed:  0xdeadbeefcafe,
 			K:          3,

@@ -55,6 +55,31 @@ func TestReadmeKnobTable(t *testing.T) {
 	}
 }
 
+// TestOperationsBackendRow pins the -backend row of docs/OPERATIONS.md
+// to the registry: habfserved accepts every registered backend, so the
+// row must name each one.
+func TestOperationsBackendRow(t *testing.T) {
+	data, err := os.ReadFile("docs/OPERATIONS.md")
+	if err != nil {
+		t.Fatalf("read OPERATIONS.md: %v", err)
+	}
+	var row string
+	for _, line := range strings.Split(string(data), "\n") {
+		if strings.HasPrefix(line, "| `-backend name` |") {
+			row = line
+			break
+		}
+	}
+	if row == "" {
+		t.Fatal("OPERATIONS.md has no -backend flag row")
+	}
+	for _, name := range filtercore.Names() {
+		if !strings.Contains(row, "`"+name+"`") {
+			t.Errorf("OPERATIONS.md -backend row omits registered backend %q", name)
+		}
+	}
+}
+
 // knobRow is one parsed row of the README's tuning table.
 type knobRow struct {
 	backend, knob, typ, domain, def string
