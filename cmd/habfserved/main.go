@@ -91,7 +91,7 @@ func main() {
 		shards   = flag.Int("shards", 8, "shard count for a synthetic filter (rounded up to a power of two)")
 		seed     = flag.Int64("seed", 1, "seed for the synthetic filter's keys and construction")
 		bits     = flag.Float64("bits", 10, "bits per key for a synthetic filter")
-		snapPath = flag.String("snapshot", "", "default target for /v1/snapshot and -snapshot-on-exit")
+		snapPath = flag.String("snapshot", "", "the only file POST /v1/snapshot and -snapshot-on-exit write")
 		snapExit = flag.Bool("snapshot-on-exit", false, "write a final snapshot to -snapshot during graceful shutdown")
 
 		follow     = flag.String("follow", "", "run as a read-only follower of this primary (base URL or host:port); exclusive with -restore/-keys")
@@ -370,7 +370,7 @@ func run(cfg config) error {
 	srv.Close()
 	filter.WaitRebuilds()
 	if cfg.snapExit {
-		path, took, err := srv.Snapshot("")
+		path, took, err := srv.Snapshot()
 		if err != nil {
 			return fmt.Errorf("snapshot-on-exit: %w", err)
 		}

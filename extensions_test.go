@@ -56,6 +56,57 @@ func TestPublicSerializationRoundtrip(t *testing.T) {
 	}
 }
 
+// TestPublicUnmarshalKeepsNoReference: UnmarshalHABF must not alias the
+// caller's buffer. Overwriting it after the decode, and again after an Add
+// on the decoded filter, must not change any answer, and the Add must not
+// write to it.
+func TestPublicUnmarshalKeepsNoReference(t *testing.T) {
+	pos, neg, negKeys, _ := workload(2000)
+	f, err := habf.New(pos, neg, 2000*12, habf.WithSeed(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := f.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := habf.UnmarshalHABF(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probes := append(append([][]byte{}, pos...), negKeys...)
+	for i := 0; i < 2000; i++ {
+		probes = append(probes, []byte(fmt.Sprintf("novel-%05d", i)))
+	}
+	agree := func(stage string) {
+		t.Helper()
+		for _, k := range probes {
+			if f.Contains(k) != g.Contains(k) {
+				t.Fatalf("%s: decoded filter disagrees on %q", stage, k)
+			}
+		}
+	}
+	fill := func(b byte) {
+		for i := range data {
+			data[i] = b
+		}
+	}
+	fill(0xFF)
+	agree("after overwriting the input")
+
+	fill(0xA5)
+	added := []byte("added-after-decode")
+	f.Add(added)
+	g.Add(added)
+	for i, b := range data {
+		if b != 0xA5 {
+			t.Fatalf("Add on the decoded filter wrote input byte %d", i)
+		}
+	}
+	fill(0x00)
+	agree("after Add and a second overwrite")
+}
+
 func TestPublicPHBF(t *testing.T) {
 	pos, _, negKeys, _ := workload(3000)
 	f, err := habf.NewPHBF(pos, 3000*10)

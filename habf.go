@@ -73,6 +73,7 @@
 package habf
 
 import (
+	"bytes"
 	"fmt"
 
 	ihabf "repro/internal/habf"
@@ -214,9 +215,10 @@ func (f *HABF) MarshalBinary() ([]byte, error) { return f.inner.MarshalBinary() 
 
 // UnmarshalHABF decodes a filter produced by (*HABF).MarshalBinary. The
 // decoded filter answers queries identically to the original; its Stats
-// are zero.
+// are zero. It keeps no reference to data: the decoder aliases its input,
+// so it decodes a private copy.
 func UnmarshalHABF(data []byte) (*HABF, error) {
-	inner, err := ihabf.UnmarshalFilter(data)
+	inner, err := ihabf.UnmarshalFilter(bytes.Clone(data))
 	if err != nil {
 		return nil, fmt.Errorf("habf: %w", err)
 	}

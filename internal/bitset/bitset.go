@@ -175,12 +175,6 @@ func (b *Bits) MarshalBinary() ([]byte, error) {
 	return out, nil
 }
 
-// UnmarshalBinary decodes a stream produced by MarshalBinary into owned
-// memory; data is not retained.
-func (b *Bits) UnmarshalBinary(data []byte) error {
-	return b.unmarshal(data, false)
-}
-
 // UnmarshalBinaryBorrow decodes a stream produced by MarshalBinary
 // without copying the payload when possible: if the word payload inside
 // data is 8-byte aligned in memory (and the host is little-endian), the
@@ -188,12 +182,9 @@ func (b *Bits) UnmarshalBinary(data []byte) error {
 // and unmodified for as long as the vector is read; the first mutating
 // call (Set, Clear, Union, ...) copies the payload into owned memory and
 // releases the alias. When aliasing is not possible the payload is
-// copied, exactly like UnmarshalBinary.
+// copied. There is deliberately no UnmarshalBinary: the
+// encoding.BinaryUnmarshaler contract forbids retaining data.
 func (b *Bits) UnmarshalBinaryBorrow(data []byte) error {
-	return b.unmarshal(data, true)
-}
-
-func (b *Bits) unmarshal(data []byte, borrow bool) error {
 	if len(data) < 12 {
 		return errors.New("bitset: truncated header")
 	}
@@ -214,7 +205,7 @@ func (b *Bits) unmarshal(data []byte, borrow bool) error {
 		return fmt.Errorf("bitset: want %d payload bytes, have %d", nw*8, len(data)-12)
 	}
 	b.n = n
-	if words, ok := borrowWords(data[12:], nw, borrow); ok {
+	if words, ok := borrowWords(data[12:], nw); ok {
 		b.words = words
 		b.borrowed = true
 		return nil

@@ -187,7 +187,7 @@ func TestBitsMarshalRoundtrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		var c Bits
-		if err := c.UnmarshalBinary(data); err != nil {
+		if err := c.UnmarshalBinaryBorrow(data); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 		if !b.Equal(&c) {
@@ -198,14 +198,14 @@ func TestBitsMarshalRoundtrip(t *testing.T) {
 
 func TestBitsUnmarshalErrors(t *testing.T) {
 	var b Bits
-	if err := b.UnmarshalBinary(nil); err == nil {
+	if err := b.UnmarshalBinaryBorrow(nil); err == nil {
 		t.Error("nil input accepted")
 	}
-	if err := b.UnmarshalBinary(make([]byte, 12)); err == nil {
+	if err := b.UnmarshalBinaryBorrow(make([]byte, 12)); err == nil {
 		t.Error("bad magic accepted")
 	}
 	good, _ := New(64).MarshalBinary()
-	if err := b.UnmarshalBinary(good[:len(good)-1]); err == nil {
+	if err := b.UnmarshalBinaryBorrow(good[:len(good)-1]); err == nil {
 		t.Error("truncated payload accepted")
 	}
 }

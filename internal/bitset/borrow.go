@@ -10,19 +10,19 @@ import "unsafe"
 // it and both fall back to copying whenever aliasing would be unsound.
 
 // hostLittleEndian reports whether the native byte order matches the wire
-// format. On big-endian hosts every borrow request degrades to a copy.
+// format. On big-endian hosts every decode copies.
 var hostLittleEndian = func() bool {
 	var x uint16 = 1
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
 // borrowWords reinterprets payload as nw uint64 words without copying,
-// when that is sound: borrowing was requested, the host is little-endian,
-// the payload is exactly nw words long, and its base address is 8-byte
-// aligned (an unaligned []uint64 is undefined on strict-alignment
-// architectures). Returns ok=false to tell the caller to copy instead.
-func borrowWords(payload []byte, nw int, borrow bool) ([]uint64, bool) {
-	if !borrow || !hostLittleEndian || nw == 0 || len(payload) != nw*8 {
+// when that is sound: the host is little-endian, the payload is exactly
+// nw words long, and its base address is 8-byte aligned (an unaligned
+// []uint64 is undefined on strict-alignment architectures). Returns
+// ok=false to tell the caller to copy instead.
+func borrowWords(payload []byte, nw int) ([]uint64, bool) {
+	if !hostLittleEndian || nw == 0 || len(payload) != nw*8 {
 		return nil, false
 	}
 	p := unsafe.Pointer(unsafe.SliceData(payload))

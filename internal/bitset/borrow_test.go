@@ -65,7 +65,7 @@ func TestBitsCopyOnFirstWrite(t *testing.T) {
 	if wasBorrowed {
 		// The snapshot buffer must be untouched by the write.
 		var h Bits
-		if err := h.UnmarshalBinary(data); err != nil {
+		if err := h.UnmarshalBinaryBorrow(data); err != nil {
 			t.Fatal(err)
 		}
 		if !h.Equal(b) {
@@ -128,7 +128,7 @@ func TestLanesBorrowAndCopyOnWrite(t *testing.T) {
 		t.Fatal("materialized lanes lost state")
 	}
 	var h Lanes
-	if err := h.UnmarshalBinary(data); err != nil {
+	if err := h.UnmarshalBinaryBorrow(data); err != nil {
 		t.Fatal(err)
 	}
 	if h.Get(7) != 7%31 {
@@ -158,7 +158,7 @@ func TestBitsResetAndUnionMaterialize(t *testing.T) {
 		t.Fatal("Reset did not produce an owned zero vector")
 	}
 	var probe Bits
-	if err := probe.UnmarshalBinary(data); err != nil {
+	if err := probe.UnmarshalBinaryBorrow(data); err != nil {
 		t.Fatal(err)
 	}
 	if !probe.Equal(b) {
@@ -175,11 +175,8 @@ func TestBitsUnmarshalLengthOverflow(t *testing.T) {
 		bad := append([]byte(nil), data...)
 		putU64(bad[4:12], n)
 		var b Bits
-		if err := b.UnmarshalBinary(bad); err == nil {
-			t.Errorf("n=%d: hostile bit length accepted", n)
-		}
 		if err := b.UnmarshalBinaryBorrow(bad); err == nil {
-			t.Errorf("n=%d: hostile bit length accepted (borrow)", n)
+			t.Errorf("n=%d: hostile bit length accepted", n)
 		}
 	}
 }
@@ -191,7 +188,7 @@ func TestLanesUnmarshalLengthOverflow(t *testing.T) {
 		bad := append([]byte(nil), data...)
 		putU64(bad[8:16], n)
 		var l Lanes
-		if err := l.UnmarshalBinary(bad); err == nil {
+		if err := l.UnmarshalBinaryBorrow(bad); err == nil {
 			t.Errorf("n=%d: hostile lane count accepted", n)
 		}
 	}

@@ -121,20 +121,10 @@ func (l *Lanes) MarshalBinary() ([]byte, error) {
 	return out, nil
 }
 
-// UnmarshalBinary decodes a stream produced by MarshalBinary into owned
-// memory; data is not retained.
-func (l *Lanes) UnmarshalBinary(data []byte) error {
-	return l.unmarshal(data, false)
-}
-
 // UnmarshalBinaryBorrow decodes a stream produced by MarshalBinary
 // without copying when possible; see (*Bits).UnmarshalBinaryBorrow for
 // the aliasing contract and the copy-on-first-write behavior of Set.
 func (l *Lanes) UnmarshalBinaryBorrow(data []byte) error {
-	return l.unmarshal(data, true)
-}
-
-func (l *Lanes) unmarshal(data []byte, borrow bool) error {
 	if len(data) < 16 {
 		return errors.New("bitset: truncated lanes header")
 	}
@@ -164,7 +154,7 @@ func (l *Lanes) unmarshal(data []byte, borrow bool) error {
 	} else {
 		l.mask = (1 << width) - 1
 	}
-	if words, ok := borrowWords(data[16:], nw, borrow); ok {
+	if words, ok := borrowWords(data[16:], nw); ok {
 		l.words = words
 		l.borrowed = true
 		return nil

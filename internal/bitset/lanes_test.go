@@ -137,7 +137,7 @@ func TestLanesMarshalRoundtrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		var m Lanes
-		if err := m.UnmarshalBinary(data); err != nil {
+		if err := m.UnmarshalBinaryBorrow(data); err != nil {
 			t.Fatalf("n=%d w=%d: %v", tc.n, tc.width, err)
 		}
 		if m.Len() != tc.n || m.Width() != tc.width {
@@ -153,19 +153,19 @@ func TestLanesMarshalRoundtrip(t *testing.T) {
 
 func TestLanesUnmarshalErrors(t *testing.T) {
 	var l Lanes
-	if err := l.UnmarshalBinary(nil); err == nil {
+	if err := l.UnmarshalBinaryBorrow(nil); err == nil {
 		t.Error("nil input accepted")
 	}
-	if err := l.UnmarshalBinary(make([]byte, 16)); err == nil {
+	if err := l.UnmarshalBinaryBorrow(make([]byte, 16)); err == nil {
 		t.Error("bad magic accepted")
 	}
 	good, _ := NewLanes(10, 8).MarshalBinary()
 	bad := append([]byte(nil), good...)
 	bad[4] = 0 // width 0
-	if err := l.UnmarshalBinary(bad); err == nil {
+	if err := l.UnmarshalBinaryBorrow(bad); err == nil {
 		t.Error("zero width accepted")
 	}
-	if err := l.UnmarshalBinary(good[:len(good)-1]); err == nil {
+	if err := l.UnmarshalBinaryBorrow(good[:len(good)-1]); err == nil {
 		t.Error("truncated payload accepted")
 	}
 }

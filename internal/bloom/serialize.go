@@ -54,22 +54,12 @@ func (f *Filter) MarshalBinary() ([]byte, error) {
 	return append(out, bits...), nil
 }
 
-// UnmarshalFilter decodes a filter produced by MarshalBinary into owned
-// memory; data is not retained.
-func UnmarshalFilter(data []byte) (*Filter, error) {
-	return unmarshalFilter(data, false)
-}
-
-// UnmarshalFilterBorrow decodes a filter produced by MarshalBinary
+// UnmarshalFilter decodes a filter produced by MarshalBinary
 // without copying the bit array when it is 8-byte aligned inside data:
 // the filter then serves queries directly from data, which the caller
 // must keep alive and unmodified. A post-load Add copies the array
 // before mutating it (copy-on-first-write), never writing data.
-func UnmarshalFilterBorrow(data []byte) (*Filter, error) {
-	return unmarshalFilter(data, true)
-}
-
-func unmarshalFilter(data []byte, borrow bool) (*Filter, error) {
+func UnmarshalFilter(data []byte) (*Filter, error) {
 	if len(data) < headerSize+8 {
 		return nil, errors.New("bloom: truncated filter header")
 	}
@@ -104,12 +94,8 @@ func unmarshalFilter(data []byte, borrow bool) (*Filter, error) {
 		return nil, fmt.Errorf("bloom: k = %d out of range [1,64]", k)
 	}
 
-	unmarshalBits := (*bitset.Bits).UnmarshalBinary
-	if borrow {
-		unmarshalBits = (*bitset.Bits).UnmarshalBinaryBorrow
-	}
 	var bits bitset.Bits
-	if err := unmarshalBits(&bits, data[headerSize+8:]); err != nil {
+	if err := bits.UnmarshalBinaryBorrow(data[headerSize+8:]); err != nil {
 		return nil, fmt.Errorf("bloom: %w", err)
 	}
 	if bits.Len() == 0 {
@@ -120,5 +106,5 @@ func unmarshalFilter(data []byte, borrow bool) (*Filter, error) {
 }
 
 // Borrowed reports whether the filter still serves from the buffer it
-// was decoded from (UnmarshalFilterBorrow before any mutation).
+// was decoded from (UnmarshalFilter before any mutation).
 func (f *Filter) Borrowed() bool { return f.bits.Borrowed() }

@@ -27,28 +27,23 @@ func TestSerializeRoundtrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for mode, unmarshal := range map[string]func([]byte) (*Filter, error){
-				"owned":  UnmarshalFilter,
-				"borrow": UnmarshalFilterBorrow,
-			} {
-				g, err := unmarshal(wire)
-				if err != nil {
-					t.Fatalf("%s: %v", mode, err)
+			g, err := UnmarshalFilter(wire)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g.K() != f.K() || g.MBits() != f.MBits() || g.Count() != f.Count() || g.Name() != f.Name() {
+				t.Fatalf("decoded shape k=%d m=%d n=%d %q, want k=%d m=%d n=%d %q",
+					g.K(), g.MBits(), g.Count(), g.Name(), f.K(), f.MBits(), f.Count(), f.Name())
+			}
+			for _, key := range keys {
+				if !g.Contains(key) {
+					t.Fatalf("false negative for %q", key)
 				}
-				if g.K() != f.K() || g.MBits() != f.MBits() || g.Count() != f.Count() || g.Name() != f.Name() {
-					t.Fatalf("%s: decoded shape k=%d m=%d n=%d %q, want k=%d m=%d n=%d %q",
-						mode, g.K(), g.MBits(), g.Count(), g.Name(), f.K(), f.MBits(), f.Count(), f.Name())
-				}
-				for _, key := range keys {
-					if !g.Contains(key) {
-						t.Fatalf("%s: false negative for %q", mode, key)
-					}
-				}
-				for i := 0; i < 2000; i++ {
-					probe := []byte(fmt.Sprintf("ser-probe-%06d", i))
-					if g.Contains(probe) != f.Contains(probe) {
-						t.Fatalf("%s: decoded filter disagrees on %q", mode, probe)
-					}
+			}
+			for i := 0; i < 2000; i++ {
+				probe := []byte(fmt.Sprintf("ser-probe-%06d", i))
+				if g.Contains(probe) != f.Contains(probe) {
+					t.Fatalf("decoded filter disagrees on %q", probe)
 				}
 			}
 		})
@@ -62,7 +57,7 @@ func TestSerializeBorrowCopyOnWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := append([]byte(nil), wire...)
-	g, err := UnmarshalFilterBorrow(wire)
+	g, err := UnmarshalFilter(wire)
 	if err != nil {
 		t.Fatal(err)
 	}

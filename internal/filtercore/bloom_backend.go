@@ -89,7 +89,6 @@ func init() {
 			}
 			return &bloomBackend{f: f}, nil
 		},
-		Unmarshal:       func(data []byte) (Backend, error) { return decodeBloom(bloom.UnmarshalFilter(data)) },
-		UnmarshalBorrow: func(data []byte) (Backend, error) { return decodeBloom(bloom.UnmarshalFilterBorrow(data)) },
+		Unmarshal: func(data []byte) (Backend, error) { return decodeBloom(bloom.UnmarshalFilter(data)) },
 	})
 }

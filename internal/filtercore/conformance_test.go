@@ -74,7 +74,7 @@ func preparedBatch(b filtercore.Backend, probes [][]byte) []bool {
 
 // TestBackendConformance is the table-driven contract every registered
 // backend must honor: zero false negatives on members, batch/per-key
-// parity, marshal round-trips (owned and borrow mode), a coherent
+// parity, marshal round-trips, a coherent
 // static/mutable Add contract, and truthful self-description.
 func TestBackendConformance(t *testing.T) {
 	pos, neg, negKeys := conformanceKeys(3000)
@@ -113,29 +113,24 @@ func TestBackendConformance(t *testing.T) {
 				}
 			}
 
-			// Marshal → unmarshal round trip, both modes, identical answers.
+			// Marshal → unmarshal round trip, identical answers.
 			wire, err := b.MarshalBinary()
 			if err != nil {
 				t.Fatalf("marshal: %v", err)
 			}
-			for mode, unmarshal := range map[string]func([]byte) (filtercore.Backend, error){
-				"owned":  f.Unmarshal,
-				"borrow": f.UnmarshalBorrow,
-			} {
-				got, err := unmarshal(wire)
-				if err != nil {
-					t.Fatalf("%s unmarshal: %v", mode, err)
-				}
-				if got.Kind() != f.Kind {
-					t.Errorf("%s: decoded kind %d != %d", mode, got.Kind(), f.Kind)
-				}
-				if got.SizeBits() != b.SizeBits() {
-					t.Errorf("%s: decoded size %d != %d", mode, got.SizeBits(), b.SizeBits())
-				}
-				for i, key := range probes {
-					if got.Contains(key) != batch[i] {
-						t.Fatalf("%s: decoded filter disagrees on probe %d (%q)", mode, i, key)
-					}
+			got, err := f.Unmarshal(wire)
+			if err != nil {
+				t.Fatalf("unmarshal: %v", err)
+			}
+			if got.Kind() != f.Kind {
+				t.Errorf("decoded kind %d != %d", got.Kind(), f.Kind)
+			}
+			if got.SizeBits() != b.SizeBits() {
+				t.Errorf("decoded size %d != %d", got.SizeBits(), b.SizeBits())
+			}
+			for i, key := range probes {
+				if got.Contains(key) != batch[i] {
+					t.Fatalf("decoded filter disagrees on probe %d (%q)", i, key)
 				}
 			}
 
@@ -162,7 +157,7 @@ func TestBackendConformance(t *testing.T) {
 				}
 				// The decoded-then-mutated filter must also absorb Adds
 				// without corrupting the borrow source (copy-on-write).
-				dec, err := f.UnmarshalBorrow(wire)
+				dec, err := f.Unmarshal(wire)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -228,7 +223,7 @@ func TestRegistryRejectsUnknown(t *testing.T) {
 // TestBloomRejectsUnservedStrategies: the bloom backend serves only the
 // seeded64 derivation, the one its batch probe computes from the base
 // hash. A BLMF frame built with the corpus or split128 derivation must be
-// refused by both decoders rather than answered with false negatives.
+// refused by the decoder rather than answered with false negatives.
 func TestBloomRejectsUnservedStrategies(t *testing.T) {
 	f, err := filtercore.ByName("bloom")
 	if err != nil {
@@ -245,10 +240,7 @@ func TestBloomRejectsUnservedStrategies(t *testing.T) {
 			t.Fatal(err)
 		}
 		if _, err := f.Unmarshal(wire); err == nil {
-			t.Errorf("%s: owned decoder accepted the frame", strategy)
-		}
-		if _, err := f.UnmarshalBorrow(wire); err == nil {
-			t.Errorf("%s: borrow decoder accepted the frame", strategy)
+			t.Errorf("%s: decoder accepted the frame", strategy)
 		}
 	}
 }

@@ -13,7 +13,8 @@
 // mutable (Add inserts post-construction) or static (Add returns
 // ErrStaticBackend and the shard layer buffers the key as pending until
 // the next rebuild absorbs it). Backends marshal to a self-describing
-// wire format and unmarshal in borrow mode for zero-copy snapshot loads.
+// wire format and unmarshal zero-copy, aliasing aligned arrays of the
+// snapshot buffer.
 //
 // Backends self-register in an init-time Registry keyed both by a
 // human-facing name (command-line flags, /v1/stats) and a stable wire
@@ -81,7 +82,7 @@ type Backend interface {
 	// that a zero-copy container must place 8-byte aligned.
 	WireAlignOffset() int
 	// Borrowed reports whether the backend still serves from the buffer
-	// it was decoded from (borrow-mode unmarshal, no mutation yet).
+	// it was decoded from (aligned arrays, no mutation yet).
 	Borrowed() bool
 }
 
@@ -135,11 +136,9 @@ type Factory struct {
 	// misidentification costs; families that cannot exploit them ignore
 	// them.
 	Build func(positives [][]byte, negatives []habf.WeightedKey, cfg BuildConfig) (Backend, error)
-	// Unmarshal decodes a MarshalBinary payload into owned memory.
+	// Unmarshal decodes a MarshalBinary payload zero-copy where
+	// alignment allows; the caller keeps data alive and unmodified.
 	Unmarshal func(data []byte) (Backend, error)
-	// UnmarshalBorrow decodes a payload zero-copy where alignment
-	// allows; the caller keeps data alive and unmodified.
-	UnmarshalBorrow func(data []byte) (Backend, error)
 }
 
 var (
@@ -155,7 +154,7 @@ var (
 func Register(f Factory) {
 	regMu.Lock()
 	defer regMu.Unlock()
-	if f.Name == "" || f.Build == nil || f.Unmarshal == nil || f.UnmarshalBorrow == nil || f.InnerName == nil || f.TuningSchema == nil {
+	if f.Name == "" || f.Build == nil || f.Unmarshal == nil || f.InnerName == nil || f.TuningSchema == nil {
 		panic(fmt.Sprintf("filtercore: incomplete factory %+v", f))
 	}
 	if _, dup := byName[f.Name]; dup {

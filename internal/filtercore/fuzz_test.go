@@ -11,9 +11,9 @@ import (
 // FuzzBackendUnmarshal hardens every registered backend's decoder
 // directly, not only through the snapshot container's framing. The first
 // argument picks the backend (an index into filtercore.Names, modulo its
-// length), the second is the payload. A payload that decodes — owned or
-// borrowed — must answer Contains and the batch probe without panicking
-// and must re-marshal without error. The seeds are each backend's
+// length), the second is the payload. A payload that decodes must answer
+// Contains and the batch probe without panicking and must re-marshal
+// without error. The seeds are each backend's
 // MarshalBinary of a small build.
 func FuzzBackendUnmarshal(f *testing.F) {
 	names := filtercore.Names()
@@ -49,21 +49,16 @@ func FuzzBackendUnmarshal(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, mode := range []struct {
-			name   string
-			decode func([]byte) (filtercore.Backend, error)
-		}{{"owned", fac.Unmarshal}, {"borrow", fac.UnmarshalBorrow}} {
-			b, err := mode.decode(data)
-			if err != nil {
-				continue // rejected, fine
-			}
-			for _, key := range probes {
-				b.Contains(key)
-			}
-			b.ContainsBatchInto(dst, probes, probeHashes)
-			if _, err := b.MarshalBinary(); err != nil {
-				t.Fatalf("%s %s: decoded payload does not re-marshal: %v", fac.Name, mode.name, err)
-			}
+		b, err := fac.Unmarshal(data)
+		if err != nil {
+			return // rejected, fine
+		}
+		for _, key := range probes {
+			b.Contains(key)
+		}
+		b.ContainsBatchInto(dst, probes, probeHashes)
+		if _, err := b.MarshalBinary(); err != nil {
+			t.Fatalf("%s: decoded payload does not re-marshal: %v", fac.Name, err)
 		}
 	})
 }

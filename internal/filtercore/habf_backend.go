@@ -77,12 +77,5 @@ func init() {
 			}
 			return &habfBackend{f: f}, nil
 		},
-		UnmarshalBorrow: func(data []byte) (Backend, error) {
-			f, err := habf.UnmarshalFilterBorrow(data)
-			if err != nil {
-				return nil, err
-			}
-			return &habfBackend{f: f}, nil
-		},
 	})
 }

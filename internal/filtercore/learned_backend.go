@@ -116,13 +116,6 @@ func init() {
 			}
 			return &learnedBackend{f: f, kind: KindLBF}, nil
 		},
-		UnmarshalBorrow: func(data []byte) (Backend, error) {
-			f, err := learned.UnmarshalLBFBorrow(data)
-			if err != nil {
-				return nil, err
-			}
-			return &learnedBackend{f: f, kind: KindLBF}, nil
-		},
 	})
 
 	Register(Factory{
@@ -148,13 +141,6 @@ func init() {
 			}
 			return &learnedBackend{f: f, kind: KindSLBF}, nil
 		},
-		UnmarshalBorrow: func(data []byte) (Backend, error) {
-			f, err := learned.UnmarshalSLBFBorrow(data)
-			if err != nil {
-				return nil, err
-			}
-			return &learnedBackend{f: f, kind: KindSLBF}, nil
-		},
 	})
 
 	Register(Factory{
@@ -175,13 +161,6 @@ func init() {
 		},
 		Unmarshal: func(data []byte) (Backend, error) {
 			f, err := learned.UnmarshalAdaBF(data)
-			if err != nil {
-				return nil, err
-			}
-			return &learnedBackend{f: f, kind: KindAdaBF}, nil
-		},
-		UnmarshalBorrow: func(data []byte) (Backend, error) {
-			f, err := learned.UnmarshalAdaBFBorrow(data)
 			if err != nil {
 				return nil, err
 			}

@@ -64,12 +64,5 @@ func init() {
 			}
 			return &phbfBackend{f: f}, nil
 		},
-		UnmarshalBorrow: func(data []byte) (Backend, error) {
-			f, err := phbf.UnmarshalFilterBorrow(data)
-			if err != nil {
-				return nil, err
-			}
-			return &phbfBackend{f: f}, nil
-		},
 	})
 }

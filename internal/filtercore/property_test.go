@@ -79,26 +79,20 @@ func TestBackendProperties(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for mode, unmarshal := range map[string]func([]byte) (filtercore.Backend, error){
-					"owned":  f.Unmarshal,
-					"borrow": f.UnmarshalBorrow,
-				} {
-					dec, err := unmarshal(wire)
-					if err != nil {
-						t.Fatalf("%s unmarshal: %v", mode, err)
-					}
-					again, err := dec.MarshalBinary()
-					if err != nil {
-						t.Fatalf("%s re-marshal: %v", mode, err)
-					}
-					if !bytes.Equal(again, wire) {
-						t.Fatalf("%s: re-marshal is not byte-identical (%d vs %d bytes)",
-							mode, len(again), len(wire))
-					}
-					for i, key := range probes {
-						if dec.Contains(key) != batch[i] {
-							t.Fatalf("%s: decoded filter disagrees on probe %d", mode, i)
-						}
+				dec, err := f.Unmarshal(wire)
+				if err != nil {
+					t.Fatalf("unmarshal: %v", err)
+				}
+				again, err := dec.MarshalBinary()
+				if err != nil {
+					t.Fatalf("re-marshal: %v", err)
+				}
+				if !bytes.Equal(again, wire) {
+					t.Fatalf("re-marshal is not byte-identical (%d vs %d bytes)", len(again), len(wire))
+				}
+				for i, key := range probes {
+					if dec.Contains(key) != batch[i] {
+						t.Fatalf("decoded filter disagrees on probe %d", i)
 					}
 				}
 

@@ -76,12 +76,5 @@ func init() {
 			}
 			return &wbfBackend{f: f}, nil
 		},
-		UnmarshalBorrow: func(data []byte) (Backend, error) {
-			f, err := wbf.UnmarshalFilterBorrow(data)
-			if err != nil {
-				return nil, err
-			}
-			return &wbfBackend{f: f}, nil
-		},
 	})
 }

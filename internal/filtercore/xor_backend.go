@@ -81,12 +81,5 @@ func init() {
 			}
 			return &xorBackend{f: f}, nil
 		},
-		UnmarshalBorrow: func(data []byte) (Backend, error) {
-			f, err := xorfilter.UnmarshalFilterBorrow(data)
-			if err != nil {
-				return nil, err
-			}
-			return &xorBackend{f: f}, nil
-		},
 	})
 }

@@ -127,21 +127,16 @@ func FuzzUnmarshalFilter(f *testing.F) {
 	members := genKeys(8, "fz")
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, decode := range []func([]byte) (*Filter, error){UnmarshalFilter, UnmarshalFilterBorrow} {
-			if g, err := decode(data); err == nil {
-				g.Contains([]byte("probe"))
-				g.Contains(nil)
-				checkBatchParity(t, g, batchAround(data[:min(len(data), 16)], members))
-			}
-		}
 		g, err := UnmarshalFilter(data)
 		if err != nil {
 			return // rejected, fine
 		}
 		// Accepted payloads must be internally consistent: queries don't
-		// panic and a re-marshal is accepted again.
+		// panic, batches agree with single probes and a re-marshal is
+		// accepted again.
 		g.Contains([]byte("probe"))
 		g.Contains(nil)
+		checkBatchParity(t, g, batchAround(data[:min(len(data), 16)], members))
 		out, err := g.MarshalBinary()
 		if err != nil {
 			t.Fatalf("accepted filter failed to marshal: %v", err)

@@ -12,36 +12,18 @@ import (
 // number of concurrent readers; Add (the only mutator) must be externally
 // synchronized against them.
 type Filter struct {
-	bf       *readonlyBits
-	bfBits   *bitset.Bits // write path: serialization and Add
-	bloomLen uint64       // cached bf.Len(), hot on the query path
+	bfBits   *bitset.Bits // the Bloom bit array
+	bloomLen uint64       // cached bfBits.Len(), hot on the query path
 	he       *hashExpressor
 	fam      *family
 	h0       []uint8
 	k        int
 	fast     bool
 	seed     int64
-	borrowed bool // decoded via UnmarshalFilterBorrow (zero-copy load)
 	added    uint64
 	stats    Stats
 	params   Params // defaulted construction params, kept for rebuilds
 }
-
-// readonlyBits narrows *bitset.Bits to the read path so the query-time
-// structure cannot be mutated after construction.
-type readonlyBits struct {
-	bits interface {
-		Test(uint64) bool
-		Len() uint64
-		SizeBytes() uint64
-		FillRatio() float64
-	}
-}
-
-func (r *readonlyBits) Test(i uint64) bool { return r.bits.Test(i) }
-func (r *readonlyBits) Len() uint64        { return r.bits.Len() }
-func (r *readonlyBits) SizeBytes() uint64  { return r.bits.SizeBytes() }
-func (r *readonlyBits) FillRatio() float64 { return r.bits.FillRatio() }
 
 // New constructs an HABF over the positive set with knowledge of the
 // negative keys and their costs, per the TPJO algorithm of §III-D.
@@ -146,7 +128,6 @@ func New(positives [][]byte, negatives []WeightedKey, p Params) (*Filter, error)
 	b.stats.FPRAfter, b.stats.WeightedFPRAfter = b.measureFPR()
 
 	return &Filter{
-		bf:       &readonlyBits{bits: b.bf},
 		bfBits:   b.bf,
 		bloomLen: b.bf.Len(),
 		he:       b.he,
@@ -436,22 +417,22 @@ func (f *Filter) K() int { return f.k }
 // SizeBits returns the query-time footprint: Bloom bits plus HashExpressor
 // cells.
 func (f *Filter) SizeBits() uint64 {
-	return f.bf.SizeBytes()*8 + f.he.SizeBits()
+	return f.bfBits.SizeBytes()*8 + f.he.SizeBits()
 }
 
 // BloomBits returns Δ2, the Bloom filter share of the budget.
-func (f *Filter) BloomBits() uint64 { return f.bf.Len() }
+func (f *Filter) BloomBits() uint64 { return f.bloomLen }
 
 // FillRatio returns the Bloom filter's fraction of set bits.
-func (f *Filter) FillRatio() float64 { return f.bf.FillRatio() }
+func (f *Filter) FillRatio() float64 { return f.bfBits.FillRatio() }
 
 // Stats returns construction statistics.
 func (f *Filter) Stats() Stats { return f.stats }
 
 // Borrowed reports whether any backing array still aliases the buffer the
-// filter was decoded from (UnmarshalFilterBorrow, before any mutation).
+// filter was decoded from (UnmarshalFilter, before any mutation).
 func (f *Filter) Borrowed() bool {
-	return f.borrowed && (f.bfBits.Borrowed() || f.he.cells.Borrowed())
+	return f.bfBits.Borrowed() || f.he.cells.Borrowed()
 }
 
 // BuildParams returns the fully defaulted parameters this filter was

@@ -69,24 +69,14 @@ func WireAlignOffset(k int) int {
 	return 17 + k + 8 + 12 // header | H0 | block length | Bits header
 }
 
-// UnmarshalFilter decodes a filter produced by MarshalBinary into owned
-// memory; data is not retained.
+// UnmarshalFilter decodes a filter produced by MarshalBinary without
+// copying the two large payloads (Bloom bits, HashExpressor cells) when
+// they are 8-byte aligned inside data: the decoded filter then serves
+// queries directly from data, which the caller must keep alive and
+// unmodified. A post-load Add copies the touched array before mutating it
+// (copy-on-first-write), so the buffer is never written. Misaligned or
+// big-endian loads silently degrade to copies.
 func UnmarshalFilter(data []byte) (*Filter, error) {
-	return unmarshalFilter(data, false)
-}
-
-// UnmarshalFilterBorrow decodes a filter produced by MarshalBinary
-// without copying the two large payloads (Bloom bits, HashExpressor
-// cells) when they are 8-byte aligned inside data: the decoded filter
-// then serves queries directly from data, which the caller must keep
-// alive and unmodified. A post-load Add copies the touched array before
-// mutating it (copy-on-first-write), so the buffer is never written.
-// Misaligned or big-endian loads silently degrade to copies.
-func UnmarshalFilterBorrow(data []byte) (*Filter, error) {
-	return unmarshalFilter(data, true)
-}
-
-func unmarshalFilter(data []byte, borrow bool) (*Filter, error) {
 	if len(data) < 17 {
 		return nil, errors.New("habf: truncated filter header")
 	}
@@ -126,19 +116,12 @@ func unmarshalFilter(data []byte, borrow bool) (*Filter, error) {
 		return b, nil
 	}
 
-	unmarshalBits := (*bitset.Bits).UnmarshalBinary
-	unmarshalLanes := (*bitset.Lanes).UnmarshalBinary
-	if borrow {
-		unmarshalBits = (*bitset.Bits).UnmarshalBinaryBorrow
-		unmarshalLanes = (*bitset.Lanes).UnmarshalBinaryBorrow
-	}
-
 	bloomBytes, err := readBlock()
 	if err != nil {
 		return nil, err
 	}
 	var bfBits bitset.Bits
-	if err := unmarshalBits(&bfBits, bloomBytes); err != nil {
+	if err := bfBits.UnmarshalBinaryBorrow(bloomBytes); err != nil {
 		return nil, fmt.Errorf("habf: bloom: %w", err)
 	}
 	cellBytes, err := readBlock()
@@ -146,7 +129,7 @@ func unmarshalFilter(data []byte, borrow bool) (*Filter, error) {
 		return nil, err
 	}
 	var cells bitset.Lanes
-	if err := unmarshalLanes(&cells, cellBytes); err != nil {
+	if err := cells.UnmarshalBinaryBorrow(cellBytes); err != nil {
 		return nil, fmt.Errorf("habf: expressor: %w", err)
 	}
 	if off != len(data) {
@@ -182,8 +165,6 @@ func unmarshalFilter(data []byte, borrow bool) (*Filter, error) {
 		k:     k,
 	}
 	return &Filter{
-		bf:       &readonlyBits{bits: &bfBits},
-		borrowed: borrow,
 		bfBits:   &bfBits,
 		bloomLen: bfBits.Len(),
 		he:       he,

@@ -140,15 +140,13 @@ func TestGoldenWireFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, decode := range []func([]byte) (*Filter, error){UnmarshalFilter, UnmarshalFilterBorrow} {
-		g, err := decode(fixture)
-		if err != nil {
-			t.Fatalf("golden fixture does not decode: %v", err)
-		}
-		for _, k := range pos {
-			if !g.Contains(k) {
-				t.Fatalf("golden fixture lost member %q", k)
-			}
+	g, err := UnmarshalFilter(fixture)
+	if err != nil {
+		t.Fatalf("golden fixture does not decode: %v", err)
+	}
+	for _, k := range pos {
+		if !g.Contains(k) {
+			t.Fatalf("golden fixture lost member %q", k)
 		}
 	}
 }
@@ -159,7 +157,7 @@ func TestBorrowRoundtripMatchesCopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := UnmarshalFilterBorrow(data)
+	g, err := UnmarshalFilter(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,10 +236,8 @@ func TestUnmarshalEmptyArrays(t *testing.T) {
 		t.Fatal("replaceBlocks(nil, nil) changed the payload")
 	}
 	for name, data := range cases {
-		for _, decode := range []func([]byte) (*Filter, error){UnmarshalFilter, UnmarshalFilterBorrow} {
-			if _, err := decode(data); err == nil {
-				t.Errorf("%s: accepted", name)
-			}
+		if _, err := UnmarshalFilter(data); err == nil {
+			t.Errorf("%s: accepted", name)
 		}
 	}
 }

@@ -143,14 +143,6 @@ func decodeModel(data []byte) (Model, int, error) {
 	}
 }
 
-// unmarshalBloom decodes one inner BLMF block, owned or borrowed.
-func unmarshalBloom(data []byte, borrow bool) (*bloom.Filter, error) {
-	if borrow {
-		return bloom.UnmarshalFilterBorrow(data)
-	}
-	return bloom.UnmarshalFilter(data)
-}
-
 // --- LBF ----------------------------------------------------------------
 //
 // Layout (all integers little-endian):
@@ -204,14 +196,9 @@ func (l *LBF) WireAlignOffset() int {
 // buffer.
 func (l *LBF) Borrowed() bool { return l.backup != nil && l.backup.Borrowed() }
 
-// UnmarshalLBF decodes an LBF1 payload into owned memory.
-func UnmarshalLBF(data []byte) (*LBF, error) { return unmarshalLBF(data, false) }
-
-// UnmarshalLBFBorrow decodes an LBF1 payload, borrowing the backup
-// filter's bit array from data where alignment allows.
-func UnmarshalLBFBorrow(data []byte) (*LBF, error) { return unmarshalLBF(data, true) }
-
-func unmarshalLBF(data []byte, borrow bool) (*LBF, error) {
+// UnmarshalLBF decodes an LBF1 payload, borrowing the backup filter's bit
+// array from data where alignment allows (see bloom.UnmarshalFilter).
+func UnmarshalLBF(data []byte) (*LBF, error) {
 	if len(data) < lbfHeaderSize {
 		return nil, fmt.Errorf("learned: LBF payload too short (%d bytes)", len(data))
 	}
@@ -242,7 +229,7 @@ func unmarshalLBF(data []byte, borrow bool) (*LBF, error) {
 	l := &LBF{tau: tau, name: "LBF"}
 	rest := data[lbfHeaderSize+backupLen:]
 	if hasBackup {
-		b, err := unmarshalBloom(data[lbfHeaderSize:lbfHeaderSize+backupLen], borrow)
+		b, err := bloom.UnmarshalFilter(data[lbfHeaderSize : lbfHeaderSize+backupLen])
 		if err != nil {
 			return nil, fmt.Errorf("learned: LBF backup: %w", err)
 		}
@@ -330,14 +317,8 @@ func (s *SLBF) Borrowed() bool {
 	return (s.initial != nil && s.initial.Borrowed()) || s.lbf.Borrowed()
 }
 
-// UnmarshalSLBF decodes an SLB1 payload into owned memory.
-func UnmarshalSLBF(data []byte) (*SLBF, error) { return unmarshalSLBF(data, false) }
-
-// UnmarshalSLBFBorrow decodes an SLB1 payload zero-copy where alignment
-// allows.
-func UnmarshalSLBFBorrow(data []byte) (*SLBF, error) { return unmarshalSLBF(data, true) }
-
-func unmarshalSLBF(data []byte, borrow bool) (*SLBF, error) {
+// UnmarshalSLBF decodes an SLB1 payload zero-copy where alignment allows.
+func UnmarshalSLBF(data []byte) (*SLBF, error) {
 	if len(data) < slbfHeaderSize {
 		return nil, fmt.Errorf("learned: SLBF payload too short (%d bytes)", len(data))
 	}
@@ -366,7 +347,7 @@ func unmarshalSLBF(data []byte, borrow bool) (*SLBF, error) {
 	}
 	out := &SLBF{lbf: &LBF{tau: tau, name: "SLBF"}}
 	if flags&1 != 0 {
-		b, err := unmarshalBloom(data[slbfHeaderSize:slbfHeaderSize+initialLen], borrow)
+		b, err := bloom.UnmarshalFilter(data[slbfHeaderSize : slbfHeaderSize+initialLen])
 		if err != nil {
 			return nil, fmt.Errorf("learned: SLBF initial: %w", err)
 		}
@@ -384,7 +365,7 @@ func unmarshalSLBF(data []byte, borrow bool) (*SLBF, error) {
 		return nil, fmt.Errorf("learned: SLBF backup bytes present without flag")
 	}
 	if flags&2 != 0 {
-		b, err := unmarshalBloom(rest[8:8+backupLen], borrow)
+		b, err := bloom.UnmarshalFilter(rest[8 : 8+backupLen])
 		if err != nil {
 			return nil, fmt.Errorf("learned: SLBF backup: %w", err)
 		}
@@ -465,14 +446,8 @@ func (a *AdaBF) WireAlignOffset() int {
 // buffer.
 func (a *AdaBF) Borrowed() bool { return a.bits != nil && a.bits.Borrowed() }
 
-// UnmarshalAdaBF decodes an ADB1 payload into owned memory.
-func UnmarshalAdaBF(data []byte) (*AdaBF, error) { return unmarshalAdaBF(data, false) }
-
-// UnmarshalAdaBFBorrow decodes an ADB1 payload zero-copy where alignment
-// allows.
-func UnmarshalAdaBFBorrow(data []byte) (*AdaBF, error) { return unmarshalAdaBF(data, true) }
-
-func unmarshalAdaBF(data []byte, borrow bool) (*AdaBF, error) {
+// UnmarshalAdaBF decodes an ADB1 payload zero-copy where alignment allows.
+func UnmarshalAdaBF(data []byte) (*AdaBF, error) {
 	if len(data) < adabfHeaderSize {
 		return nil, fmt.Errorf("learned: Ada-BF payload too short (%d bytes)", len(data))
 	}
@@ -504,7 +479,7 @@ func unmarshalAdaBF(data []byte, borrow bool) (*AdaBF, error) {
 	}
 	a := &AdaBF{}
 	if flags&1 != 0 {
-		b, err := unmarshalBloom(data[adabfHeaderSize:adabfHeaderSize+bitsLen], borrow)
+		b, err := bloom.UnmarshalFilter(data[adabfHeaderSize : adabfHeaderSize+bitsLen])
 		if err != nil {
 			return nil, fmt.Errorf("learned: Ada-BF bit array: %w", err)
 		}

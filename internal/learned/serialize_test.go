@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"testing"
+	"unsafe"
 )
 
 func serializeFixture(n int) (pos, neg [][]byte) {
@@ -47,45 +48,49 @@ func wireFixtures(t *testing.T) map[string]filter {
 	return out
 }
 
-func decodeAs(f filter, data []byte, borrow bool) (filter, error) {
+func decodeAs(f filter, data []byte) (filter, error) {
 	switch f.(type) {
 	case *LBF:
-		if borrow {
-			return UnmarshalLBFBorrow(data)
-		}
 		return UnmarshalLBF(data)
 	case *SLBF:
-		if borrow {
-			return UnmarshalSLBFBorrow(data)
-		}
 		return UnmarshalSLBF(data)
 	case *AdaBF:
-		if borrow {
-			return UnmarshalAdaBFBorrow(data)
-		}
 		return UnmarshalAdaBF(data)
 	}
 	panic("unknown filter type")
 }
 
-// TestWireRoundTrip: decode (owned and borrowed) must reproduce the
-// exact query behavior and re-marshal byte-identically — the contract
-// snapshot container dedup and replica shipping rely on.
+// placeWire copies wire into a fresh buffer whose byte off sits at an
+// address congruent to mis modulo 8: mis 0 lets the decoder alias the
+// aligned bit arrays, any other value forces its copy fallback.
+func placeWire(wire []byte, off, mis int) []byte {
+	buf := make([]byte, len(wire)+8)
+	base := int(uintptr(unsafe.Pointer(&buf[0])) % 8)
+	shift := ((mis-base-off)%8 + 8) % 8
+	out := buf[shift : shift+len(wire)]
+	copy(out, wire)
+	return out
+}
+
+// TestWireRoundTrip: decoding an aligned payload (borrow: the bit arrays
+// alias it) and a misaligned one (owned: the decoder copies) must both
+// reproduce the exact query behavior and re-marshal byte-identically —
+// the contract snapshot container dedup and replica shipping rely on.
 func TestWireRoundTrip(t *testing.T) {
 	pos, neg := serializeFixture(400)
 	probes := append(append([][]byte{}, pos...), neg...)
 	for name, f := range wireFixtures(t) {
-		for _, borrow := range []bool{false, true} {
-			mode := "owned"
-			if borrow {
-				mode = "borrow"
-			}
+		for _, mode := range []string{"owned", "borrow"} {
 			t.Run(name+"/"+mode, func(t *testing.T) {
 				wire, err := f.MarshalBinary()
 				if err != nil {
 					t.Fatal(err)
 				}
-				g, err := decodeAs(f, wire, borrow)
+				mis := 0
+				if mode == "owned" {
+					mis = 1
+				}
+				g, err := decodeAs(f, placeWire(wire, f.WireAlignOffset(), mis))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -104,8 +109,8 @@ func TestWireRoundTrip(t *testing.T) {
 				if !bytes.Equal(wire, again) {
 					t.Fatal("re-marshal is not byte-identical")
 				}
-				if !borrow && g.Borrowed() {
-					t.Fatal("owned decode reports Borrowed")
+				if mode == "owned" && g.Borrowed() {
+					t.Fatal("misaligned decode reports Borrowed")
 				}
 			})
 		}
@@ -183,10 +188,8 @@ func TestHostilePayloadsRejected(t *testing.T) {
 			muts["hostile group count"] = hugeGroups
 		}
 		for mname, data := range muts {
-			for _, borrow := range []bool{false, true} {
-				if _, err := decodeAs(tc.f, data, borrow); err == nil {
-					t.Errorf("%s/%s (borrow=%v): hostile payload accepted", tc.name, mname, borrow)
-				}
+			if _, err := decodeAs(tc.f, data); err == nil {
+				t.Errorf("%s/%s: hostile payload accepted", tc.name, mname)
 			}
 		}
 	}
@@ -237,9 +240,7 @@ func TestHostileInnerBloomRejected(t *testing.T) {
 	// The backup BLMF block starts right after the LBF header; smash its
 	// magic.
 	corrupt[lbfHeaderSize] ^= 0xFF
-	for _, borrow := range []bool{false, true} {
-		if _, err := decodeAs(fx["lbf-logistic"], corrupt, borrow); err == nil {
-			t.Errorf("borrow=%v: wrong inner-bloom magic accepted", borrow)
-		}
+	if _, err := UnmarshalLBF(corrupt); err == nil {
+		t.Error("wrong inner-bloom magic accepted")
 	}
 }

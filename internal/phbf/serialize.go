@@ -70,23 +70,13 @@ func (f *Filter) MarshalBinary() ([]byte, error) {
 	return append(out, bits...), nil
 }
 
-// UnmarshalFilter decodes a filter produced by MarshalBinary into owned
-// memory; data is not retained.
-func UnmarshalFilter(data []byte) (*Filter, error) {
-	return unmarshalFilter(data, false)
-}
-
-// UnmarshalFilterBorrow decodes a filter produced by MarshalBinary
+// UnmarshalFilter decodes a filter produced by MarshalBinary
 // without copying the bit array when it is 8-byte aligned inside data:
 // the filter then serves queries directly from data, which the caller
 // must keep alive and unmodified. A PHBF is static — the partition
 // greedy cannot absorb inserts — so the borrow is never released by a
 // mutation. The seed table is always copied (it is small).
-func UnmarshalFilterBorrow(data []byte) (*Filter, error) {
-	return unmarshalFilter(data, true)
-}
-
-func unmarshalFilter(data []byte, borrow bool) (*Filter, error) {
+func UnmarshalFilter(data []byte) (*Filter, error) {
 	if len(data) < headerSize {
 		return nil, errors.New("phbf: truncated filter header")
 	}
@@ -122,12 +112,8 @@ func unmarshalFilter(data []byte, borrow bool) (*Filter, error) {
 		return nil, errors.New("phbf: bits block length mismatch")
 	}
 
-	unmarshalBits := (*bitset.Bits).UnmarshalBinary
-	if borrow {
-		unmarshalBits = (*bitset.Bits).UnmarshalBinaryBorrow
-	}
 	var bits bitset.Bits
-	if err := unmarshalBits(&bits, data[seedEnd+8:]); err != nil {
+	if err := bits.UnmarshalBinaryBorrow(data[seedEnd+8:]); err != nil {
 		return nil, fmt.Errorf("phbf: %w", err)
 	}
 	if bits.Len() == 0 {
@@ -142,5 +128,5 @@ func unmarshalFilter(data []byte, borrow bool) (*Filter, error) {
 }
 
 // Borrowed reports whether the filter still serves from the buffer it
-// was decoded from (UnmarshalFilterBorrow on an aligned payload).
+// was decoded from (UnmarshalFilter on an aligned payload).
 func (f *Filter) Borrowed() bool { return f.bits.Borrowed() }

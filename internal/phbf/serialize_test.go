@@ -25,39 +25,34 @@ func TestSerializeRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for mode, unmarshal := range map[string]func([]byte) (*Filter, error){
-		"owned":  UnmarshalFilter,
-		"borrow": UnmarshalFilterBorrow,
-	} {
-		g, err := unmarshal(wire)
-		if err != nil {
-			t.Fatalf("%s: %v", mode, err)
+	g, err := UnmarshalFilter(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.K() != f.K() || g.Groups() != f.Groups() || g.SizeBits() != f.SizeBits() {
+		t.Fatalf("decoded shape k=%d groups=%d size=%d, want k=%d groups=%d size=%d",
+			g.K(), g.Groups(), g.SizeBits(), f.K(), f.Groups(), f.SizeBits())
+	}
+	for _, key := range keys {
+		if !g.Contains(key) {
+			t.Fatalf("false negative for %q", key)
 		}
-		if g.K() != f.K() || g.Groups() != f.Groups() || g.SizeBits() != f.SizeBits() {
-			t.Fatalf("%s: decoded shape k=%d groups=%d size=%d, want k=%d groups=%d size=%d",
-				mode, g.K(), g.Groups(), g.SizeBits(), f.K(), f.Groups(), f.SizeBits())
+	}
+	// The per-group seeds are the filter's whole point: any seed
+	// corruption changes which positions a group's keys probe, so the
+	// decoded filter must agree on arbitrary probes, not just members.
+	for i := 0; i < 2000; i++ {
+		probe := []byte(fmt.Sprintf("phbf-probe-%06d", i))
+		if g.Contains(probe) != f.Contains(probe) {
+			t.Fatalf("decoded filter disagrees on %q", probe)
 		}
-		for _, key := range keys {
-			if !g.Contains(key) {
-				t.Fatalf("%s: false negative for %q", mode, key)
-			}
-		}
-		// The per-group seeds are the filter's whole point: any seed
-		// corruption changes which positions a group's keys probe, so the
-		// decoded filter must agree on arbitrary probes, not just members.
-		for i := 0; i < 2000; i++ {
-			probe := []byte(fmt.Sprintf("phbf-probe-%06d", i))
-			if g.Contains(probe) != f.Contains(probe) {
-				t.Fatalf("%s: decoded filter disagrees on %q", mode, probe)
-			}
-		}
-		again, err := g.MarshalBinary()
-		if err != nil {
-			t.Fatalf("%s: re-marshal: %v", mode, err)
-		}
-		if string(again) != string(wire) {
-			t.Fatalf("%s: re-marshal is not byte-identical", mode)
-		}
+	}
+	again, err := g.MarshalBinary()
+	if err != nil {
+		t.Fatalf("re-marshal: %v", err)
+	}
+	if string(again) != string(wire) {
+		t.Fatal("re-marshal is not byte-identical")
 	}
 }
 
@@ -96,9 +91,6 @@ func TestSerializeRejectsHostileInput(t *testing.T) {
 	for name, data := range cases {
 		if _, err := UnmarshalFilter(data); err == nil {
 			t.Errorf("%s: hostile input accepted", name)
-		}
-		if _, err := UnmarshalFilterBorrow(data); err == nil {
-			t.Errorf("%s: hostile input accepted in borrow mode", name)
 		}
 	}
 }

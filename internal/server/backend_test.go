@@ -49,7 +49,8 @@ func TestServerBackendEndToEnd(t *testing.T) {
 		backend := backend
 		t.Run(backend, func(t *testing.T) {
 			filter, data := newBackendFilter(t, backend, 1500)
-			_, hs := newTestServer(t, filter, Config{})
+			path := filepath.Join(t.TempDir(), "backend.snap")
+			_, hs := newTestServer(t, filter, Config{SnapshotPath: path})
 
 			// Members answer true over both body forms; negatives agree
 			// with the direct filter.
@@ -114,8 +115,7 @@ func TestServerBackendEndToEnd(t *testing.T) {
 
 			// Snapshot through the API, restore with the public loader:
 			// the backend round-trips and no acked key is lost.
-			path := filepath.Join(t.TempDir(), "backend.snap")
-			resp, body := postJSON(t, hs.URL+"/v1/snapshot", map[string]any{"path": path})
+			resp, body := postJSON(t, hs.URL+"/v1/snapshot", nil)
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("snapshot: HTTP %d: %s", resp.StatusCode, body)
 			}

@@ -9,7 +9,7 @@
 //	POST /v1/contains        {"key": <base64>}            → {"present": bool}
 //	POST /v1/contains_batch  {"keys": [<base64>, ...]}    → {"present": [bool, ...]}
 //	POST /v1/add             {"key": <base64>}            → {"ok": true}
-//	POST /v1/snapshot        {"path": "..."} (optional)   → {"path": ..., "ms": ...}
+//	POST /v1/snapshot        (no body, or {})             → {"path": ..., "ms": ...}
 //	GET  /v1/snapshot                                     → the snapshot container itself (octet-stream)
 //	GET  /v1/epoch                                        → the filter mutation epoch, as decimal text
 //	GET  /v1/stats                                        → filter + shard + coalescer stats
@@ -69,8 +69,9 @@ var errBodyTooLarge = errors.New("request body exceeds " + strconv.Itoa(maxBodyB
 type Config struct {
 	// Filter is the sharded filter to serve. Required.
 	Filter *habf.Sharded
-	// SnapshotPath is the default target for POST /v1/snapshot and for
-	// snapshot-on-exit. Empty means snapshot requests must name a path.
+	// SnapshotPath is the only file POST /v1/snapshot and
+	// snapshot-on-exit write; clients cannot name another. Empty disables
+	// POST /v1/snapshot.
 	SnapshotPath string
 	// Primary is the primary's base URL (e.g. "http://10.0.0.1:8080"),
 	// set on a replication follower: a write the read-only filter
@@ -90,7 +91,7 @@ type Server struct {
 	snapPath string
 	primary  string
 
-	// snapMu serializes snapshot writes to the default path so two
+	// snapMu serializes snapshot writes to snapPath so two
 	// concurrent /v1/snapshot calls don't interleave their progress
 	// reporting (SaveFile itself is already crash-safe under races).
 	snapMu sync.Mutex
@@ -237,22 +238,19 @@ func (s *Server) Coalescer() *Coalescer { return s.co }
 // during the drain keep getting correct answers on the direct path.
 func (s *Server) Close() { s.co.Close() }
 
-// Snapshot writes the filter's current state to path (or the configured
-// default when path is empty) via the crash-safe SaveFile.
-func (s *Server) Snapshot(path string) (string, time.Duration, error) {
-	if path == "" {
-		path = s.snapPath
-	}
-	if path == "" {
+// Snapshot writes the filter's current state to Config.SnapshotPath via
+// the crash-safe SaveFile and returns that path.
+func (s *Server) Snapshot() (string, time.Duration, error) {
+	if s.snapPath == "" {
 		return "", 0, fmt.Errorf("server: no snapshot path configured")
 	}
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
 	start := time.Now()
-	if err := s.Filter().SaveFile(path); err != nil {
+	if err := s.Filter().SaveFile(s.snapPath); err != nil {
 		return "", 0, err
 	}
-	return path, time.Since(start), nil
+	return s.snapPath, time.Since(start), nil
 }
 
 func (s *Server) fail(w http.ResponseWriter, code int, format string, args ...any) {
@@ -484,9 +482,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSnapshot serves two verbs on one path: POST writes a crash-safe
-// checkpoint to a server-side file (the operator form), GET streams the
-// same container to the caller (the replication form — a follower's
-// bootstrap and resync both ride it).
+// checkpoint to the operator's Config.SnapshotPath, GET streams the
+// filter to the caller (the replication form — a follower's bootstrap
+// and resync both ride it). POST takes no parameters: a body naming any
+// field, "path" included, is refused, so a client that can reach the
+// port cannot make the server write anywhere else.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if r.Method == http.MethodGet {
 		s.handleSnapshotDownload(w)
@@ -496,25 +496,27 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusMethodNotAllowed, "GET or POST required")
 		return
 	}
-	var req struct {
-		Path string `json:"path"`
-	}
 	if r.ContentLength != 0 {
 		body, err := readBody(r)
 		if err != nil {
 			s.failErr(w, "snapshot", err)
 			return
 		}
-		if err := json.Unmarshal(body, &req); err != nil {
+		var fields map[string]json.RawMessage
+		if err := json.Unmarshal(body, &fields); err != nil {
 			s.fail(w, http.StatusBadRequest, "snapshot: bad JSON body: %v", err)
 			return
 		}
+		if len(fields) != 0 {
+			s.fail(w, http.StatusBadRequest, "snapshot: the body takes no fields; the server writes only its configured snapshot path")
+			return
+		}
 	}
-	if req.Path == "" && s.snapPath == "" {
-		s.fail(w, http.StatusBadRequest, "snapshot: no path given and no default configured")
+	if s.snapPath == "" {
+		s.fail(w, http.StatusBadRequest, "snapshot: no snapshot path configured")
 		return
 	}
-	path, took, err := s.Snapshot(req.Path)
+	path, took, err := s.Snapshot()
 	if err != nil {
 		s.fail(w, http.StatusInternalServerError, "snapshot: %v", err)
 		return

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/base64"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -185,10 +188,10 @@ func TestAddThenContains(t *testing.T) {
 // the public loader: the restored filter must serve every member.
 func TestSnapshotRoundTrip(t *testing.T) {
 	filter, data := newTestFilter(t, 2000)
-	_, hs := newTestServer(t, filter, Config{})
-
 	path := filepath.Join(t.TempDir(), "filter.snap")
-	resp, body := postJSON(t, hs.URL+"/v1/snapshot", map[string]any{"path": path})
+	_, hs := newTestServer(t, filter, Config{SnapshotPath: path})
+
+	resp, body := postJSON(t, hs.URL+"/v1/snapshot", map[string]any{})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("snapshot: HTTP %d: %s", resp.StatusCode, body)
 	}
@@ -228,6 +231,31 @@ func TestSnapshotDefaultPath(t *testing.T) {
 	}
 	if _, err := habf.LoadFile(path); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSnapshotRejectsClientPath: POST /v1/snapshot writes only the
+// operator's configured path. A body naming a path is refused with 400
+// and writes no file, neither the named one nor the configured one, with
+// or without a configured path.
+func TestSnapshotRejectsClientPath(t *testing.T) {
+	filter, _ := newTestFilter(t, 300)
+	dir := t.TempDir()
+	configured := filepath.Join(dir, "operator.snap")
+	named := filepath.Join(dir, "client.snap")
+	for _, cfg := range []Config{{SnapshotPath: configured}, {}} {
+		_, hs := newTestServer(t, filter, cfg)
+		for _, body := range []map[string]any{{"path": named}, {"path": ""}, {"dir": dir}} {
+			resp, out := postJSON(t, hs.URL+"/v1/snapshot", body)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("config %+v, body %v: HTTP %d (%s), want 400", cfg, body, resp.StatusCode, out)
+			}
+		}
+		for _, p := range []string{configured, named} {
+			if _, err := os.Stat(p); !errors.Is(err, fs.ErrNotExist) {
+				t.Fatalf("config %+v: a refused snapshot request left %s (stat: %v)", cfg, p, err)
+			}
+		}
 	}
 }
 

@@ -72,12 +72,9 @@ func httpContainsBatch(base string, keys [][]byte) ([]bool, error) {
 	return decoded.Present, nil
 }
 
-func httpSnapshot(base, path string) error {
-	body, err := json.Marshal(map[string]any{"path": path})
-	if err != nil {
-		return err
-	}
-	resp, err := http.Post(base+"/v1/snapshot", "application/json", bytes.NewReader(body))
+// httpSnapshot checkpoints the server to its Config.SnapshotPath.
+func httpSnapshot(base string) error {
+	resp, err := http.Post(base+"/v1/snapshot", "application/json", nil)
 	if err != nil {
 		return err
 	}
@@ -105,8 +102,9 @@ func TestServerTorture(t *testing.T) {
 		backend := backend
 		t.Run(backend, func(t *testing.T) {
 			filter, data := newBackendFilter(t, backend, 1200)
-			_, hs := newTestServer(t, filter, Config{})
 			dir := t.TempDir()
+			gen1Path := filepath.Join(dir, "gen1.snap")
+			_, hs := newTestServer(t, filter, Config{SnapshotPath: gen1Path})
 
 			const (
 				writers   = 2
@@ -187,12 +185,11 @@ func TestServerTorture(t *testing.T) {
 				// Snapshots racing the writers: each must be internally
 				// consistent (Load validates CRCs and restores cleanly).
 				for i := 0; i < 3; i++ {
-					path := filepath.Join(dir, fmt.Sprintf("mid-%d.snap", i))
-					if err := httpSnapshot(hs.URL, path); err != nil {
+					if err := httpSnapshot(hs.URL); err != nil {
 						errc <- err
 						return
 					}
-					if _, err := habf.LoadFile(path); err != nil {
+					if _, err := habf.LoadFile(gen1Path); err != nil {
 						errc <- fmt.Errorf("mid-traffic snapshot %d does not restore: %w", i, err)
 					}
 				}
@@ -205,8 +202,7 @@ func TestServerTorture(t *testing.T) {
 
 			// Every write acked: the post-traffic snapshot must hold all of
 			// them.
-			gen1Path := filepath.Join(dir, "gen1.snap")
-			if err := httpSnapshot(hs.URL, gen1Path); err != nil {
+			if err := httpSnapshot(hs.URL); err != nil {
 				t.Fatal(err)
 			}
 			restored, err := habf.LoadFile(gen1Path)
@@ -215,7 +211,8 @@ func TestServerTorture(t *testing.T) {
 			}
 
 			// Serve the restored set and add through it.
-			_, hs2 := newTestServer(t, restored, Config{})
+			gen2Path := filepath.Join(dir, "gen2.snap")
+			_, hs2 := newTestServer(t, restored, Config{SnapshotPath: gen2Path})
 			var postRestore [][]byte
 			for i := 0; i < 60; i++ {
 				key := []byte(fmt.Sprintf("tort-post-%s-%06d", backend, i))
@@ -224,8 +221,7 @@ func TestServerTorture(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			gen2Path := filepath.Join(dir, "gen2.snap")
-			if err := httpSnapshot(hs2.URL, gen2Path); err != nil {
+			if err := httpSnapshot(hs2.URL); err != nil {
 				t.Fatalf("snapshot of restored set with post-restore adds: %v", err)
 			}
 

@@ -151,7 +151,7 @@ func (s *Set) snapshotMeta() snapshot.Meta {
 }
 
 // Restore rebuilds a Set from a decoded snapshot without copying filter
-// payloads or keys: every shard filter is decoded in borrow mode —
+// payloads or keys: every shard filter is decoded zero-copy —
 // dispatched through the filtercore registry by the backend kind
 // recorded in the container header — and serves queries directly from
 // the snapshot's backing buffer, and the keys alias it too, so the
@@ -254,7 +254,7 @@ func Restore(snap *snapshot.Snapshot) (*Set, error) {
 			params:     p,
 		}
 		if len(fr.Payload) > 0 {
-			f, err := backend.UnmarshalBorrow(fr.Payload)
+			f, err := backend.Unmarshal(fr.Payload)
 			if err != nil {
 				return nil, fmt.Errorf("shard %d: %w", i, err)
 			}

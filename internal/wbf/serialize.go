@@ -59,7 +59,7 @@ const WireAlignOffset = headerSize + 12
 // elevated) count, so Add inserts with whichever is larger — positions
 // are a prefix of one double-hash sequence, so the larger count covers
 // both. Add must be externally synchronized against readers (the shard
-// layer provides that); on a borrow-mode filter the first Add copies
+// layer provides that); on a borrowed filter (Borrowed) the first Add copies
 // the bit array before mutating it, never writing the snapshot buffer.
 func (f *Filter) Add(key []byte) {
 	f.add(key, f.insertK(key))
@@ -112,23 +112,13 @@ func (f *Filter) MarshalBinary() ([]byte, error) {
 	return out, nil
 }
 
-// UnmarshalFilter decodes a filter produced by MarshalBinary into owned
-// memory; data is not retained.
-func UnmarshalFilter(data []byte) (*Filter, error) {
-	return unmarshalFilter(data, false)
-}
-
-// UnmarshalFilterBorrow decodes a filter produced by MarshalBinary
+// UnmarshalFilter decodes a filter produced by MarshalBinary
 // without copying the bit array when it is 8-byte aligned inside data:
 // the filter then serves queries directly from data, which the caller
 // must keep alive and unmodified. A post-load Add copies the array
 // before mutating it (copy-on-first-write), never writing data. The
 // cost cache is always copied (it is rebuilt as a map either way).
-func UnmarshalFilterBorrow(data []byte) (*Filter, error) {
-	return unmarshalFilter(data, true)
-}
-
-func unmarshalFilter(data []byte, borrow bool) (*Filter, error) {
+func UnmarshalFilter(data []byte) (*Filter, error) {
 	if len(data) < headerSize {
 		return nil, errors.New("wbf: truncated filter header")
 	}
@@ -159,13 +149,9 @@ func unmarshalFilter(data []byte, borrow bool) (*Filter, error) {
 		return nil, fmt.Errorf("wbf: implausible cache entry count %d for %d bytes", cacheCount64, rest-bitsLen64)
 	}
 
-	unmarshalBits := (*bitset.Bits).UnmarshalBinary
-	if borrow {
-		unmarshalBits = (*bitset.Bits).UnmarshalBinaryBorrow
-	}
 	var bits bitset.Bits
 	bitsEnd := headerSize + int(bitsLen64)
-	if err := unmarshalBits(&bits, data[headerSize:bitsEnd]); err != nil {
+	if err := bits.UnmarshalBinaryBorrow(data[headerSize:bitsEnd]); err != nil {
 		return nil, fmt.Errorf("wbf: %w", err)
 	}
 	if bits.Len() == 0 {
@@ -212,5 +198,5 @@ func unmarshalFilter(data []byte, borrow bool) (*Filter, error) {
 }
 
 // Borrowed reports whether the filter still serves from the buffer it
-// was decoded from (UnmarshalFilterBorrow before any mutation).
+// was decoded from (UnmarshalFilter before any mutation).
 func (f *Filter) Borrowed() bool { return f.bits.Borrowed() }

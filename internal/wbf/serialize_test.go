@@ -27,46 +27,41 @@ func TestSerializeRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for mode, unmarshal := range map[string]func([]byte) (*Filter, error){
-		"owned":  UnmarshalFilter,
-		"borrow": UnmarshalFilterBorrow,
-	} {
-		g, err := unmarshal(wire)
-		if err != nil {
-			t.Fatalf("%s: %v", mode, err)
+	g, err := UnmarshalFilter(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.baseK != f.baseK || g.minK != f.minK || g.maxK != f.maxK ||
+		g.avgCost != f.avgCost || g.CacheSize() != f.CacheSize() {
+		t.Fatal("decoded shape differs")
+	}
+	for _, key := range pos {
+		if !g.Contains(key) {
+			t.Fatalf("false negative for %q", key)
 		}
-		if g.baseK != f.baseK || g.minK != f.minK || g.maxK != f.maxK ||
-			g.avgCost != f.avgCost || g.CacheSize() != f.CacheSize() {
-			t.Fatalf("%s: decoded shape differs", mode)
+	}
+	// The per-key hash-count cache must survive: cached costly
+	// negatives are probed with their elevated k, so any cache loss
+	// would silently change their false-positive behavior.
+	for _, n := range neg {
+		if g.Contains(n.Key) != f.Contains(n.Key) {
+			t.Fatalf("decoded filter disagrees on cached negative %q", n.Key)
 		}
-		for _, key := range pos {
-			if !g.Contains(key) {
-				t.Fatalf("%s: false negative for %q", mode, key)
-			}
+	}
+	for i := 0; i < 2000; i++ {
+		probe := []byte(fmt.Sprintf("wbf-probe-%06d", i))
+		if g.Contains(probe) != f.Contains(probe) {
+			t.Fatalf("decoded filter disagrees on %q", probe)
 		}
-		// The per-key hash-count cache must survive: cached costly
-		// negatives are probed with their elevated k, so any cache loss
-		// would silently change their false-positive behavior.
-		for _, n := range neg {
-			if g.Contains(n.Key) != f.Contains(n.Key) {
-				t.Fatalf("%s: decoded filter disagrees on cached negative %q", mode, n.Key)
-			}
-		}
-		for i := 0; i < 2000; i++ {
-			probe := []byte(fmt.Sprintf("wbf-probe-%06d", i))
-			if g.Contains(probe) != f.Contains(probe) {
-				t.Fatalf("%s: decoded filter disagrees on %q", mode, probe)
-			}
-		}
-		// Re-marshal must be byte-identical: the cache is written in
-		// sorted key order precisely so the map round-trips canonically.
-		again, err := g.MarshalBinary()
-		if err != nil {
-			t.Fatalf("%s: re-marshal: %v", mode, err)
-		}
-		if string(again) != string(wire) {
-			t.Fatalf("%s: re-marshal is not byte-identical", mode)
-		}
+	}
+	// Re-marshal must be byte-identical: the cache is written in
+	// sorted key order precisely so the map round-trips canonically.
+	again, err := g.MarshalBinary()
+	if err != nil {
+		t.Fatalf("re-marshal: %v", err)
+	}
+	if string(again) != string(wire) {
+		t.Fatal("re-marshal is not byte-identical")
 	}
 }
 
@@ -77,7 +72,7 @@ func TestSerializeBorrowCopyOnWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := append([]byte(nil), wire...)
-	g, err := UnmarshalFilterBorrow(wire)
+	g, err := UnmarshalFilter(wire)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,9 +129,6 @@ func TestSerializeRejectsHostileInput(t *testing.T) {
 	for name, data := range cases {
 		if _, err := UnmarshalFilter(data); err == nil {
 			t.Errorf("%s: hostile input accepted", name)
-		}
-		if _, err := UnmarshalFilterBorrow(data); err == nil {
-			t.Errorf("%s: hostile input accepted in borrow mode", name)
 		}
 	}
 }

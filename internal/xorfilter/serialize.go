@@ -52,22 +52,12 @@ func (f *Filter) MarshalBinary() ([]byte, error) {
 	return append(out, lanes...), nil
 }
 
-// UnmarshalFilter decodes a filter produced by MarshalBinary into owned
-// memory; data is not retained.
-func UnmarshalFilter(data []byte) (*Filter, error) {
-	return unmarshalFilter(data, false)
-}
-
-// UnmarshalFilterBorrow decodes a filter produced by MarshalBinary
+// UnmarshalFilter decodes a filter produced by MarshalBinary
 // without copying the fingerprint table when it is 8-byte aligned inside
 // data: the filter then serves queries directly from data, which the
 // caller must keep alive and unmodified. A Xor filter is immutable, so
 // the borrow is never released by a mutation.
-func UnmarshalFilterBorrow(data []byte) (*Filter, error) {
-	return unmarshalFilter(data, true)
-}
-
-func unmarshalFilter(data []byte, borrow bool) (*Filter, error) {
+func UnmarshalFilter(data []byte) (*Filter, error) {
 	if len(data) < headerSize+8 {
 		return nil, errors.New("xorfilter: truncated filter header")
 	}
@@ -85,12 +75,8 @@ func unmarshalFilter(data []byte, borrow bool) (*Filter, error) {
 		return nil, errors.New("xorfilter: lanes block length mismatch")
 	}
 
-	unmarshalLanes := (*bitset.Lanes).UnmarshalBinary
-	if borrow {
-		unmarshalLanes = (*bitset.Lanes).UnmarshalBinaryBorrow
-	}
 	var lanes bitset.Lanes
-	if err := unmarshalLanes(&lanes, data[headerSize+8:]); err != nil {
+	if err := lanes.UnmarshalBinaryBorrow(data[headerSize+8:]); err != nil {
 		return nil, fmt.Errorf("xorfilter: %w", err)
 	}
 	if lanes.Width() == 0 || lanes.Width() > 32 {
@@ -113,5 +99,5 @@ func unmarshalFilter(data []byte, borrow bool) (*Filter, error) {
 }
 
 // Borrowed reports whether the filter still serves from the buffer it
-// was decoded from (UnmarshalFilterBorrow on an aligned payload).
+// was decoded from (UnmarshalFilter on an aligned payload).
 func (f *Filter) Borrowed() bool { return f.fingerprints.Borrowed() }

@@ -25,39 +25,30 @@ func TestSerializeRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for mode, unmarshal := range map[string]func([]byte) (*Filter, error){
-		"owned":  UnmarshalFilter,
-		"borrow": UnmarshalFilterBorrow,
-	} {
-		g, err := unmarshal(wire)
-		if err != nil {
-			t.Fatalf("%s: %v", mode, err)
-		}
-		if g.Width() != f.Width() || g.Count() != f.Count() || g.SizeBits() != f.SizeBits() {
-			t.Fatalf("%s: decoded shape w=%d n=%d bits=%d, want w=%d n=%d bits=%d",
-				mode, g.Width(), g.Count(), g.SizeBits(), f.Width(), f.Count(), f.SizeBits())
-		}
-		for _, key := range keys {
-			if !g.Contains(key) {
-				t.Fatalf("%s: false negative for %q", mode, key)
-			}
-		}
-		for i := 0; i < 2000; i++ {
-			probe := []byte(fmt.Sprintf("xser-probe-%06d", i))
-			if g.Contains(probe) != f.Contains(probe) {
-				t.Fatalf("%s: decoded filter disagrees on %q", mode, probe)
-			}
-		}
-	}
-	// Borrow mode must actually engage on an aligned heap buffer (the
-	// marshal output starts at a word-aligned allocation and the lanes
-	// payload offset is a multiple of 8).
-	g, err := UnmarshalFilterBorrow(wire)
+	g, err := UnmarshalFilter(wire)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if g.Width() != f.Width() || g.Count() != f.Count() || g.SizeBits() != f.SizeBits() {
+		t.Fatalf("decoded shape w=%d n=%d bits=%d, want w=%d n=%d bits=%d",
+			g.Width(), g.Count(), g.SizeBits(), f.Width(), f.Count(), f.SizeBits())
+	}
+	for _, key := range keys {
+		if !g.Contains(key) {
+			t.Fatalf("false negative for %q", key)
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		probe := []byte(fmt.Sprintf("xser-probe-%06d", i))
+		if g.Contains(probe) != f.Contains(probe) {
+			t.Fatalf("decoded filter disagrees on %q", probe)
+		}
+	}
+	// The decode should alias an aligned heap buffer (the marshal output
+	// starts at a word-aligned allocation and the lanes payload offset is
+	// a multiple of 8).
 	if !g.Borrowed() {
-		t.Log("borrow mode degraded to a copy (alignment); allowed but unexpected on amd64")
+		t.Log("decode degraded to a copy (alignment); allowed but unexpected on amd64")
 	}
 }
 

@@ -80,6 +80,33 @@ func TestOperationsBackendRow(t *testing.T) {
 	}
 }
 
+// TestReadmeFuzzTargets pins the README's CI list to the fuzz job: every
+// target CI runs with -fuzz= must be named in README.md.
+func TestReadmeFuzzTargets(t *testing.T) {
+	ci, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatalf("read ci.yml: %v", err)
+	}
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatalf("read README: %v", err)
+	}
+	targets := 0
+	for _, field := range strings.Fields(string(ci)) {
+		name, ok := strings.CutPrefix(field, "-fuzz=")
+		if !ok {
+			continue
+		}
+		targets++
+		if !strings.Contains(string(readme), "`"+name+"`") {
+			t.Errorf("CI fuzzes %s, which README does not name", name)
+		}
+	}
+	if targets == 0 {
+		t.Fatal("ci.yml runs no -fuzz= target")
+	}
+}
+
 // knobRow is one parsed row of the README's tuning table.
 type knobRow struct {
 	backend, knob, typ, domain, def string
