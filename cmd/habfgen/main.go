@@ -13,7 +13,6 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"os"
@@ -48,51 +47,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "habfgen:", err)
 		os.Exit(1)
 	}
-	writeLines := func(path string, lines func(w *bufio.Writer) error) error {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		w := bufio.NewWriter(f)
-		if err := lines(w); err != nil {
-			f.Close()
-			return err
-		}
-		if err := w.Flush(); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	}
-
 	base := filepath.Join(*out, *name)
-	err := writeLines(base+".positive", func(w *bufio.Writer) error {
-		for _, k := range pair.Positives {
-			if _, err := fmt.Fprintf(w, "%s\n", k); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+	err := dataset.SaveKeys(base+".positive", pair.Positives)
 	if err == nil {
-		err = writeLines(base+".negative", func(w *bufio.Writer) error {
-			for _, k := range pair.Negatives {
-				if _, err := fmt.Fprintf(w, "%s\n", k); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
+		err = dataset.SaveKeys(base+".negative", pair.Negatives)
 	}
 	if err == nil {
-		err = writeLines(base+".costs", func(w *bufio.Writer) error {
-			for _, c := range costs {
-				if _, err := fmt.Fprintf(w, "%g\n", c); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
+		err = dataset.SaveCosts(base+".costs", costs)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "habfgen:", err)

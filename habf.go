@@ -51,15 +51,17 @@
 // (internal/filtercore): WithBackend selects the family every shard is
 // built with — "habf" (default), "bloom" (standard Bloom, mutable),
 // "wbf" (Weighted Bloom, mutable and cost-aware), or the static "xor"
-// (Xor filter) and "phbf" (partitioned hashing), whose Adds are
-// buffered as pending and absorbed by the next rebuild — and sharding,
-// batching, snapshots and the habfserved daemon all work identically
-// across them. Backends lists the registry; Sharded.Backend reports the
-// active one, and snapshots record it so Load restores through the
-// right decoder. Pending keys on a restored static set are themselves
-// snapshot-durable: Save writes them into a dedicated container frame
-// and Load re-buffers them, so acked Adds survive restart cycles even
-// when no rebuild is possible.
+// (Xor filter), "phbf" (partitioned hashing) and the learned "lbf",
+// "slbf" and "adabf", whose Adds are buffered as pending and absorbed
+// by the next rebuild — and sharding, batching, snapshots and the
+// habfserved daemon all work identically across them. Backends lists
+// the registry; Sharded.Backend reports the active one, and snapshots
+// record it so Load restores through the right decoder. A full Save
+// carries every shard's keys, pending Adds included, so a loaded set
+// rebuilds like a built one and acked Adds survive restart cycles.
+// SaveFilters writes only the filters, plus a pending-keys frame for
+// Adds a static backend has not absorbed yet; Load of it answers those
+// keys true but is read-only.
 //
 // ContainsBatch — available on both *HABF and *Sharded — groups a batch
 // of keys by shard, takes each shard's lock once, and reuses one scratch

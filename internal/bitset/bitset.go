@@ -121,34 +121,6 @@ func (b *Bits) Equal(o *Bits) bool {
 	return true
 }
 
-// Union ORs o into b. Both vectors must have the same length.
-func (b *Bits) Union(o *Bits) error {
-	if b.n != o.n {
-		return fmt.Errorf("bitset: union length mismatch %d != %d", b.n, o.n)
-	}
-	if b.borrowed {
-		b.materialize()
-	}
-	for i := range b.words {
-		b.words[i] |= o.words[i]
-	}
-	return nil
-}
-
-// Intersect ANDs o into b. Both vectors must have the same length.
-func (b *Bits) Intersect(o *Bits) error {
-	if b.n != o.n {
-		return fmt.Errorf("bitset: intersect length mismatch %d != %d", b.n, o.n)
-	}
-	if b.borrowed {
-		b.materialize()
-	}
-	for i := range b.words {
-		b.words[i] &= o.words[i]
-	}
-	return nil
-}
-
 // rangeError is the panic value of an out-of-range index. The message is
 // formatted only when the panic is reported, which keeps the formatting
 // call out of the accessors so the hot ones (Test, Lanes.Get) stay within
@@ -180,7 +152,7 @@ func (b *Bits) MarshalBinary() ([]byte, error) {
 // data is 8-byte aligned in memory (and the host is little-endian), the
 // decoded vector aliases data directly. The caller must keep data alive
 // and unmodified for as long as the vector is read; the first mutating
-// call (Set, Clear, Union, ...) copies the payload into owned memory and
+// call (Set, Clear, ...) copies the payload into owned memory and
 // releases the alias. When aliasing is not possible the payload is
 // copied. There is deliberately no UnmarshalBinary: the
 // encoding.BinaryUnmarshaler contract forbids retaining data.

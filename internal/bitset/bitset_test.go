@@ -137,42 +137,6 @@ func TestEqual(t *testing.T) {
 	}
 }
 
-func TestUnionIntersect(t *testing.T) {
-	a, b := New(100), New(100)
-	a.Set(1)
-	a.Set(2)
-	b.Set(2)
-	b.Set(3)
-
-	u := a.Clone()
-	if err := u.Union(b); err != nil {
-		t.Fatal(err)
-	}
-	for _, i := range []uint64{1, 2, 3} {
-		if !u.Test(i) {
-			t.Errorf("union missing bit %d", i)
-		}
-	}
-	if u.OnesCount() != 3 {
-		t.Errorf("union OnesCount = %d, want 3", u.OnesCount())
-	}
-
-	x := a.Clone()
-	if err := x.Intersect(b); err != nil {
-		t.Fatal(err)
-	}
-	if !x.Test(2) || x.OnesCount() != 1 {
-		t.Errorf("intersect wrong: count=%d", x.OnesCount())
-	}
-
-	if err := a.Union(New(5)); err == nil {
-		t.Error("union with mismatched length did not error")
-	}
-	if err := a.Intersect(New(5)); err == nil {
-		t.Error("intersect with mismatched length did not error")
-	}
-}
-
 func TestBitsMarshalRoundtrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []uint64{0, 1, 63, 64, 65, 1000} {

@@ -224,8 +224,3 @@ func (f *Filter) Count() uint64 { return f.n }
 
 // FillRatio returns the fraction of set bits.
 func (f *Filter) FillRatio() float64 { return f.bits.FillRatio() }
-
-// EstimatedFPR returns the fill-ratio-based false-positive estimate ρ^k.
-func (f *Filter) EstimatedFPR() float64 {
-	return math.Pow(f.bits.FillRatio(), float64(f.k))
-}

@@ -181,9 +181,6 @@ func TestAccessors(t *testing.T) {
 	if f.Name() != "BF(City64)" {
 		t.Errorf("Name = %q", f.Name())
 	}
-	if f.EstimatedFPR() <= 0 || f.EstimatedFPR() > 1 {
-		t.Error("EstimatedFPR out of range")
-	}
 }
 
 // Property: Add(k) ⇒ Contains(k), for every strategy and arbitrary keys.

@@ -2,75 +2,18 @@
 // assumes around HABF: §I notes that "some cost information can be or is
 // already being monitored", citing distributed top-k monitoring (Babcock
 // & Olston) and frequent-item tracking (Cormode & Muthukrishnan). This
-// package implements the two standard tools those lines refer to —
-//
-//   - CountMin: a count-min sketch estimating per-key traffic volume
-//     (never underestimates, overestimates by at most εN w.h.p.);
-//   - SpaceSaving: the Metwally et al. top-k heavy-hitter summary, which
-//     yields the bounded-size "costly negative keys" list HABF consumes.
-//
-// Together they turn a raw miss/query stream into the []WeightedKey input
-// of habf.New without storing the stream.
+// package implements the tool those lines refer to: SpaceSaving, the
+// Metwally et al. top-k heavy-hitter summary, which yields the
+// bounded-size "costly negative keys" list HABF consumes. It turns a raw
+// miss/query stream into the []WeightedKey input of habf.New without
+// storing the stream.
 package costsketch
 
 import (
 	"container/heap"
 	"fmt"
 	"sort"
-
-	"repro/internal/hashes"
 )
-
-// CountMin is a count-min sketch over byte-string keys.
-type CountMin struct {
-	width uint64
-	depth int
-	rows  [][]uint64
-	total uint64
-}
-
-// NewCountMin returns a sketch with the given width (counters per row)
-// and depth (independent rows). Error bounds: estimates exceed true
-// counts by at most (e/width)·N with probability 1 - e^-depth.
-func NewCountMin(width uint64, depth int) (*CountMin, error) {
-	if width == 0 || depth <= 0 {
-		return nil, fmt.Errorf("costsketch: invalid dimensions %d×%d", width, depth)
-	}
-	rows := make([][]uint64, depth)
-	for i := range rows {
-		rows[i] = make([]uint64, width)
-	}
-	return &CountMin{width: width, depth: depth, rows: rows}, nil
-}
-
-func (c *CountMin) pos(key []byte, row int) uint64 {
-	return hashes.XXH64Seed(key, uint64(row)*0x9e3779b97f4a7c15+1) % c.width
-}
-
-// Add records count occurrences of key.
-func (c *CountMin) Add(key []byte, count uint64) {
-	for r := 0; r < c.depth; r++ {
-		c.rows[r][c.pos(key, r)] += count
-	}
-	c.total += count
-}
-
-// Estimate returns the (never underestimating) count estimate for key.
-func (c *CountMin) Estimate(key []byte) uint64 {
-	min := ^uint64(0)
-	for r := 0; r < c.depth; r++ {
-		if v := c.rows[r][c.pos(key, r)]; v < min {
-			min = v
-		}
-	}
-	return min
-}
-
-// Total returns the stream length seen so far.
-func (c *CountMin) Total() uint64 { return c.total }
-
-// SizeBytes returns the counter-array footprint.
-func (c *CountMin) SizeBytes() uint64 { return c.width * uint64(c.depth) * 8 }
 
 // SpaceSaving is the Metwally–Agrawal–El Abbadi heavy-hitter summary: at
 // most capacity counters, every key with true frequency above N/capacity

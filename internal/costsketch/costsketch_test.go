@@ -5,77 +5,9 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/dataset"
 )
-
-func TestCountMinValidation(t *testing.T) {
-	if _, err := NewCountMin(0, 4); err == nil {
-		t.Error("zero width accepted")
-	}
-	if _, err := NewCountMin(16, 0); err == nil {
-		t.Error("zero depth accepted")
-	}
-}
-
-func TestCountMinNeverUnderestimates(t *testing.T) {
-	cm, err := NewCountMin(1024, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	truth := map[string]uint64{}
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 20000; i++ {
-		key := fmt.Sprintf("k%d", rng.Intn(500))
-		cm.Add([]byte(key), 1)
-		truth[key]++
-	}
-	for key, want := range truth {
-		if got := cm.Estimate([]byte(key)); got < want {
-			t.Fatalf("underestimate for %q: %d < %d", key, got, want)
-		}
-	}
-	if cm.Total() != 20000 {
-		t.Fatalf("Total = %d", cm.Total())
-	}
-}
-
-func TestCountMinErrorBound(t *testing.T) {
-	const width, n = 2048, 50000
-	cm, _ := NewCountMin(width, 4)
-	rng := rand.New(rand.NewSource(2))
-	truth := map[string]uint64{}
-	for i := 0; i < n; i++ {
-		key := fmt.Sprintf("key-%d", rng.Intn(5000))
-		cm.Add([]byte(key), 1)
-		truth[key]++
-	}
-	// The classical bound: overshoot ≤ (e/width)·N w.h.p. Use 4× slack.
-	bound := 4.0 * 2.72 * n / width
-	for key, want := range truth {
-		got := cm.Estimate([]byte(key))
-		if float64(got-want) > bound {
-			t.Fatalf("overshoot %d for %q exceeds bound %.0f", got-want, key, bound)
-		}
-	}
-}
-
-func TestCountMinUnseenKeysSmall(t *testing.T) {
-	cm, _ := NewCountMin(4096, 4)
-	for i := 0; i < 1000; i++ {
-		cm.Add([]byte(fmt.Sprintf("seen-%d", i)), 1)
-	}
-	big := 0
-	for i := 0; i < 1000; i++ {
-		if cm.Estimate([]byte(fmt.Sprintf("unseen-%d", i))) > 3 {
-			big++
-		}
-	}
-	if big > 50 {
-		t.Fatalf("%d/1000 unseen keys got large estimates", big)
-	}
-}
 
 func TestSpaceSavingValidation(t *testing.T) {
 	if _, err := NewSpaceSaving(0); err == nil {
@@ -163,40 +95,6 @@ func TestSpaceSavingExactWhenUnderCapacity(t *testing.T) {
 		if it.Count != 5 || it.Err != 0 {
 			t.Fatalf("under-capacity counts must be exact: %+v", it)
 		}
-	}
-}
-
-// Property: count-min estimates dominate true counts for arbitrary
-// streams.
-func TestQuickCountMinDominance(t *testing.T) {
-	f := func(stream [][]byte) bool {
-		cm, err := NewCountMin(256, 3)
-		if err != nil {
-			return false
-		}
-		truth := map[string]uint64{}
-		for _, k := range stream {
-			cm.Add(k, 1)
-			truth[string(k)]++
-		}
-		for k, want := range truth {
-			if cm.Estimate([]byte(k)) < want {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func BenchmarkCountMinAdd(b *testing.B) {
-	cm, _ := NewCountMin(1<<16, 4)
-	key := []byte("benchmark-key-with-realistic-length")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		cm.Add(key, 1)
 	}
 }
 

@@ -24,7 +24,6 @@ var _ Backend = (*bloomBackend)(nil)
 func (b *bloomBackend) Contains(key []byte) bool       { return b.f.Contains(key) }
 func (b *bloomBackend) Name() string                   { return b.f.Name() }
 func (b *bloomBackend) SizeBits() uint64               { return b.f.SizeBits() }
-func (b *bloomBackend) Kind() Kind                     { return KindBloom }
 func (b *bloomBackend) MarshalBinary() ([]byte, error) { return b.f.MarshalBinary() }
 func (b *bloomBackend) WireAlignOffset() int           { return bloom.WireAlignOffset }
 func (b *bloomBackend) Borrowed() bool                 { return b.f.Borrowed() }

@@ -83,9 +83,6 @@ func TestBackendConformance(t *testing.T) {
 		t.Run(f.Name, func(t *testing.T) {
 			b := buildBackend(t, f, pos, neg)
 
-			if b.Kind() != f.Kind {
-				t.Errorf("instance kind %d != factory kind %d", b.Kind(), f.Kind)
-			}
 			if b.Name() == "" || b.SizeBits() == 0 {
 				t.Errorf("backend does not describe itself: name %q, size %d", b.Name(), b.SizeBits())
 			}
@@ -122,8 +119,8 @@ func TestBackendConformance(t *testing.T) {
 			if err != nil {
 				t.Fatalf("unmarshal: %v", err)
 			}
-			if got.Kind() != f.Kind {
-				t.Errorf("decoded kind %d != %d", got.Kind(), f.Kind)
+			if got.Name() != b.Name() {
+				t.Errorf("decoded name %q != %q", got.Name(), b.Name())
 			}
 			if got.SizeBits() != b.SizeBits() {
 				t.Errorf("decoded size %d != %d", got.SizeBits(), b.SizeBits())

@@ -73,8 +73,6 @@ type Backend interface {
 	Name() string
 	// SizeBits is the memory footprint of the query-time structure.
 	SizeBits() uint64
-	// Kind returns the backend family's wire discriminator.
-	Kind() Kind
 	// MarshalBinary encodes the query-time state in the family's
 	// self-describing wire format.
 	MarshalBinary() ([]byte, error)

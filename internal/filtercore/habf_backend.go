@@ -17,7 +17,6 @@ var _ Backend = (*habfBackend)(nil)
 func (b *habfBackend) Contains(key []byte) bool       { return b.f.Contains(key) }
 func (b *habfBackend) Name() string                   { return b.f.Name() }
 func (b *habfBackend) SizeBits() uint64               { return b.f.SizeBits() }
-func (b *habfBackend) Kind() Kind                     { return KindHABF }
 func (b *habfBackend) MarshalBinary() ([]byte, error) { return b.f.MarshalBinary() }
 func (b *habfBackend) WireAlignOffset() int           { return habf.WireAlignOffset(b.f.K()) }
 func (b *habfBackend) Borrowed() bool                 { return b.f.Borrowed() }

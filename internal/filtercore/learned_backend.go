@@ -35,8 +35,7 @@ type learnedFilter interface {
 }
 
 type learnedBackend struct {
-	f    learnedFilter
-	kind Kind
+	f learnedFilter
 }
 
 var _ Backend = (*learnedBackend)(nil)
@@ -45,7 +44,6 @@ func (b *learnedBackend) Contains(key []byte) bool       { return b.f.Contains(k
 func (b *learnedBackend) Add([]byte) error               { return ErrStaticBackend }
 func (b *learnedBackend) Name() string                   { return b.f.Name() }
 func (b *learnedBackend) SizeBits() uint64               { return b.f.SizeBits() }
-func (b *learnedBackend) Kind() Kind                     { return b.kind }
 func (b *learnedBackend) MarshalBinary() ([]byte, error) { return b.f.MarshalBinary() }
 func (b *learnedBackend) WireAlignOffset() int           { return b.f.WireAlignOffset() }
 func (b *learnedBackend) Borrowed() bool                 { return b.f.Borrowed() }
@@ -107,14 +105,14 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return &learnedBackend{f: f, kind: KindLBF}, nil
+			return &learnedBackend{f: f}, nil
 		},
 		Unmarshal: func(data []byte) (Backend, error) {
 			f, err := learned.UnmarshalLBF(data)
 			if err != nil {
 				return nil, err
 			}
-			return &learnedBackend{f: f, kind: KindLBF}, nil
+			return &learnedBackend{f: f}, nil
 		},
 	})
 
@@ -132,14 +130,14 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return &learnedBackend{f: f, kind: KindSLBF}, nil
+			return &learnedBackend{f: f}, nil
 		},
 		Unmarshal: func(data []byte) (Backend, error) {
 			f, err := learned.UnmarshalSLBF(data)
 			if err != nil {
 				return nil, err
 			}
-			return &learnedBackend{f: f, kind: KindSLBF}, nil
+			return &learnedBackend{f: f}, nil
 		},
 	})
 
@@ -157,14 +155,14 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return &learnedBackend{f: f, kind: KindAdaBF}, nil
+			return &learnedBackend{f: f}, nil
 		},
 		Unmarshal: func(data []byte) (Backend, error) {
 			f, err := learned.UnmarshalAdaBF(data)
 			if err != nil {
 				return nil, err
 			}
-			return &learnedBackend{f: f, kind: KindAdaBF}, nil
+			return &learnedBackend{f: f}, nil
 		},
 	})
 }

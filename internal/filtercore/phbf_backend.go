@@ -21,7 +21,6 @@ func (b *phbfBackend) Contains(key []byte) bool       { return b.f.Contains(key)
 func (b *phbfBackend) Add([]byte) error               { return ErrStaticBackend }
 func (b *phbfBackend) Name() string                   { return b.f.Name() }
 func (b *phbfBackend) SizeBits() uint64               { return b.f.SizeBits() }
-func (b *phbfBackend) Kind() Kind                     { return KindPHBF }
 func (b *phbfBackend) MarshalBinary() ([]byte, error) { return b.f.MarshalBinary() }
 func (b *phbfBackend) WireAlignOffset() int           { return phbf.WireAlignOffset(b.f.Groups()) }
 func (b *phbfBackend) Borrowed() bool                 { return b.f.Borrowed() }

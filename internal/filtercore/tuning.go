@@ -173,9 +173,6 @@ func (s *Schema) names() []string {
 	return out
 }
 
-// IsZero reports whether t is the zero Tuning (no schema attached).
-func (t Tuning) IsZero() bool { return t.schema == nil }
-
 // String renders the full knob set in canonical form: sorted knob
 // names, canonical values, "k=v,k=v". Equal configurations always
 // render identically, so the snapshot tuning frame is byte-stable.

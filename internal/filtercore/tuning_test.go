@@ -19,7 +19,7 @@ func TestTuningDefaultsRoundTrip(t *testing.T) {
 		f := f
 		t.Run(f.Name, func(t *testing.T) {
 			def := f.DefaultTuning()
-			if def.IsZero() || def.String() == "" {
+			if def.String() == "" {
 				t.Fatalf("backend has no tuning schema (default %q)", def.String())
 			}
 			reparsed, err := f.ParseTuning(def.String())

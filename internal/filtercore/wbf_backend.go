@@ -20,7 +20,6 @@ var _ Backend = (*wbfBackend)(nil)
 func (b *wbfBackend) Contains(key []byte) bool       { return b.f.Contains(key) }
 func (b *wbfBackend) Name() string                   { return b.f.Name() }
 func (b *wbfBackend) SizeBits() uint64               { return b.f.SizeBits() }
-func (b *wbfBackend) Kind() Kind                     { return KindWBF }
 func (b *wbfBackend) MarshalBinary() ([]byte, error) { return b.f.MarshalBinary() }
 func (b *wbfBackend) WireAlignOffset() int           { return wbf.WireAlignOffset }
 func (b *wbfBackend) Borrowed() bool                 { return b.f.Borrowed() }

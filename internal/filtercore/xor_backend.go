@@ -19,7 +19,6 @@ func (b *xorBackend) Contains(key []byte) bool       { return b.f.Contains(key) 
 func (b *xorBackend) Add([]byte) error               { return ErrStaticBackend }
 func (b *xorBackend) Name() string                   { return b.f.Name() }
 func (b *xorBackend) SizeBits() uint64               { return b.f.SizeBits() }
-func (b *xorBackend) Kind() Kind                     { return KindXor }
 func (b *xorBackend) MarshalBinary() ([]byte, error) { return b.f.MarshalBinary() }
 func (b *xorBackend) WireAlignOffset() int           { return xorfilter.WireAlignOffset }
 func (b *xorBackend) Borrowed() bool                 { return b.f.Borrowed() }

@@ -210,18 +210,6 @@ func TestContainsBatchEmpty(t *testing.T) {
 	}
 }
 
-func TestBuildParamsRoundTrip(t *testing.T) {
-	f, _, _ := batchFixture(t, 100, false)
-	p := f.BuildParams()
-	if p.K != 3 || p.CellBits != 4 || p.TotalBits != 1200 {
-		t.Fatalf("BuildParams() = %+v, want defaulted construction params", p)
-	}
-	// The returned params must be directly usable for a rebuild.
-	if err := p.validate(); err != nil {
-		t.Fatalf("BuildParams() not valid for rebuild: %v", err)
-	}
-}
-
 // coldFilters caches the BenchmarkContainsBatch filters: building them
 // takes seconds, and every sub-benchmark probes the same two.
 var coldFilters struct {

@@ -22,7 +22,6 @@ type Filter struct {
 	seed     int64
 	added    uint64
 	stats    Stats
-	params   Params // defaulted construction params, kept for rebuilds
 }
 
 // New constructs an HABF over the positive set with knowledge of the
@@ -137,7 +136,6 @@ func New(positives [][]byte, negatives []WeightedKey, p Params) (*Filter, error)
 		fast:     p.Fast,
 		seed:     p.Seed,
 		stats:    b.stats,
-		params:   p,
 	}, nil
 }
 
@@ -434,10 +432,3 @@ func (f *Filter) Stats() Stats { return f.stats }
 func (f *Filter) Borrowed() bool {
 	return f.bfBits.Borrowed() || f.he.cells.Borrowed()
 }
-
-// BuildParams returns the fully defaulted parameters this filter was
-// constructed with — the rebuild hook for serving layers that rotate
-// filters once post-construction Adds accumulate. Filters decoded by
-// UnmarshalFilter report only the hashing-relevant fields (K, CellBits,
-// Seed, Fast); the space split of the original build is not serialized.
-func (f *Filter) BuildParams() Params { return f.params }

@@ -173,6 +173,5 @@ func UnmarshalFilter(data []byte) (*Filter, error) {
 		k:        k,
 		fast:     fast,
 		seed:     seed,
-		params:   p,
 	}, nil
 }

@@ -189,13 +189,6 @@ func BaseLanes(base, seed uint64) (h1, h2 uint64) {
 	return h1, h2
 }
 
-// Seeded returns h(data) perturbed by seed with full avalanche. It is the
-// building block for the paper's BF(City64)/BF(XXH128) style filters that
-// derive k values from one strong hash plus k seeds.
-func Seeded(fn Func, data []byte, seed uint64) uint64 {
-	return Mix64(fn(data) ^ Mix64(seed))
-}
-
 // Split128 produces two independent 64-bit lanes from one key, in the
 // spirit of a 128-bit hash: the lanes come from structurally different
 // mixers (xx64 and city-style) so they do not cancel under double hashing.

@@ -175,18 +175,6 @@ func TestXXH64SeedChangesResult(t *testing.T) {
 	}
 }
 
-func TestSeededAdapter(t *testing.T) {
-	key := []byte("adapter")
-	a := Seeded(City64, key, 1)
-	b := Seeded(City64, key, 2)
-	if a == b {
-		t.Fatal("Seeded: different seeds gave identical values")
-	}
-	if a != Seeded(City64, key, 1) {
-		t.Fatal("Seeded not deterministic")
-	}
-}
-
 func TestSplit128LanesIndependent(t *testing.T) {
 	// The two lanes must differ and must not be trivially related across keys.
 	equal := 0

@@ -292,26 +292,6 @@ func (s *Store) Runs() []int {
 	return out
 }
 
-// LevelKeys returns the keys currently resident at the given level
-// (0 = L0 across all runs). Filter policies use it to rebuild guards.
-func (s *Store) LevelKeys(level int) [][]byte {
-	var out [][]byte
-	if level == 0 {
-		for _, r := range s.l0 {
-			for _, k := range r.keys {
-				out = append(out, []byte(k))
-			}
-		}
-		return out
-	}
-	if level-1 < len(s.levels) && s.levels[level-1] != nil {
-		for _, k := range s.levels[level-1].keys {
-			out = append(out, []byte(k))
-		}
-	}
-	return out
-}
-
 // String summarizes the tree shape.
 func (s *Store) String() string {
 	return fmt.Sprintf("lsm{mem=%d, runs=%v}", len(s.mem), s.Runs())

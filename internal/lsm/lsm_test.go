@@ -144,19 +144,6 @@ func TestFiltersNeverLoseKeys(t *testing.T) {
 	}
 }
 
-func TestLevelKeys(t *testing.T) {
-	s := New(Config{MemtableSize: 32, MaxL0Runs: 2})
-	put(s, 500, "k")
-	s.Flush()
-	total := 0
-	for level := 0; level < s.cfg.MaxLevels; level++ {
-		total += len(s.LevelKeys(level))
-	}
-	if total != 500 {
-		t.Fatalf("LevelKeys accounted %d keys, want 500", total)
-	}
-}
-
 func TestReadCostDefaultsDouble(t *testing.T) {
 	cfg := Config{}.withDefaults()
 	for i := 1; i < len(cfg.ReadCost); i++ {

@@ -60,18 +60,16 @@ type Config struct {
 	MinBackoff time.Duration
 	MaxBackoff time.Duration
 
-	// PullTimeout bounds one snapshot download. Default 60s.
-	PullTimeout time.Duration
-
-	// PollTimeout bounds one epoch request. Default 2s.
-	PollTimeout time.Duration
-
-	// Client is the HTTP client used for both. Default http.DefaultClient.
-	Client *http.Client
-
 	// Logf, when set, receives one line per state change (sync, retry).
 	Logf func(format string, args ...any)
 }
+
+// Timeouts of the follower's two requests to the primary, both sent
+// through http.DefaultClient.
+const (
+	pullTimeout = 60 * time.Second // one snapshot download
+	pollTimeout = 2 * time.Second  // one epoch request
+)
 
 // Stats is a point-in-time snapshot of a Follower's replication state.
 type Stats struct {
@@ -131,15 +129,6 @@ func New(cfg Config) (*Follower, error) {
 			cfg.MaxBackoff = cfg.MinBackoff
 		}
 	}
-	if cfg.PullTimeout <= 0 {
-		cfg.PullTimeout = 60 * time.Second
-	}
-	if cfg.PollTimeout <= 0 {
-		cfg.PollTimeout = 2 * time.Second
-	}
-	if cfg.Client == nil {
-		cfg.Client = http.DefaultClient
-	}
 	return &Follower{cfg: cfg, base: base}, nil
 }
 
@@ -178,13 +167,13 @@ func (f *Follower) Sync(ctx context.Context) error {
 }
 
 func (f *Follower) sync(ctx context.Context) error {
-	ctx, cancel := context.WithTimeout(ctx, f.cfg.PullTimeout)
+	ctx, cancel := context.WithTimeout(ctx, pullTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, f.base+"/v1/snapshot", nil)
 	if err != nil {
 		return fmt.Errorf("replica: %w", err)
 	}
-	resp, err := f.cfg.Client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return fmt.Errorf("replica: pull snapshot: %w", err)
 	}
@@ -223,13 +212,13 @@ func (f *Follower) sync(ctx context.Context) error {
 
 // fetchEpoch asks the primary for its current epoch.
 func (f *Follower) fetchEpoch(ctx context.Context) (uint64, error) {
-	ctx, cancel := context.WithTimeout(ctx, f.cfg.PollTimeout)
+	ctx, cancel := context.WithTimeout(ctx, pollTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, f.base+"/v1/epoch", nil)
 	if err != nil {
 		return 0, fmt.Errorf("replica: %w", err)
 	}
-	resp, err := f.cfg.Client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return 0, fmt.Errorf("replica: poll epoch: %w", err)
 	}

@@ -3,9 +3,11 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -218,6 +220,74 @@ func TestBinaryOversizedKeyRejected(t *testing.T) {
 	// The server must have cut the connection, not resynced mid-key.
 	if err := c.Ping(); err == nil {
 		t.Fatal("connection survived an oversized key")
+	}
+}
+
+// TestBatchKeyCapParity pins that both request paths agree on what an
+// oversized batch is: one key over wire.MaxBatchKeys is refused over
+// HTTP (413, counted as a request error, no filter call) and over the
+// binary protocol, and a batch of exactly wire.MaxBatchKeys keys is
+// answered by both, identically.
+func TestBatchKeyCapParity(t *testing.T) {
+	filter, _ := newTestFilter(t, 300)
+	srv, hs := newTestServer(t, filter, Config{})
+	addr := startBinary(t, srv)
+
+	keys := make([][]byte, wire.MaxBatchKeys+1)
+	for i := range keys {
+		keys[i] = []byte{byte(i)}
+	}
+
+	errsBefore := srv.mErrors.Value()
+	resp, body := postJSON(t, hs.URL+"/v1/contains_batch", map[string]any{"keys": keys})
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("HTTP batch of %d keys: HTTP %d, want 413", len(keys), resp.StatusCode)
+	}
+	if got := srv.mErrors.Value() - errsBefore; got != 1 {
+		t.Fatalf("refused HTTP batch counted %d request errors, want 1", got)
+	}
+	if srv.mBatchKeys.Value() != 0 {
+		t.Fatalf("refused HTTP batch reached the filter: %s", body)
+	}
+	c, err := wire.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetDeadline(time.Now().Add(30 * time.Second))
+	if _, err := c.ContainsBatch(keys); err == nil {
+		t.Fatalf("binary batch of %d keys was answered", len(keys))
+	}
+	c.Close()
+
+	keys = keys[:wire.MaxBatchKeys]
+	want := filter.ContainsBatch(keys)
+	resp, body = postJSON(t, hs.URL+"/v1/contains_batch", map[string]any{"keys": keys})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("HTTP batch of %d keys: HTTP %d: %s", len(keys), resp.StatusCode, body)
+	}
+	var out struct {
+		Present []bool `json:"present"`
+	}
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatal(err)
+	}
+	c, err = wire.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetDeadline(time.Now().Add(30 * time.Second))
+	got, err := c.ContainsBatch(keys)
+	if err != nil {
+		t.Fatalf("binary batch of %d keys: %v", len(keys), err)
+	}
+	if len(out.Present) != len(keys) || len(got) != len(keys) {
+		t.Fatalf("%d keys: HTTP answered %d, binary %d", len(keys), len(out.Present), len(got))
+	}
+	for i := range keys {
+		if out.Present[i] != want[i] || got[i] != want[i] {
+			t.Fatalf("key %d: HTTP %v, binary %v, direct %v", i, out.Present[i], got[i], want[i])
+		}
 	}
 }
 

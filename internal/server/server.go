@@ -57,7 +57,8 @@ import (
 // maxBodyBytes bounds request bodies; a membership key or a batch of
 // them is small, so anything larger is a client error, not traffic. It
 // matches the binary protocol's per-key ceiling so both request paths
-// reject at the same size.
+// reject at the same size. A batch is also capped at wire.MaxBatchKeys
+// keys, the binary protocol's batch ceiling.
 const maxBodyBytes = wire.MaxKeyLen
 
 // errBodyTooLarge rejects oversized request bodies. It must be a
@@ -375,6 +376,11 @@ func (s *Server) handleContainsBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(req.Keys) == 0 {
 		s.fail(w, http.StatusBadRequest, `contains_batch: missing "keys"`)
+		return
+	}
+	if len(req.Keys) > wire.MaxBatchKeys {
+		s.fail(w, http.StatusRequestEntityTooLarge,
+			"contains_batch: %d keys exceed the batch cap of %d", len(req.Keys), wire.MaxBatchKeys)
 		return
 	}
 	for i, k := range req.Keys {

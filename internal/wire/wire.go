@@ -97,7 +97,8 @@ const (
 const (
 	// MaxKeyLen bounds a single key.
 	MaxKeyLen = 8 << 20
-	// MaxBatchKeys bounds the key count of one OpContainsBatch frame.
+	// MaxBatchKeys bounds the key count of one OpContainsBatch frame
+	// and of one HTTP /v1/contains_batch request.
 	MaxBatchKeys = 1 << 16
 	// MaxBatchBytes bounds the total key bytes of one OpContainsBatch
 	// frame, matching the HTTP batch endpoint's body cap.

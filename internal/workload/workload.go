@@ -34,11 +34,6 @@ const (
 	Latest Distribution = "latest"
 )
 
-// Distributions lists every supported pattern, for CLI -help text.
-func Distributions() []Distribution {
-	return []Distribution{Uniform, Zipfian, Sequential, Latest}
-}
-
 // Parse maps a CLI string to a Distribution.
 func Parse(s string) (Distribution, error) {
 	switch Distribution(s) {
@@ -52,7 +47,7 @@ func Parse(s string) (Distribution, error) {
 // convention of "zipfian" (YCSB uses 0.99; >1 is required by math/rand).
 const zipfS = 1.1
 
-// Generator yields key indices in [0, NumKeys) under a Distribution.
+// Generator yields key indices in [0, numKeys) under a Distribution.
 type Generator struct {
 	n    int
 	dist Distribution
@@ -76,9 +71,6 @@ func New(dist Distribution, numKeys int, seed int64) (*Generator, error) {
 	}
 	return g, nil
 }
-
-// NumKeys returns the size of the index space.
-func (g *Generator) NumKeys() int { return g.n }
 
 // Next returns the next key index.
 func (g *Generator) Next() int {
@@ -107,14 +99,6 @@ func (g *Generator) Next() int {
 		return i
 	default: // Uniform
 		return g.rng.Intn(g.n)
-	}
-}
-
-// Fill writes len(dst) successive indices into dst — the batch shape the
-// serving layer consumes.
-func (g *Generator) Fill(dst []int) {
-	for i := range dst {
-		dst[i] = g.Next()
 	}
 }
 
