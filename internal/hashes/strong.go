@@ -120,11 +120,19 @@ func City64(data []byte) uint64 {
 			x ^= cityShiftMix(y) * cityK0
 			p = p[16:]
 		}
-		if len(p) > 0 {
-			tail := make([]byte, 16)
-			copy(tail, p)
-			a := binary.LittleEndian.Uint64(tail)
-			b := binary.LittleEndian.Uint64(tail[8:]) + uint64(len(p))
+		if r := len(p); r > 0 {
+			// The r-byte tail zero-padded to 16 bytes is the last 16
+			// bytes of data shifted down by 16-r bytes: n > 16, so
+			// both loads are in bounds and nothing is copied.
+			lo := binary.LittleEndian.Uint64(data[n-16:])
+			hi := binary.LittleEndian.Uint64(data[n-8:])
+			var a, b uint64
+			if s := uint(16-r) * 8; s < 64 {
+				a, b = lo>>s|hi<<(64-s), hi>>s
+			} else {
+				a = hi >> (s - 64)
+			}
+			b += uint64(r)
 			x = rotl64(x+a, 33) * cityK1
 			y ^= cityShiftMix(b+cityK0) * cityK1
 		}

@@ -1,6 +1,11 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"testing"
 
 	"repro/internal/wire"
@@ -59,5 +64,51 @@ func TestCoalescerDispatchSteadyStateAllocs(t *testing.T) {
 	co.Contains(key) // warm pools
 	if avg := testing.AllocsPerRun(100, func() { co.Contains(key) }); avg > 1 {
 		t.Errorf("coalesced Contains allocates %.1f objects per query, want ≤1", avg)
+	}
+}
+
+// TestOversizedBatchRefusedEarly pins that /v1/contains_batch refuses a
+// batch over wire.MaxBatchKeys before decoding the rest of it: a body of
+// 16 times the cap in one-byte keys (about 7 MB of JSON, under the body
+// cap) must get its 413 for fewer allocated objects than the cap has
+// keys, and under 32 MiB (the JSON decoder's buffer grows to about twice
+// the body). Decoding the whole body into one slice per key first costs
+// over a million objects and about 170 MB.
+func TestOversizedBatchRefusedEarly(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; run without -race for alloc counts")
+	}
+	filter, _ := newTestFilter(t, 300)
+	srv, err := New(Config{Filter: filter})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	keys := make([][]byte, 16*wire.MaxBatchKeys)
+	for i := range keys {
+		keys[i] = []byte{byte(i)}
+	}
+	body, err := json.Marshal(map[string]any{"keys": keys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys = nil
+	req := httptest.NewRequest(http.MethodPost, "/v1/contains_batch", bytes.NewReader(body))
+	rec := httptest.NewRecorder()
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	srv.Handler().ServeHTTP(rec, req)
+	runtime.ReadMemStats(&after)
+
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("batch of %d keys: HTTP %d, want 413", 16*wire.MaxBatchKeys, rec.Code)
+	}
+	mallocs, allocated := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+	t.Logf("refusing %d keys: %d allocations, %d bytes", 16*wire.MaxBatchKeys, mallocs, allocated)
+	if mallocs >= wire.MaxBatchKeys || allocated >= 32<<20 {
+		t.Fatalf("refusing an oversized batch allocated %d objects (%d bytes), want under %d objects and %d bytes",
+			mallocs, allocated, wire.MaxBatchKeys, 32<<20)
 	}
 }

@@ -16,8 +16,9 @@ import (
 // BinaryServer serves the internal/wire binary protocol on a raw TCP
 // listener, dispatching into the same Server (and therefore the same
 // coalescer, filter and metrics registry) that answers HTTP. One
-// goroutine per connection; each connection's decoder reuses scratch
-// buffers, so the steady-state request path allocates nothing.
+// goroutine per connection; each connection's decoder parses frames in
+// place in its read buffer, so the steady-state request path allocates
+// nothing.
 type BinaryServer struct {
 	s *Server
 

@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -632,6 +633,52 @@ func TestConcurrentContainsAndAdd(t *testing.T) {
 			if !filter.Contains([]byte(key)) {
 				t.Fatalf("acked add %q lost", key)
 			}
+		}
+	}
+}
+
+// TestBatchKeysDecodeLikeUnmarshal pins that the /v1/contains_batch key
+// decoder answers every body shape as json.Unmarshal into [][]byte
+// would: same keys, and an error exactly when Unmarshal errs.
+func TestBatchKeysDecodeLikeUnmarshal(t *testing.T) {
+	bodies := []string{
+		`{"keys": ["YQ==", "YmI=", "Y2Nj"]}`,
+		`{"keys":["YQ==","YmI="]}`,
+		" { \"keys\" :\n[ \"YQ==\" ,\t\"YmI=\" ] } ",
+		`{"KEYS": ["YQ=="]}`,
+		`{"keys": ["YQ=="], "keys": ["YmI="]}`,
+		`{"other": [1, "x", {"y": ["z"]}], "keys": ["YQ=="]}`,
+		`{"keys": []}`,
+		`{"keys": null}`,
+		`{}`,
+		`null`,
+		`{"keys": ["YQ==", null]}`,
+		`{"keys": [null]}`,
+		`{"keys": ["YQ=="]}`,
+		`{"keys": ["\/w=="]}`,
+		`{"keys": ["YQ==", "not base64!"]}`,
+		`{"keys": ["YQ"]}`,
+		`{"keys": [1]}`,
+		`{"keys": "YQ=="}`,
+		`{"keys": [["YQ=="]]}`,
+		`{"keys": ["YQ=="]`,
+		`{"keys": ["YQ=="]} {}`,
+		`[]`,
+		``,
+	}
+	for _, body := range bodies {
+		var want struct {
+			Keys [][]byte `json:"keys"`
+		}
+		wantErr := json.Unmarshal([]byte(body), &want)
+		req := httptest.NewRequest(http.MethodPost, "/v1/contains_batch", strings.NewReader(body))
+		got, err := readBatchKeys(req)
+		if (err != nil) != (wantErr != nil) {
+			t.Errorf("%q: error %v, json.Unmarshal's %v", body, err, wantErr)
+			continue
+		}
+		if err == nil && !reflect.DeepEqual(got, want.Keys) {
+			t.Errorf("%q: keys %q, json.Unmarshal's %q", body, got, want.Keys)
 		}
 	}
 }

@@ -16,30 +16,31 @@ import (
 // that each round-trip is. Not safe for concurrent use.
 type Client struct {
 	conn net.Conn
-	bw   *bufio.Writer
 	br   *bufio.Reader
 	id   uint64
 
+	// out holds the request being sent. Until the first send it starts
+	// with the handshake: head is its length then, and 0 after.
 	out      []byte
+	head     int
 	presents []bool
 	errBuf   []byte
 }
 
 // Dial connects to a habfserved binary listener and queues the
-// handshake; it is flushed with the first request, so Dial itself costs
+// handshake; it is sent with the first request, so Dial itself costs
 // no extra round-trip.
 func Dial(addr string) (*Client, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{
+	return &Client{
 		conn: conn,
-		bw:   bufio.NewWriterSize(conn, 1<<15),
 		br:   bufio.NewReaderSize(conn, 1<<15),
-	}
-	c.bw.Write(Handshake[:])
-	return c, nil
+		out:  append([]byte(nil), Handshake[:]...),
+		head: len(Handshake),
+	}, nil
 }
 
 // Close closes the underlying connection.
@@ -54,12 +55,11 @@ func (c *Client) nextID() uint64 {
 	return c.id
 }
 
-// send flushes the frame accumulated in c.out.
+// send writes the request in c.out straight to the connection.
 func (c *Client) send() error {
-	if _, err := c.bw.Write(c.out); err != nil {
-		return err
-	}
-	return c.bw.Flush()
+	c.head = 0
+	_, err := c.conn.Write(c.out)
+	return err
 }
 
 // readHeader reads one response header and checks it answers (op, id).
@@ -101,7 +101,7 @@ func (c *Client) readHeader(op Op, id uint64) error {
 // Contains asks whether key is in the served filter.
 func (c *Client) Contains(key []byte) (bool, error) {
 	id := c.nextID()
-	c.out = AppendContains(c.out[:0], id, key)
+	c.out = AppendContains(c.out[:c.head], id, key)
 	if err := c.send(); err != nil {
 		return false, err
 	}
@@ -128,7 +128,7 @@ func (c *Client) ContainsBatch(keys [][]byte) ([]bool, error) {
 		return nil, errors.New("wire: empty batch")
 	}
 	id := c.nextID()
-	c.out = AppendContainsBatch(c.out[:0], id, keys)
+	c.out = AppendContainsBatch(c.out[:c.head], id, keys)
 	if err := c.send(); err != nil {
 		return nil, err
 	}
@@ -139,30 +139,32 @@ func (c *Client) ContainsBatch(keys [][]byte) ([]bool, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wire: read batch count: %w", err)
 	}
-	if n != uint64(len(keys)) {
+	if n != uint64(len(keys)) || n > MaxBatchKeys {
 		return nil, fmt.Errorf("wire: %d results for %d keys", n, len(keys))
 	}
-	if cap(c.presents) < int(n) {
-		c.presents = make([]bool, n)
+	// At most MaxBatchKeys/8 = 8 KiB of bits: they fit the read buffer,
+	// so they are unpacked where they lie.
+	bits, err := c.br.Peek((len(keys) + 7) / 8)
+	if err != nil {
+		return nil, fmt.Errorf("wire: read batch results: %w", err)
 	}
-	c.presents = c.presents[:n]
-	var b byte
-	for i := range c.presents {
-		if i%8 == 0 {
-			if b, err = c.br.ReadByte(); err != nil {
-				return nil, fmt.Errorf("wire: read batch results: %w", err)
-			}
-		}
-		c.presents[i] = b&(1<<(i%8)) != 0
+	if cap(c.presents) < len(keys) {
+		c.presents = make([]bool, len(keys))
 	}
-	return c.presents, nil
+	p := c.presents[:len(keys)]
+	for i := range p {
+		p[i] = bits[i>>3]>>(i&7)&1 != 0
+	}
+	c.br.Discard(len(bits))
+	c.presents = p
+	return p, nil
 }
 
 // Add inserts key into the served filter; a nil error means the insert
 // was acked durable-in-memory, same as HTTP /v1/add.
 func (c *Client) Add(key []byte) error {
 	id := c.nextID()
-	c.out = AppendAdd(c.out[:0], id, key)
+	c.out = AppendAdd(c.out[:c.head], id, key)
 	if err := c.send(); err != nil {
 		return err
 	}
@@ -173,7 +175,7 @@ func (c *Client) Add(key []byte) error {
 // the handshake through on a fresh connection.
 func (c *Client) Ping() error {
 	id := c.nextID()
-	c.out = AppendPing(c.out[:0], id)
+	c.out = AppendPing(c.out[:c.head], id)
 	if err := c.send(); err != nil {
 		return err
 	}

@@ -32,10 +32,14 @@
 // may pipeline many requests on one connection and match responses by
 // id; the server answers in request order.
 //
-// The decoder is written for the server's hot loop: it reads into
-// reused scratch buffers and allocates nothing in steady state. Every
-// length is bounds-checked before any allocation, so hostile frames are
-// rejected for free.
+// The decoder is written for the server's hot loop. It parses each frame
+// in place in its buffered reader's window: lengths are read off the
+// buffered bytes, keys alias them, and one Discard consumes the frame.
+// Only a frame that is not wholly buffered when its parse begins (it
+// arrived in pieces, or is longer than the 64 KiB read buffer) is
+// copied, into a scratch backing reused across frames, so the decoder
+// allocates nothing in steady state. Every length is bounds-checked
+// before any allocation, so hostile frames are rejected for free.
 package wire
 
 import (
@@ -44,6 +48,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Handshake is the 4 bytes a client sends when a connection opens:
@@ -116,8 +121,11 @@ var (
 )
 
 // Request is one decoded request frame. Key and Keys alias the
-// decoder's scratch buffers and are valid only until the next Next
-// call; Add handlers that retain the key must copy it.
+// decoder's read buffer (or, for a frame that arrived in pieces, its
+// scratch backing) and are valid only until the next Next call. That is
+// safe on the server because its connection loop answers one request
+// before it decodes the next, and Add clones the key it keeps; any
+// other caller that retains a key must copy it.
 type Request struct {
 	Op Op
 	ID uint64
@@ -127,14 +135,22 @@ type Request struct {
 	Keys [][]byte
 }
 
-// Decoder reads request frames from a connection with zero allocations
-// in steady state: key bytes land in a reused backing buffer and batch
-// headers in a reused slice. Not safe for concurrent use.
+// errOverflow reports a varint longer than ten bytes or above 2^64-1.
+var errOverflow = errors.New("wire: varint overflows a 64-bit integer")
+
+// Decoder parses request frames in place from its buffered reader and
+// allocates nothing in steady state. Not safe for concurrent use.
 type Decoder struct {
-	br   *bufio.Reader
+	br *bufio.Reader
+	// buf holds a frame the reader's window does not hold whole; keys
+	// reuses its header slots across batches.
 	buf  []byte
 	keys [][]byte
-	hs   [4]byte // handshake scratch; a local would escape through io.ReadFull
+	// off and total carry a batch parse across reads into buf: the
+	// offset of its first unparsed key (0 when none is under way) and
+	// the byte count of the keys parsed so far.
+	off, total int
+	hs         [4]byte // handshake scratch; a local would escape through io.ReadFull
 }
 
 // NewDecoder wraps r; if r is not already buffered it gains a
@@ -166,120 +182,182 @@ func (d *Decoder) ReadHandshake() error {
 // requests share flushes.
 func (d *Decoder) Buffered() int { return d.br.Buffered() }
 
-// uvarint reads one varint, mapping a mid-frame EOF to ErrUnexpectedEOF
-// so a truncated frame is distinguishable from a clean close.
-func (d *Decoder) uvarint() (uint64, error) {
-	v, err := binary.ReadUvarint(d.br)
-	if errors.Is(err, io.EOF) {
-		return 0, io.ErrUnexpectedEOF
-	}
-	return v, err
-}
-
-// readKey reads one length-prefixed key into the scratch backing at
-// offset used, returning the aliased slice and the new offset. When the
-// backing must grow it is replaced rather than copied: keys already
-// decoded keep aliasing the old array, which stays alive exactly as
-// long as they do.
-func (d *Decoder) readKey(used int) ([]byte, int, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return nil, used, err
-	}
-	if n == 0 {
-		return nil, used, ErrEmptyKey
-	}
-	if n > MaxKeyLen {
-		return nil, used, fmt.Errorf("%w (%d bytes)", ErrKeyTooLong, n)
-	}
-	kl := int(n)
-	if used+kl > len(d.buf) {
-		grown := 2 * len(d.buf)
-		if grown < kl {
-			grown = kl
-		}
-		d.buf = make([]byte, grown)
-		used = 0
-	}
-	key := d.buf[used : used+kl]
-	if _, err := io.ReadFull(d.br, key); err != nil {
-		if errors.Is(err, io.EOF) {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, used, err
-	}
-	return key, used + kl, nil
-}
-
 // Next decodes the next request frame into req. It returns io.EOF on a
 // clean close between frames, io.ErrUnexpectedEOF on a truncated frame,
 // and a protocol error (ErrBadOp, ErrEmptyKey, ...) on a hostile one.
-// req.Op and req.ID are populated as soon as they are read, so a caller
-// answering with an error frame can echo what it got.
+// req.Op and req.ID are populated as soon as they are parsed, so a
+// caller answering with an error frame can echo what it got.
+//
+// A frame the reader already holds whole is parsed where it lies and
+// its keys alias the reader's buffer; only a frame that straddles the
+// end of the buffered bytes is copied, into a reused scratch backing.
 func (d *Decoder) Next(req *Request) error {
 	req.Key, req.Keys = nil, nil
-	// Drop the previous batch's key references before reuse; the scratch
-	// backing is retained either way, but headers into replaced backings
-	// must not pin them past their frame.
-	for i := range d.keys {
-		d.keys[i] = nil
+	d.reset()
+	if d.br.Buffered() == 0 {
+		if _, err := d.br.Peek(1); err != nil {
+			return err // io.EOF between frames is the clean-close path
+		}
 	}
-
-	op, err := d.br.ReadByte()
-	if err != nil {
-		return err // io.EOF between frames is the clean-close path
-	}
-	req.Op = Op(op)
-	id, err := d.uvarint()
+	win, _ := d.br.Peek(d.br.Buffered())
+	n, need, err := d.parse(req, win)
 	if err != nil {
 		return err
+	}
+	if n == 0 {
+		return d.readOn(req, win, need)
+	}
+	d.br.Discard(n)
+	return nil
+}
+
+// reset forgets any batch parse under way. It drops the key references
+// too: the header slots are reused, but a slot still pointing into an
+// old frame would pin that frame's bytes.
+func (d *Decoder) reset() {
+	clear(d.keys)
+	d.keys, d.off, d.total = d.keys[:0], 0, 0
+}
+
+// readOn finishes a frame of which win holds only a prefix: it moves
+// the prefix into the scratch backing and reads on into it until parse
+// sees the whole frame. need is parse's lower bound on the frame's
+// length, so each read asks only for bytes the frame must still have.
+// When the backing grows it is replaced rather than copied over: keys
+// already parsed keep aliasing the old array, which stays alive exactly
+// as long as they do.
+func (d *Decoder) readOn(req *Request, win []byte, need int) error {
+	d.reset()
+	d.buf = append(d.buf[:0], win...)
+	d.br.Discard(len(win))
+	for {
+		have := len(d.buf)
+		d.buf = slices.Grow(d.buf, need-have)[:need]
+		if m, err := io.ReadFull(d.br, d.buf[have:]); err != nil {
+			// The stream ended inside the frame. A protocol error in the
+			// bytes that did arrive still wins, as it would have had
+			// they arrived in one piece.
+			d.buf = d.buf[:have+m]
+			if _, _, perr := d.parse(req, d.buf); perr != nil {
+				return perr
+			}
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return err
+		}
+		n, next, err := d.parse(req, d.buf)
+		if err != nil || n > 0 {
+			return err
+		}
+		need = next
+	}
+}
+
+// parse parses the frame at the start of p, which holds at least one
+// byte. If p holds the whole frame it returns the frame's length n;
+// otherwise n is 0 and need, a lower bound on the frame's length, is
+// more than len(p). A batch whose keys have started to parse resumes at
+// d.off, so reading a long frame on in pieces costs one pass.
+func (d *Decoder) parse(req *Request, p []byte) (n, need int, err error) {
+	req.Op = Op(p[0])
+	id, off, err := uvarint(p, 1)
+	if off == 0 {
+		return 0, len(p) + 1, err
 	}
 	req.ID = id
 
 	switch req.Op {
 	case OpContains, OpAdd:
-		key, _, err := d.readKey(0)
-		if err != nil {
-			return err
+		key, end, err := parseKey(p, off)
+		if err != nil || end > len(p) {
+			return 0, end, err
 		}
 		req.Key = key
+		return end, 0, nil
 	case OpContainsBatch:
-		n, err := d.uvarint()
-		if err != nil {
-			return err
+		count, off, err := uvarint(p, off)
+		if off == 0 {
+			return 0, len(p) + 1, err
 		}
-		if n == 0 {
-			return ErrEmptyBatch
+		if count == 0 {
+			return 0, 0, ErrEmptyBatch
 		}
-		if n > MaxBatchKeys {
-			return fmt.Errorf("%w (%d keys)", ErrBatchTooBig, n)
+		if count > MaxBatchKeys {
+			return 0, 0, fmt.Errorf("%w (%d keys)", ErrBatchTooBig, count)
 		}
-		count := int(n)
-		d.keys = d.keys[:0]
-		used, total := 0, 0
-		for i := 0; i < count; i++ {
-			key, nextUsed, err := d.readKey(used)
+		if d.off > 0 {
+			off = d.off
+		}
+		for len(d.keys) < int(count) {
+			key, end, err := parseKey(p, off)
 			if err != nil {
-				return err
+				return 0, 0, err
 			}
-			if total += len(key); total > MaxBatchBytes {
-				return fmt.Errorf("%w (%d+ bytes)", ErrBatchTooBig, total)
+			if end > len(p) {
+				// Every key still to come takes at least a length byte
+				// and a key byte.
+				d.off = off
+				return 0, end + 2*(int(count)-len(d.keys)-1), nil
+			}
+			if d.total += len(key); d.total > MaxBatchBytes {
+				return 0, 0, fmt.Errorf("%w (%d+ bytes)", ErrBatchTooBig, d.total)
 			}
 			d.keys = append(d.keys, key)
-			used = nextUsed
+			off = end
 		}
 		req.Keys = d.keys
+		return off, 0, nil
 	case OpPing:
-	default:
-		return fmt.Errorf("%w %d", ErrBadOp, op)
+		return off, 0, nil
 	}
-	return nil
+	return 0, 0, fmt.Errorf("%w %d", ErrBadOp, byte(req.Op))
 }
 
-// appendUvarint appends v in varint encoding.
+// uvarint parses the varint at p[off:] and returns it with the offset
+// just past it, or with offset 0 if p ends inside it.
+func uvarint(p []byte, off int) (uint64, int, error) {
+	v, k := binary.Uvarint(p[off:])
+	if k < 0 {
+		return 0, 0, errOverflow
+	}
+	if k == 0 {
+		return 0, 0, nil
+	}
+	return v, off + k, nil
+}
+
+// parseKey parses the length-prefixed key at p[off:] and returns it with
+// the offset end just past it. An end beyond len(p) means p stops inside
+// the key and is how long p must grow to hold it (or, inside its length,
+// to hold one more byte).
+func parseKey(p []byte, off int) (key []byte, end int, err error) {
+	var n uint64
+	if off < len(p) && p[off] < 0x80 { // the common one-byte length
+		n, off = uint64(p[off]), off+1
+	} else if n, off, err = uvarint(p, off); off == 0 {
+		return nil, len(p) + 1, err
+	}
+	switch {
+	case n == 0:
+		return nil, 0, ErrEmptyKey
+	case n > MaxKeyLen:
+		return nil, 0, fmt.Errorf("%w (%d bytes)", ErrKeyTooLong, n)
+	}
+	end = off + int(n)
+	if end > len(p) {
+		return nil, end, nil
+	}
+	return p[off:end:end], end, nil
+}
+
+// appendUvarint appends v in varint encoding: one byte below 128,
+// which is every id of a young connection and every short key's length.
 func appendUvarint(dst []byte, v uint64) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	return append(dst, tmp[:binary.PutUvarint(tmp[:], v)]...)
+	if v < 0x80 {
+		return append(dst, byte(v))
+	}
+	return binary.AppendUvarint(dst, v)
 }
 
 // AppendContains appends an OpContains request frame.
@@ -337,20 +415,28 @@ func AppendContainsResp(dst []byte, id uint64, present bool) []byte {
 func AppendBatchResp(dst []byte, id uint64, presents []bool) []byte {
 	dst = appendRespHeader(dst, OpContainsBatch, id, StatusOK)
 	dst = appendUvarint(dst, uint64(len(presents)))
-	var b byte
-	for i, p := range presents {
-		if p {
-			b |= 1 << (i % 8)
-		}
-		if i%8 == 7 {
-			dst = append(dst, b)
-			b = 0
-		}
+	full := len(presents) &^ 7
+	for i := 0; i < full; i += 8 {
+		p := presents[i : i+8 : i+8]
+		dst = append(dst, bit(p[0])|bit(p[1])<<1|bit(p[2])<<2|bit(p[3])<<3|
+			bit(p[4])<<4|bit(p[5])<<5|bit(p[6])<<6|bit(p[7])<<7)
 	}
-	if len(presents)%8 != 0 {
+	if full < len(presents) {
+		var b byte
+		for j, p := range presents[full:] {
+			b |= bit(p) << j
+		}
 		dst = append(dst, b)
 	}
 	return dst
+}
+
+// bit is 1 for true and 0 for false; the compiler emits no branch.
+func bit(b bool) byte {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // AppendOKResp appends a payload-free success response (OpAdd, OpPing).

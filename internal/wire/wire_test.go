@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -214,5 +215,34 @@ func TestBatchScratchDoesNotLeakAcrossFrames(t *testing.T) {
 		if k != nil {
 			t.Fatalf("scratch slot %d still references %q from the previous batch", i, k)
 		}
+	}
+}
+
+// BenchmarkDecoderBatch times decoding one OpContainsBatch frame of 256
+// 20-byte keys, the shape of a batch read, plus encoding its response.
+// ns/op is per frame.
+func BenchmarkDecoderBatch(b *testing.B) {
+	keys := make([][]byte, 256)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("user%016d", i))
+	}
+	frame := AppendContainsBatch(nil, 1, keys)
+	presents := make([]bool, len(keys))
+	for i := range presents {
+		presents[i] = i%3 == 0
+	}
+	var src bytes.Reader
+	br := bufio.NewReaderSize(&src, 1<<16)
+	d := NewDecoder(br)
+	var req Request
+	var out []byte
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		src.Reset(frame)
+		br.Reset(&src)
+		if err := d.Next(&req); err != nil {
+			b.Fatal(err)
+		}
+		out = AppendBatchResp(out[:0], req.ID, presents)
 	}
 }

@@ -65,11 +65,13 @@ func WithFastShards() ShardedOption {
 // "habf", the paper's cost-aware filter; "bloom" serves the standard
 // Bloom baseline (mutable, cost-oblivious), "wbf" the Weighted Bloom
 // baseline (mutable and cost-aware: costly negatives get extra hash
-// positions), and "xor" (Xor filter) and "phbf" (partitioned hashing)
-// the static baselines, whose Adds are buffered as pending — still
-// answered with zero false negatives — until a background rebuild
-// absorbs them. Every backend rides the same sharding, batching,
-// snapshot and serving machinery.
+// positions), "xor" (Xor filter) and "phbf" (partitioned hashing) the
+// static baselines, and "lbf", "slbf" and "adabf" the learned ones
+// (Learned, Sandwiched and Adaptive Learned Bloom). The static and
+// learned backends buffer Adds as pending — still answered with zero
+// false negatives — until a background rebuild absorbs them. Every
+// backend rides the same sharding, batching, snapshot and serving
+// machinery.
 func WithBackend(name string) ShardedOption {
 	return func(c *shard.Config) { c.Backend = name }
 }
