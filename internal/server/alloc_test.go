@@ -68,12 +68,13 @@ func TestCoalescerDispatchSteadyStateAllocs(t *testing.T) {
 }
 
 // TestOversizedBatchRefusedEarly pins that /v1/contains_batch refuses a
-// batch over wire.MaxBatchKeys before decoding the rest of it: a body of
-// 16 times the cap in one-byte keys (about 7 MB of JSON, under the body
+// batch over wire.MaxBatchKeys before it decodes any key: a body of 16
+// times the cap in one-byte keys (about 7 MB of JSON, under the body
 // cap) must get its 413 for fewer allocated objects than the cap has
-// keys, and under 32 MiB (the JSON decoder's buffer grows to about twice
-// the body). Decoding the whole body into one slice per key first costs
-// over a million objects and about 170 MB.
+// keys, and under 32 MiB (the body's buffer grows to about twice its
+// size). Decoding the whole body into one slice per key first costs
+// over a million objects and about 170 MB. The second body leads with
+// an escaped key, as encoders that escape '/' write it.
 func TestOversizedBatchRefusedEarly(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; run without -race for alloc counts")
@@ -93,22 +94,25 @@ func TestOversizedBatchRefusedEarly(t *testing.T) {
 		t.Fatal(err)
 	}
 	keys = nil
-	req := httptest.NewRequest(http.MethodPost, "/v1/contains_batch", bytes.NewReader(body))
-	rec := httptest.NewRecorder()
+	escaped := bytes.Replace(body, []byte(`["`), []byte(`["\/w==","`), 1)
+	for name, body := range map[string][]byte{"plain": body, "escaped key": escaped} {
+		req := httptest.NewRequest(http.MethodPost, "/v1/contains_batch", bytes.NewReader(body))
+		rec := httptest.NewRecorder()
 
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	srv.Handler().ServeHTTP(rec, req)
-	runtime.ReadMemStats(&after)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		srv.Handler().ServeHTTP(rec, req)
+		runtime.ReadMemStats(&after)
 
-	if rec.Code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("batch of %d keys: HTTP %d, want 413", 16*wire.MaxBatchKeys, rec.Code)
-	}
-	mallocs, allocated := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
-	t.Logf("refusing %d keys: %d allocations, %d bytes", 16*wire.MaxBatchKeys, mallocs, allocated)
-	if mallocs >= wire.MaxBatchKeys || allocated >= 32<<20 {
-		t.Fatalf("refusing an oversized batch allocated %d objects (%d bytes), want under %d objects and %d bytes",
-			mallocs, allocated, wire.MaxBatchKeys, 32<<20)
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: batch of %d keys: HTTP %d, want 413", name, 16*wire.MaxBatchKeys, rec.Code)
+		}
+		mallocs, allocated := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+		t.Logf("%s: refusing %d keys: %d allocations, %d bytes", name, 16*wire.MaxBatchKeys, mallocs, allocated)
+		if mallocs >= wire.MaxBatchKeys || allocated >= 32<<20 {
+			t.Errorf("%s: refusing an oversized batch allocated %d objects (%d bytes), want under %d objects and %d bytes",
+				name, mallocs, allocated, wire.MaxBatchKeys, 32<<20)
+		}
 	}
 }

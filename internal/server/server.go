@@ -38,14 +38,12 @@ package server
 
 import (
 	"bytes"
-	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"mime"
 	"net/http"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -68,10 +66,6 @@ const maxBodyBytes = wire.MaxKeyLen
 // rejection, never a truncation: a key cut at the body limit would be
 // silently queried — or worse, Add-acked — as a different key.
 var errBodyTooLarge = errors.New("request body exceeds " + strconv.Itoa(maxBodyBytes) + " bytes")
-
-// errBatchTooLarge refuses a /v1/contains_batch request of more than
-// wire.MaxBatchKeys keys.
-var errBatchTooLarge = errors.New("batch exceeds the cap of " + strconv.Itoa(wire.MaxBatchKeys) + " keys")
 
 // Config assembles a Server.
 type Config struct {
@@ -267,111 +261,83 @@ func (s *Server) fail(w http.ResponseWriter, code int, format string, args ...an
 }
 
 // failErr maps a request-decode error to its status: 413 for oversized
-// bodies and batches, 400 for everything else malformed.
+// bodies, 400 for everything else malformed.
 func (s *Server) failErr(w http.ResponseWriter, endpoint string, err error) {
 	code := http.StatusBadRequest
-	if errors.Is(err, errBodyTooLarge) || errors.Is(err, errBatchTooLarge) {
+	if errors.Is(err, errBodyTooLarge) {
 		code = http.StatusRequestEntityTooLarge
 	}
 	s.fail(w, code, "%s: %v", endpoint, err)
 }
 
-// cappedBody reads a request body of at most maxBodyBytes. A read past
-// the cap fails with errBodyTooLarge, so an oversized body is rejected
-// rather than silently truncated to a prefix.
-type cappedBody struct {
-	r    io.Reader
-	left int64
-}
-
-func newCappedBody(r *http.Request) *cappedBody {
-	return &cappedBody{r: r.Body, left: maxBodyBytes}
-}
-
-func (c *cappedBody) Read(p []byte) (int, error) {
-	if int64(len(p)) > c.left+1 {
-		p = p[:c.left+1]
-	}
-	n, err := c.r.Read(p)
-	if c.left -= int64(n); c.left < 0 {
-		return 0, errBodyTooLarge
-	}
-	return n, err
-}
-
-// readBody reads a whole request body of at most maxBodyBytes.
+// readBody reads a request body of at most maxBodyBytes. It reads one
+// byte past the limit so an oversized body is detected and rejected
+// rather than silently truncated to a prefix. A bytes.Buffer doubles as
+// it grows, so a body of megabytes costs about twice its size in
+// allocations, where io.ReadAll's gentler growth costs five times.
 func readBody(r *http.Request) ([]byte, error) {
-	return io.ReadAll(newCappedBody(r))
+	var body bytes.Buffer
+	if _, err := body.ReadFrom(io.LimitReader(r.Body, maxBodyBytes+1)); err != nil {
+		return nil, err
+	}
+	if body.Len() > maxBodyBytes {
+		return nil, errBodyTooLarge
+	}
+	return body.Bytes(), nil
 }
 
-// readBatchKeys decodes a /v1/contains_batch body, {"keys": [<base64>,
-// ...]}, as json.Unmarshal would, reading it straight from the request.
-func readBatchKeys(r *http.Request) ([][]byte, error) {
-	var req struct {
-		Keys batchKeys `json:"keys"`
+// overCap reports whether the "keys" array of a /v1/contains_batch
+// body holds more than wire.MaxBatchKeys keys. It counts them without
+// decoding any, so an oversized batch is refused before its keys cost
+// an allocation each. A body with fewer commas than the cap cannot hold
+// such an array and is not scanned; a body that is not valid JSON is
+// not over the cap, and decoding it reports the error.
+func overCap(body []byte) bool {
+	if bytes.Count(body, []byte{','}) < wire.MaxBatchKeys {
+		return false
 	}
-	dec := json.NewDecoder(newCappedBody(r))
-	err := dec.Decode(&req)
-	if err == nil {
-		if _, err = dec.Token(); err == io.EOF {
-			return req.Keys, nil
-		} else if err == nil {
-			err = errors.New("data after the object")
-		}
+	var count struct {
+		Keys keyCount `json:"keys"`
 	}
-	if !errors.Is(err, errBodyTooLarge) && !errors.Is(err, errBatchTooLarge) {
-		err = fmt.Errorf("bad JSON body: %w", err)
-	}
-	return nil, err
+	return json.Unmarshal(body, &count) == nil && count.Keys > wire.MaxBatchKeys
 }
 
-// batchKeys is the "keys" array of a /v1/contains_batch body. It
-// decodes the usual array, base64 strings without escapes, itself and
-// refuses it with errBatchTooLarge as soon as key wire.MaxBatchKeys+1
-// begins, before decoding further. Any other shape goes to
-// json.Unmarshal whole, and the handler's count check catches a batch
-// over the cap there.
-type batchKeys [][]byte
+// keyCount decodes a JSON array as its element count, and any other
+// value as 0.
+type keyCount int
 
-// UnmarshalJSON decodes b, which json has already validated: so a
-// string with no backslash before its first closing quote ends there.
-func (k *batchKeys) UnmarshalJSON(b []byte) error {
-	if b[0] != '[' {
-		return json.Unmarshal(b, (*[][]byte)(k)) // null, or the type error
-	}
-	// The keys share one backing. When it grows it is replaced rather
-	// than copied over, so keys already decoded keep their bytes.
-	keys, backing := [][]byte{}, []byte(nil)
-	for rest := skipSpace(b[1:]); rest[0] != ']'; {
-		if len(keys) == wire.MaxBatchKeys {
-			return errBatchTooLarge
-		}
-		if rest[0] != '"' {
-			return json.Unmarshal(b, (*[][]byte)(k))
-		}
-		end := bytes.IndexByte(rest[1:], '"') + 1
-		if bytes.IndexByte(rest[1:end], '\\') >= 0 {
-			return json.Unmarshal(b, (*[][]byte)(k))
-		}
-		at := len(backing)
-		backing = slices.Grow(backing, base64.StdEncoding.DecodedLen(end-1))
-		n, err := base64.StdEncoding.Decode(backing[at:cap(backing)], rest[1:end])
-		if err != nil {
-			return err
-		}
-		backing = backing[:at+n]
-		keys = append(keys, backing[at:at+n:at+n])
-		if rest = skipSpace(rest[end+1:]); rest[0] == ',' {
-			rest = skipSpace(rest[1:])
-		}
-	}
-	*k = keys
+// UnmarshalJSON counts b, a JSON value json has already validated.
+func (n *keyCount) UnmarshalJSON(b []byte) error {
+	*n = keyCount(arrayLen(b))
 	return nil
 }
 
-// skipSpace drops the JSON whitespace that leads b.
-func skipSpace(b []byte) []byte {
-	return bytes.TrimLeft(b, " \t\r\n")
+// arrayLen counts the top-level elements of b, a valid JSON value, if
+// it is an array, and returns 0 if it is not.
+func arrayLen(b []byte) int {
+	if b[0] != '[' || bytes.TrimLeft(b[1:], " \t\r\n")[0] == ']' {
+		return 0
+	}
+	n, depth, inString := 1, 0, false
+	for i := 0; i < len(b); i++ {
+		switch c := b[i]; {
+		case inString:
+			if c == '\\' {
+				i++ // skip the escaped byte, which may be a quote
+			} else if c == '"' {
+				inString = false
+			}
+		case c == '"':
+			inString = true
+		case c == '[' || c == '{':
+			depth++
+		case c == ']' || c == '}':
+			depth--
+		case c == ',' && depth == 1:
+			n++
+		}
+	}
+	return n
 }
 
 // rawRequest reports whether the request declares a raw octet-stream
@@ -453,33 +419,42 @@ func (s *Server) handleContainsBatch(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	keys, err := readBatchKeys(r)
-	if err == nil && len(keys) > wire.MaxBatchKeys {
-		err = errBatchTooLarge
-	}
+	body, err := readBody(r)
 	if err != nil {
 		s.failErr(w, "contains_batch", err)
 		return
 	}
-	if len(keys) == 0 {
+	if overCap(body) {
+		s.fail(w, http.StatusRequestEntityTooLarge,
+			"contains_batch: more keys than the batch cap of %d", wire.MaxBatchKeys)
+		return
+	}
+	var req struct {
+		Keys [][]byte `json:"keys"`
+	}
+	if err := json.Unmarshal(body, &req); err != nil {
+		s.fail(w, http.StatusBadRequest, "contains_batch: bad JSON body: %v", err)
+		return
+	}
+	if len(req.Keys) == 0 {
 		s.fail(w, http.StatusBadRequest, `contains_batch: missing "keys"`)
 		return
 	}
-	for i, k := range keys {
+	for i, k := range req.Keys {
 		if len(k) == 0 {
 			s.fail(w, http.StatusBadRequest, "contains_batch: empty key at index %d", i)
 			return
 		}
 	}
 	pb := resultBufPool.Get().(*[]bool)
-	if cap(*pb) < len(keys) {
-		*pb = make([]bool, len(keys))
+	if cap(*pb) < len(req.Keys) {
+		*pb = make([]bool, len(req.Keys))
 	}
-	present := (*pb)[:len(keys)]
-	s.Filter().ContainsBatchInto(present, keys)
+	present := (*pb)[:len(req.Keys)]
+	s.Filter().ContainsBatchInto(present, req.Keys)
 	s.mContainsBatch.Inc()
-	s.mBatchKeys.Add(uint64(len(keys)))
-	s.hBatchSize.Observe(float64(len(keys)))
+	s.mBatchKeys.Add(uint64(len(req.Keys)))
+	s.hBatchSize.Observe(float64(len(req.Keys)))
 	s.writeJSON(w, map[string][]bool{"present": present})
 	// writeJSON is synchronous, so the buffer is free again here. The
 	// pool holds *[]bool and the same pointer rides back in, keeping the

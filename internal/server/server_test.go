@@ -12,13 +12,13 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	habf "repro"
 	"repro/internal/dataset"
+	"repro/internal/wire"
 )
 
 // newTestFilter builds a small sharded filter over deterministic keys.
@@ -637,48 +637,67 @@ func TestConcurrentContainsAndAdd(t *testing.T) {
 	}
 }
 
-// TestBatchKeysDecodeLikeUnmarshal pins that the /v1/contains_batch key
-// decoder answers every body shape as json.Unmarshal into [][]byte
-// would: same keys, and an error exactly when Unmarshal errs.
-func TestBatchKeysDecodeLikeUnmarshal(t *testing.T) {
-	bodies := []string{
-		`{"keys": ["YQ==", "YmI=", "Y2Nj"]}`,
-		`{"keys":["YQ==","YmI="]}`,
-		" { \"keys\" :\n[ \"YQ==\" ,\t\"YmI=\" ] } ",
-		`{"KEYS": ["YQ=="]}`,
-		`{"keys": ["YQ=="], "keys": ["YmI="]}`,
-		`{"other": [1, "x", {"y": ["z"]}], "keys": ["YQ=="]}`,
-		`{"keys": []}`,
-		`{"keys": null}`,
-		`{}`,
-		`null`,
-		`{"keys": ["YQ==", null]}`,
-		`{"keys": [null]}`,
-		`{"keys": ["YQ=="]}`,
-		`{"keys": ["\/w=="]}`,
-		`{"keys": ["YQ==", "not base64!"]}`,
-		`{"keys": ["YQ"]}`,
-		`{"keys": [1]}`,
-		`{"keys": "YQ=="}`,
-		`{"keys": [["YQ=="]]}`,
-		`{"keys": ["YQ=="]`,
-		`{"keys": ["YQ=="]} {}`,
-		`[]`,
-		``,
+// TestOverCap pins the count /v1/contains_batch refuses a batch by
+// before decoding it: it must agree with the length json.Unmarshal
+// gives the "keys" field, including for bodies with commas elsewhere,
+// an escaped key, a differently cased or repeated field, and invalid
+// JSON (never over the cap; decoding reports it).
+func TestOverCap(t *testing.T) {
+	keys := func(n int, first string) string {
+		return `["` + first + `"` + strings.Repeat(`,"YQ=="`, n-1) + `]`
 	}
-	for _, body := range bodies {
-		var want struct {
-			Keys [][]byte `json:"keys"`
+	zeros := "[0" + strings.Repeat(",0", wire.MaxBatchKeys) + "]"
+	for name, c := range map[string]struct {
+		body string
+		want bool
+	}{
+		"small":                     {`{"keys": ["YQ==", "YmI="]}`, false},
+		"commas elsewhere":          {`{"other": ` + zeros + `, "keys": ["YQ==", "YmI="]}`, false},
+		"at the cap":                {`{"keys": ` + keys(wire.MaxBatchKeys, "YQ==") + `}`, false},
+		"at the cap, commas":        {`{"keys": ` + keys(wire.MaxBatchKeys, "YQ==") + `, "x": ",,"}`, false},
+		"at the cap, escaped quote": {`{"keys": ` + keys(wire.MaxBatchKeys, `a\",\"b`) + `}`, false},
+		"nested array":              {`{"keys": ["YQ==", ` + zeros + `]}`, false},
+		"over the cap":              {`{"keys": ` + keys(wire.MaxBatchKeys+1, "YQ==") + `}`, true},
+		"over, escaped key":         {`{"keys": ` + keys(wire.MaxBatchKeys+1, `\/w==`) + `}`, true},
+		"over, escaped quote":       {`{"keys": ` + keys(wire.MaxBatchKeys+1, `a\",\"b`) + `}`, true},
+		"over, field cased KEYS":    {`{"KEYS": ` + keys(wire.MaxBatchKeys+1, "YQ==") + `}`, true},
+		"over, then repeated":       {`{"keys": ` + keys(wire.MaxBatchKeys+1, "YQ==") + `, "keys": ["YQ=="]}`, false},
+		"over, invalid JSON":        {`{"keys": ` + keys(wire.MaxBatchKeys+1, "YQ==") + `,}`, false},
+	} {
+		if got := overCap([]byte(c.body)); got != c.want {
+			t.Errorf("%s: overCap = %v, want %v", name, got, c.want)
 		}
-		wantErr := json.Unmarshal([]byte(body), &want)
-		req := httptest.NewRequest(http.MethodPost, "/v1/contains_batch", strings.NewReader(body))
-		got, err := readBatchKeys(req)
-		if (err != nil) != (wantErr != nil) {
-			t.Errorf("%q: error %v, json.Unmarshal's %v", body, err, wantErr)
-			continue
+		var req struct {
+			Keys []json.RawMessage `json:"keys"`
 		}
-		if err == nil && !reflect.DeepEqual(got, want.Keys) {
-			t.Errorf("%q: keys %q, json.Unmarshal's %q", body, got, want.Keys)
+		if err := json.Unmarshal([]byte(c.body), &req); err == nil && (len(req.Keys) > wire.MaxBatchKeys) != c.want {
+			t.Errorf("%s: json.Unmarshal reads %d keys, the case says over the cap is %v", name, len(req.Keys), c.want)
+		}
+	}
+}
+
+// TestArrayLen pins the element count /v1/contains_batch checks against
+// the cap before it decodes: commas, brackets and escaped quotes inside
+// strings, and the elements of nested values, do not count.
+func TestArrayLen(t *testing.T) {
+	for body, want := range map[string]int{
+		`[]`:                                     0,
+		"[ \n\t]":                                0,
+		`null`:                                   0,
+		`"a,b"`:                                  0,
+		`{"k": [1, 2]}`:                          0,
+		`["YQ=="]`:                               1,
+		`["YQ==", "YmI="]`:                       2,
+		`["a,b", "c]d", "e"]`:                    3,
+		`["\"", "\\", "x"]`:                      3,
+		`["\/w==", "\\\"]"]`:                     2,
+		`[[1, 2], {"a": [3, 4], "b": "5,6"}, 7]`: 3,
+	} {
+		if !json.Valid([]byte(body)) {
+			t.Fatalf("%s: not valid JSON", body)
+		}
+		if got := arrayLen([]byte(body)); got != want {
+			t.Errorf("arrayLen(%s) = %d, want %d", body, got, want)
 		}
 	}
 }

@@ -3,12 +3,15 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"os"
 	"reflect"
 	"testing"
 	"testing/iotest"
+	"time"
 
 	"repro/internal/fuzzcorpus"
 )
@@ -223,5 +226,45 @@ func TestChunkedSeedCorpus(t *testing.T) {
 	}
 	if !reflect.DeepEqual(committed, seeds) {
 		t.Fatalf("committed seeds differ from fuzzChunkedSeeds (run with UPDATE_FUZZ_CORPUS=1)")
+	}
+}
+
+// TestMalformedFrameAnsweredOnOpenStream pins that a complete but
+// malformed batch frame gets its error while the writer keeps the
+// connection open, so a client waiting for the answer is not left
+// hanging. The frame's second key is empty, one byte long, after a
+// first key that straddles the read window: a decoder that asks for
+// more bytes than such a frame holds waits instead of answering.
+func TestMalformedFrameAnsweredOnOpenStream(t *testing.T) {
+	for name, first := range map[string]int{"key over the window": 70000, "key split across writes": 20} {
+		t.Run(name, func(t *testing.T) {
+			frame := AppendContainsBatch(nil, 1, [][]byte{bytes.Repeat([]byte{'k'}, first), {}, []byte("a")})
+			client, server := net.Pipe()
+			defer client.Close()
+			defer server.Close()
+			go func() {
+				client.Write(Handshake[:])
+				client.Write(frame[:len(frame)/2])
+				client.Write(frame[len(frame)/2:])
+			}()
+			done := make(chan error, 1)
+			go func() {
+				d := NewDecoder(server)
+				if err := d.ReadHandshake(); err != nil {
+					done <- err
+					return
+				}
+				var req Request
+				done <- d.Next(&req)
+			}()
+			select {
+			case err := <-done:
+				if !errors.Is(err, ErrEmptyKey) {
+					t.Fatalf("Next: %v, want %v", err, ErrEmptyKey)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("Next still waits for bytes past a complete frame")
+			}
+		})
 	}
 }

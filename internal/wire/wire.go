@@ -295,10 +295,12 @@ func (d *Decoder) parse(req *Request, p []byte) (n, need int, err error) {
 				return 0, 0, err
 			}
 			if end > len(p) {
-				// Every key still to come takes at least a length byte
-				// and a key byte.
+				// Every key still to come takes at least its length
+				// byte; no more is certain, since an empty key is
+				// malformed yet one byte long, and asking past a
+				// complete frame would stall its answer.
 				d.off = off
-				return 0, end + 2*(int(count)-len(d.keys)-1), nil
+				return 0, end + int(count) - len(d.keys) - 1, nil
 			}
 			if d.total += len(key); d.total > MaxBatchBytes {
 				return 0, 0, fmt.Errorf("%w (%d+ bytes)", ErrBatchTooBig, d.total)
