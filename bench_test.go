@@ -314,12 +314,12 @@ func BenchmarkShardedContainsBatch(b *testing.B) {
 		}
 	})
 	b.Run("sharded/perkey/parallel", func(b *testing.B) {
-		// The uncoalesced per-request serving path: ≥8 concurrent
-		// clients each querying one key at a time (per-key shard lock,
-		// per-call setup). Contrast with batch256/parallel below — same
-		// concurrency, one lock round per 256 keys — which is the path
-		// the habfserved coalescer puts independent single-key network
-		// callers on.
+		// The per-request serving path: ≥8 concurrent clients each
+		// querying one key at a time (per-key shard lock, per-call
+		// setup), as habfserved answers single-key network callers.
+		// Contrast with batch256/parallel below — same concurrency, one
+		// lock round per 256 keys — the path of callers that send their
+		// keys as one batch.
 		b.ReportAllocs()
 		b.SetParallelism(8)
 		var ctr atomic.Int64

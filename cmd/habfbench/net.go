@@ -182,8 +182,7 @@ func runNet(cfg netConfig, w io.Writer) error {
 }
 
 // transportScenarios runs every transport row against filter: HTTP
-// single-key (through the coalescer) and batch, and their
-// binary-protocol counterparts.
+// single-key and batch, and their binary-protocol counterparts.
 func (g *netGen) transportScenarios(filter *habf.Sharded, backendName, suffix string) error {
 	return g.served(filter, backendName, func() error {
 		if g.cfg.protoHas("http") {
@@ -298,7 +297,6 @@ func (g *netGen) startServer(filter *habf.Sharded) (func(), error) {
 	}
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		srv.Close()
 		return nil, err
 	}
 	hs := &http.Server{Handler: srv.Handler()}
@@ -311,7 +309,6 @@ func (g *netGen) startServer(filter *habf.Sharded) (func(), error) {
 		bl, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			hs.Close()
-			srv.Close()
 			return nil, err
 		}
 		bs = server.NewBinaryServer(srv)
@@ -330,7 +327,6 @@ func (g *netGen) startServer(filter *habf.Sharded) (func(), error) {
 			bs.Shutdown(ctx)
 			cancel()
 		}
-		srv.Close()
 		g.transport.CloseIdleConnections()
 	}, nil
 }
@@ -406,7 +402,7 @@ func (g *netGen) scenario(name string, loop loopFunc) error {
 		perClient = 1
 	}
 
-	// Warmup establishes connections and primes the coalescer.
+	// Warmup establishes connections and warms the server.
 	warm := perClient / 10
 	if warm > 2000 {
 		warm = 2000

@@ -1,17 +1,16 @@
 // Command habfserved serves a sharded HABF over HTTP.
 //
-// The daemon answers membership queries (/v1/contains, coalesced into
-// micro-batches under concurrency), batch queries (/v1/contains_batch),
-// inserts (/v1/add), operational stats (/v1/stats), crash-safe
-// checkpoints (/v1/snapshot) and Prometheus metrics (/metrics). The
-// coalescer has one fixed policy and no flags: drain-only, batches of
-// at most 256 keys, 2 dispatchers.
+// The daemon answers membership queries (/v1/contains), batch queries
+// (/v1/contains_batch), inserts (/v1/add), operational stats
+// (/v1/stats), crash-safe checkpoints (/v1/snapshot) and Prometheus
+// metrics (/metrics). Each request is answered on its handler's
+// goroutine.
 //
 // With -listen-binary it additionally serves the internal/wire binary
 // protocol on a raw TCP listener: length-prefixed frames over one
-// pipelined connection, dispatching into the same filter, coalescer and
-// metrics as HTTP but without per-request HTTP framing cost. Both
-// listeners drain gracefully on SIGINT/SIGTERM.
+// pipelined connection, dispatching into the same filter and metrics
+// as HTTP but without per-request HTTP framing cost. Both listeners
+// drain gracefully on SIGINT/SIGTERM.
 //
 // Usage:
 //
@@ -54,8 +53,8 @@
 // a startup error. The effective tuning is reported in /v1/stats.
 //
 // Shutdown is graceful: on SIGINT/SIGTERM the listener stops accepting,
-// in-flight requests and coalesced batches drain, and with
-// -snapshot-on-exit a final checkpoint is written to the -snapshot path.
+// in-flight requests drain, and with -snapshot-on-exit a final
+// checkpoint is written to the -snapshot path.
 package main
 
 import (
@@ -349,14 +348,13 @@ func run(cfg config) error {
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-errc:
-		srv.Close()
 		return err
 	case sig := <-sigc:
 		fmt.Fprintf(os.Stderr, "habfserved: %v — draining\n", sig)
 	}
 
 	// Graceful shutdown: stop accepting on both listeners, drain in-flight
-	// requests, then drain the coalescer and (optionally) checkpoint.
+	// requests, then (optionally) checkpoint.
 	ctx, cancel := context.WithTimeout(context.Background(), cfg.drainTimeout)
 	defer cancel()
 	if err := hs.Shutdown(ctx); err != nil {
@@ -367,7 +365,6 @@ func run(cfg config) error {
 			fmt.Fprintf(os.Stderr, "habfserved: binary shutdown: %v\n", err)
 		}
 	}
-	srv.Close()
 	filter.WaitRebuilds()
 	if cfg.snapExit {
 		path, took, err := srv.Snapshot()

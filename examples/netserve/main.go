@@ -1,8 +1,8 @@
 // Network serving: HABF behind an HTTP API. The previous examples use
 // the filter in-process; this one runs the full habfserved serving layer
-// — endpoints, request coalescing, Prometheus metrics, crash-safe
-// snapshots — against a live HTTP listener, the deployment shape a
-// production filter service actually has.
+// — endpoints, Prometheus metrics, crash-safe snapshots — against a
+// live HTTP listener, the deployment shape a production filter service
+// actually has.
 //
 // The example starts an in-process server on a loopback port, queries
 // members and known negatives over HTTP (single-key JSON, raw
@@ -13,8 +13,7 @@
 // zero-false-negative contract.
 //
 // Counts printed are deterministic (fixed seeds, fixed workload);
-// timings, ports and coalescer batch shapes depend on the machine and
-// go to stderr.
+// timings and ports depend on the machine and go to stderr.
 //
 //	go run ./examples/netserve
 package main
@@ -67,7 +66,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer srv.Close()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
@@ -157,9 +155,6 @@ func main() {
 		}
 	}
 	fmt.Printf("snapshot → restore: %d members verified, %d false negatives\n", nMembers+nNewKeys, missed)
-
-	st := srv.Coalescer().Stats()
-	fmt.Fprintf(os.Stderr, "coalescer: %d keys in %d batches (mean %.1f)\n", st.Keys, st.Batches, st.MeanBatch())
 }
 
 func serverIdentity(base string) (name, backend string) {

@@ -38,7 +38,7 @@ func newPrimary(t *testing.T, f *habf.Sharded) (*server.Server, *httptest.Server
 		t.Fatalf("server.New: %v", err)
 	}
 	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() { ts.Close(); srv.Close() })
+	t.Cleanup(ts.Close)
 	return srv, ts
 }
 
@@ -224,7 +224,6 @@ func TestFollowerKeepsServingWhenPrimaryDies(t *testing.T) {
 	if err != nil {
 		t.Fatalf("server.New: %v", err)
 	}
-	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 
 	var h holder

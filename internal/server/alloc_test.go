@@ -7,9 +7,43 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/wire"
 )
+
+// TestBinaryContainsSteadyStateAllocs pins the allocation contract of
+// the binary OpContains arm: with the response scratch warm, answering a
+// single-key frame — Contains on the served filter, AppendContainsResp
+// into the reused output and the arm's metrics — allocates nothing. The
+// test mirrors the arm in (*BinaryServer).handle statement for
+// statement; if the handler grows an allocation, so does this.
+func TestBinaryContainsSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; run without -race for alloc counts")
+	}
+	filter, data := newTestFilter(t, 2048)
+	srv, err := New(Config{Filter: filter})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	keys := [][]byte{data.Positives[0], data.Negatives[0]}
+	out := make([]byte, 0, 64)
+	i := 0
+	arm := func() {
+		start := time.Now()
+		present := srv.Filter().Contains(keys[i%len(keys)])
+		out = wire.AppendContainsResp(out[:0], 42, present)
+		srv.mBinContains.Inc()
+		srv.hBinContains.ObserveDuration(time.Since(start))
+		i++
+	}
+	arm() // warm the response scratch
+	if avg := testing.AllocsPerRun(100, arm); avg != 0 {
+		t.Errorf("binary contains arm allocates %.1f objects per frame, want 0", avg)
+	}
+}
 
 // TestBinaryBatchSteadyStateAllocs pins the allocation contract of the
 // binary OpContainsBatch arm: with the connection's result buffer and
@@ -26,8 +60,6 @@ func TestBinaryBatchSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
-	b := serverBatcher{s: srv}
 
 	keys := append(append([][]byte{}, data.Positives[:128]...), data.Negatives[:128]...)
 	var results []bool
@@ -37,33 +69,12 @@ func TestBinaryBatchSteadyStateAllocs(t *testing.T) {
 			results = make([]bool, len(keys))
 		}
 		results = results[:len(keys)]
-		b.ContainsBatchInto(results, keys)
+		srv.Filter().ContainsBatchInto(results, keys)
 		out = wire.AppendBatchResp(out[:0], 42, results)
 	}
 	arm() // warm the result buffer, response scratch and shard pool
 	if avg := testing.AllocsPerRun(50, arm); avg != 0 {
 		t.Errorf("binary batch arm allocates %.1f objects per frame, want 0", avg)
-	}
-}
-
-// TestCoalescerDispatchSteadyStateAllocs pins the dispatch path: a
-// coalescer reuses its per-dispatcher result buffer for
-// ContainsBatchInto, so a steady stream of
-// coalesced queries allocates only what the request/response machinery
-// itself pins (pooled requests, reused channels) — the batch dispatch
-// contributes nothing per key. Measured end to end: the per-query alloc
-// count must stay far below one object per key batched.
-func TestCoalescerDispatchSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race-detector instrumentation allocates; run without -race for alloc counts")
-	}
-	filter, data := newTestFilter(t, 2048)
-	co := newCoalescer(filter, coalesceMaxBatch, coalesceDispatchers)
-	defer co.Close()
-	key := data.Positives[0]
-	co.Contains(key) // warm pools
-	if avg := testing.AllocsPerRun(100, func() { co.Contains(key) }); avg > 1 {
-		t.Errorf("coalesced Contains allocates %.1f objects per query, want ≤1", avg)
 	}
 }
 
@@ -84,7 +95,6 @@ func TestOversizedBatchRefusedEarly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
 	keys := make([][]byte, 16*wire.MaxBatchKeys)
 	for i := range keys {
 		keys[i] = []byte{byte(i)}

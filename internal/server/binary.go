@@ -15,10 +15,10 @@ import (
 
 // BinaryServer serves the internal/wire binary protocol on a raw TCP
 // listener, dispatching into the same Server (and therefore the same
-// coalescer, filter and metrics registry) that answers HTTP. One
-// goroutine per connection; each connection's decoder parses frames in
-// place in its read buffer, so the steady-state request path allocates
-// nothing.
+// filter and metrics registry) that answers HTTP. One goroutine per
+// connection answers its frames in order; each connection's decoder
+// parses frames in place in its read buffer, so the steady-state
+// request path allocates nothing.
 type BinaryServer struct {
 	s *Server
 
@@ -171,9 +171,7 @@ func (b *BinaryServer) handle(conn net.Conn) {
 		start := time.Now()
 		switch req.Op {
 		case wire.OpContains:
-			// Through the coalescer: concurrent binary connections share
-			// ContainsBatch lock rounds exactly like HTTP callers do.
-			present := b.s.co.Contains(req.Key)
+			present := b.s.Filter().Contains(req.Key)
 			out = wire.AppendContainsResp(out[:0], req.ID, present)
 			b.s.mBinContains.Inc()
 			b.s.hBinContains.ObserveDuration(time.Since(start))

@@ -42,15 +42,14 @@ func startBinary(t testing.TB, srv *Server) string {
 }
 
 // TestBinaryEndpointsAgree pins the binary protocol's core contract:
-// contains (through the coalescer), contains_batch and add all answer
-// exactly like the in-process filter, on one pipelined connection.
+// contains, contains_batch and add all answer exactly like the
+// in-process filter, on one pipelined connection.
 func TestBinaryEndpointsAgree(t *testing.T) {
 	filter, data := newTestFilter(t, 2000)
 	srv, err := New(Config{Filter: filter})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
 	addr := startBinary(t, srv)
 
 	c, err := wire.Dial(addr)
@@ -107,7 +106,6 @@ func TestBinaryAddCopiesKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
 	addr := startBinary(t, srv)
 	c, err := wire.Dial(addr)
 	if err != nil {
@@ -141,7 +139,6 @@ func TestBinaryRejectsHostileInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
 	addr := startBinary(t, srv)
 
 	dial := func() net.Conn {
@@ -201,7 +198,6 @@ func TestBinaryOversizedKeyRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
 	addr := startBinary(t, srv)
 
 	c, err := wire.Dial(addr)
@@ -299,7 +295,6 @@ func TestBinaryPipelining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
 	addr := startBinary(t, srv)
 
 	conn, err := net.Dial("tcp", addr)
@@ -349,7 +344,6 @@ func TestBinaryConcurrentClients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
 	addr := startBinary(t, srv)
 
 	const (
@@ -426,7 +420,6 @@ func TestBinaryShutdownDrains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -468,7 +461,6 @@ func TestBinaryMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
 	addr := startBinary(t, srv)

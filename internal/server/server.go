@@ -1,8 +1,7 @@
 // Package server turns a sharded HABF into a network service: an HTTP
-// API over *habf.Sharded with transparent request coalescing, so the
-// per-chunk lock amortization of ContainsBatch — an in-process win for
-// callers that already hold a batch — is also realized for independent
-// single-key network callers.
+// API over *habf.Sharded. Every request is answered on its handler's
+// goroutine: a single-key query is one Contains on the served filter, a
+// batch is one ContainsBatchInto.
 //
 // Endpoints (all request/response bodies are JSON unless noted):
 //
@@ -12,7 +11,7 @@
 //	POST /v1/snapshot        (no body, or {})             → {"path": ..., "ms": ...}
 //	GET  /v1/snapshot                                     → the snapshot container itself (octet-stream)
 //	GET  /v1/epoch                                        → the filter mutation epoch, as decimal text
-//	GET  /v1/stats                                        → filter + shard + coalescer stats
+//	GET  /v1/stats                                        → filter + shard stats
 //	GET  /metrics                                         → Prometheus text format
 //
 // /v1/contains and /v1/add also accept Content-Type:
@@ -22,8 +21,8 @@
 // want to skip JSON entirely.
 //
 // Beside HTTP, BinaryServer serves the internal/wire binary protocol on
-// a raw TCP listener through the same coalescer and filter — the path
-// for single-key callers that can't afford HTTP request framing at all.
+// a raw TCP listener over the same filter — the path for single-key
+// callers that can't afford HTTP request framing at all.
 //
 // The server is the unit of replication. GET /v1/snapshot streams a
 // filter-only container (SaveFilters; stamped with the filter's
@@ -81,14 +80,13 @@ type Config struct {
 	Primary string
 }
 
-// Server is the HTTP serving layer. Create with New, expose with
-// Handler, and Close when done (it drains the coalescer).
+// Server is the HTTP serving layer. Create with New and expose with
+// Handler.
 type Server struct {
 	// filter is behind an atomic pointer so a replication follower can
 	// swap in a freshly restored snapshot while requests are in flight;
 	// every handler loads it once per request via Filter().
 	filter   atomic.Pointer[habf.Sharded]
-	co       *Coalescer
 	mux      *http.ServeMux
 	snapPath string
 	primary  string
@@ -108,7 +106,6 @@ type Server struct {
 	mErrors        *metrics.Counter
 	hContains      *metrics.Histogram
 	hBatchSize     *metrics.Histogram
-	hCoalesceSize  *metrics.Histogram
 
 	// Binary-protocol instrumentation (see BinaryServer). Registered
 	// unconditionally so scrapes see the series at zero when no binary
@@ -122,7 +119,7 @@ type Server struct {
 	binConns     atomic.Int64
 }
 
-// New builds a Server over cfg.Filter and starts its coalescer.
+// New builds a Server over cfg.Filter. It starts no goroutine.
 func New(cfg Config) (*Server, error) {
 	if cfg.Filter == nil {
 		return nil, fmt.Errorf("server: nil Filter")
@@ -133,9 +130,6 @@ func New(cfg Config) (*Server, error) {
 		reg:      metrics.NewRegistry(),
 	}
 	s.filter.Store(cfg.Filter)
-	// The coalescer dispatches through the server, not a pinned filter,
-	// so micro-batches formed before a SwapFilter land on the new filter.
-	s.co = newCoalescer(serverBatcher{s}, coalesceMaxBatch, coalesceDispatchers)
 
 	s.mContains = s.reg.Counter(`habfserved_requests_total{endpoint="contains"}`, "Requests by endpoint.")
 	s.mContainsBatch = s.reg.Counter(`habfserved_requests_total{endpoint="contains_batch"}`, "Requests by endpoint.")
@@ -147,9 +141,6 @@ func New(cfg Config) (*Server, error) {
 		"End-to-end handler latency of /v1/contains.", metrics.DurationBuckets())
 	s.hBatchSize = s.reg.Histogram("habfserved_batch_size_keys",
 		"Batch sizes seen by /v1/contains_batch.", metrics.SizeBuckets(1<<16))
-	s.hCoalesceSize = s.reg.Histogram("habfserved_coalesce_batch_size_keys",
-		"Micro-batch sizes formed by the request coalescer.", metrics.SizeBuckets(1<<12))
-	s.co.onBatch = func(n int) { s.hCoalesceSize.Observe(float64(n)) }
 
 	s.mBinContains = s.reg.Counter(`habfserved_requests_total{endpoint="binary_contains"}`, "Requests by endpoint.")
 	s.mBinBatch = s.reg.Counter(`habfserved_requests_total{endpoint="binary_contains_batch"}`, "Requests by endpoint.")
@@ -177,10 +168,12 @@ func New(cfg Config) (*Server, error) {
 		func() float64 { return float64(s.Filter().Stats().Rebuilds) })
 	s.reg.Gauge("habfserved_filter_pending_keys", "Static-backend Adds buffered outside the shard filters until their shard's next rebuild.",
 		func() float64 { return float64(s.Filter().Stats().Pending) })
-	s.reg.Gauge("habfserved_coalesce_batches", "Micro-batches dispatched.",
-		func() float64 { return float64(s.co.Stats().Batches) })
-	s.reg.Gauge("habfserved_coalesce_keys", "Keys answered through micro-batches.",
-		func() float64 { return float64(s.co.Stats().Keys) })
+	// The two coalesce series are deprecated. Every single-key query is
+	// its own batch of one, so both read the single-key contains answered
+	// over HTTP and binary, and their ratio reads 1.
+	singles := func() float64 { return float64(s.mContains.Value() + s.mBinContains.Value()) }
+	s.reg.Gauge("habfserved_coalesce_batches", "Deprecated: single-key contains answered (HTTP and binary).", singles)
+	s.reg.Gauge("habfserved_coalesce_keys", "Deprecated: single-key contains answered (HTTP and binary).", singles)
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/contains", s.handleContains)
@@ -204,10 +197,10 @@ func (s *Server) Filter() *habf.Sharded { return s.filter.Load() }
 
 // SwapFilter atomically replaces the served filter and returns the
 // previous one. In-flight requests finish against whichever filter they
-// loaded; new requests (and coalesced micro-batches formed after the
-// swap) see next. The backends must match — swapping a follower onto a
-// different filter family mid-serve would invalidate the registered
-// backend metrics and every client's expectations about tuning.
+// loaded; new requests see next. The backends must match — swapping a
+// follower onto a different filter family mid-serve would invalidate
+// the registered backend metrics and every client's expectations about
+// tuning.
 func (s *Server) SwapFilter(next *habf.Sharded) (*habf.Sharded, error) {
 	if next == nil {
 		return nil, fmt.Errorf("server: nil filter")
@@ -223,22 +216,9 @@ func (s *Server) SwapFilter(next *habf.Sharded) (*habf.Sharded, error) {
 // resync counters in follower mode).
 func (s *Server) Metrics() *metrics.Registry { return s.reg }
 
-// serverBatcher adapts the server's swappable filter to the coalescer's
-// Batcher interface: every dispatch resolves the filter at call time.
-type serverBatcher struct{ s *Server }
-
-func (b serverBatcher) Contains(key []byte) bool { return b.s.Filter().Contains(key) }
-func (b serverBatcher) ContainsBatchInto(dst []bool, keys [][]byte) {
-	b.s.Filter().ContainsBatchInto(dst, keys)
-}
-
-// Coalescer exposes the coalescing layer (stats, direct benchmarking).
-func (s *Server) Coalescer() *Coalescer { return s.co }
-
-// Close drains the coalescing layer. Call after the http.Server has
-// stopped accepting requests (e.g. via Shutdown); handlers still running
-// during the drain keep getting correct answers on the direct path.
-func (s *Server) Close() { s.co.Close() }
+// Close does nothing: the server starts no goroutine and holds nothing
+// to release. It is safe to call any number of times.
+func (s *Server) Close() {}
 
 // Snapshot writes the filter's current state to Config.SnapshotPath via
 // the crash-safe SaveFile and returns that path.
@@ -400,7 +380,7 @@ func (s *Server) handleContains(w http.ResponseWriter, r *http.Request) {
 		s.failErr(w, "contains", err)
 		return
 	}
-	present := s.co.Contains(key)
+	present := s.Filter().Contains(key)
 	s.mContains.Inc()
 	if raw {
 		if present {
@@ -513,7 +493,6 @@ type statsResponse struct {
 	Rebuilds uint64           `json:"rebuilds"`
 	SizeBits uint64           `json:"size_bits"`
 	Shards   []habf.ShardInfo `json:"shards"`
-	Coalesce CoalesceStats    `json:"coalesce"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -540,7 +519,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Rebuilds: st.Rebuilds,
 		SizeBits: st.SizeBits,
 		Shards:   f.ShardInfos(),
-		Coalesce: s.co.Stats(),
 	})
 }
 

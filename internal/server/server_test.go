@@ -45,11 +45,15 @@ func newTestServer(t testing.TB, filter *habf.Sharded, cfg Config) (*Server, *ht
 		t.Fatal(err)
 	}
 	hs := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() {
-		hs.Close()
-		srv.Close()
-	})
+	t.Cleanup(hs.Close)
 	return srv, hs
+}
+
+// filterRequests counts the HTTP requests that reached the filter: the
+// contains, contains_batch and add series of requests_total, each
+// counted only after the filter has answered.
+func filterRequests(srv *Server) uint64 {
+	return srv.mContains.Value() + srv.mContainsBatch.Value() + srv.mAdd.Value()
 }
 
 func postJSON(t testing.TB, url string, body any) (*http.Response, []byte) {
@@ -112,8 +116,8 @@ func containsRaw(t testing.TB, base string, key []byte) bool {
 }
 
 // TestEndpointsAgree pins the core contract: the JSON single-key path,
-// the raw single-key path (both coalesced) and the batch path all answer
-// exactly like the in-process filter, and members are never denied.
+// the raw single-key path and the batch path all answer exactly like
+// the in-process filter, and members are never denied.
 func TestEndpointsAgree(t *testing.T) {
 	filter, data := newTestFilter(t, 2000)
 	_, hs := newTestServer(t, filter, Config{})
@@ -263,7 +267,7 @@ func TestSnapshotRejectsClientPath(t *testing.T) {
 // TestStatsEndpoint spot-checks the operational document.
 func TestStatsEndpoint(t *testing.T) {
 	filter, data := newTestFilter(t, 1000)
-	_, hs := newTestServer(t, filter, Config{})
+	srv, hs := newTestServer(t, filter, Config{})
 	for i := 0; i < 64; i++ {
 		containsRaw(t, hs.URL, data.Positives[i])
 	}
@@ -290,18 +294,33 @@ func TestStatsEndpoint(t *testing.T) {
 	if shardKeys != 1000 {
 		t.Fatalf("per-shard keys sum %d, want 1000", shardKeys)
 	}
-	if got := st.Coalesce.Keys + st.Coalesce.Direct; got != 64 {
-		t.Fatalf("coalesce keys+direct %d, want 64", got)
+	if got := filterRequests(srv); got != 64 {
+		t.Fatalf("%d requests reached the filter, want 64", got)
 	}
 }
 
 // TestMetricsEndpoint checks the Prometheus exposition renders the
-// serving counters with believable values.
+// serving counters with believable values. The deprecated coalesce
+// gauges must both read the single-key contains answered over HTTP and
+// binary, so their ratio stays 1; batches do not count.
 func TestMetricsEndpoint(t *testing.T) {
 	filter, data := newTestFilter(t, 500)
-	_, hs := newTestServer(t, filter, Config{})
+	srv, hs := newTestServer(t, filter, Config{})
 	for i := 0; i < 10; i++ {
 		containsRaw(t, hs.URL, data.Positives[i])
+	}
+	c, err := wire.Dial(startBinary(t, srv))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := 0; i < 5; i++ {
+		if _, err := c.Contains(data.Negatives[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.ContainsBatch(data.Positives[:32]); err != nil {
+		t.Fatal(err)
 	}
 
 	resp, err := http.Get(hs.URL + "/metrics")
@@ -323,6 +342,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"habfserved_filter_keys 500",
 		fmt.Sprintf("habfserved_filter_shards %d", filter.NumShards()),
 		"habfserved_filter_pending_keys 0",
+		"habfserved_coalesce_keys 15",
+		"habfserved_coalesce_batches 15",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("metrics output missing %q:\n%s", want, text)
@@ -400,8 +421,8 @@ func TestRequestErrors(t *testing.T) {
 	if resp, _ := postJSON(t, hs.URL+"/v1/snapshot", nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("pathless snapshot: HTTP %d, want 400", resp.StatusCode)
 	}
-	if srv.Coalescer().Stats().Direct != 0 {
-		t.Fatal("error requests should not have touched the filter")
+	if got := filterRequests(srv); got != 0 {
+		t.Fatalf("%d error requests reached the filter", got)
 	}
 }
 
@@ -460,8 +481,8 @@ func TestOversizedBodyRejected(t *testing.T) {
 		t.Fatalf("oversized snapshot body: HTTP %d, want 413", resp.StatusCode)
 	}
 
-	if srv.Coalescer().Stats().Keys+srv.Coalescer().Stats().Direct != 0 {
-		t.Fatal("an oversized request reached the filter")
+	if got := filterRequests(srv); got != 0 {
+		t.Fatalf("%d oversized requests reached the filter", got)
 	}
 }
 
@@ -536,15 +557,14 @@ func TestEmptyKeyRejected(t *testing.T) {
 	if resp, _ := postJSON(t, hs.URL+"/v1/contains_batch", map[string]any{"keys": []string{""}}); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("batch with empty key: HTTP %d, want 400", resp.StatusCode)
 	}
-	if st := srv.Coalescer().Stats(); st.Keys+st.Direct != 0 {
-		t.Fatal("an empty-key request reached the filter")
+	if got := filterRequests(srv); got != 0 {
+		t.Fatalf("%d empty-key requests reached the filter", got)
 	}
 }
 
 // TestConcurrentContainsAndAdd hammers the single-key read and write
 // endpoints from many goroutines at once — the -race test of the
-// serving layer's no-external-locking claim, end to end through HTTP
-// and the coalescer.
+// serving layer's no-external-locking claim, end to end through HTTP.
 func TestConcurrentContainsAndAdd(t *testing.T) {
 	filter, data := newTestFilter(t, 2000)
 	_, hs := newTestServer(t, filter, Config{})

@@ -447,10 +447,9 @@ func (s *Set) ContainsBatchInto(dst []bool, keys [][]byte) {
 	if n == 0 {
 		return
 	}
-	if n < len(s.shards) || n > 1<<30 {
-		// Degenerate batches (fewer keys than shards) would pay more for
-		// grouping than per-key routing costs; absurdly large ones would
-		// overflow the int32 slot indices. Route individually.
+	if n > 1<<30 {
+		// Larger batches would overflow the int32 slot indices. Route
+		// individually.
 		for i, key := range keys {
 			dst[i] = s.Contains(key)
 		}

@@ -103,7 +103,13 @@ func TestBatchMatchesPerKey(t *testing.T) {
 			for i, key := range probe {
 				want[i] = s.Contains(key)
 			}
-			for _, length := range []int{1, 7, 8, 9, 63, 64, 256, 257, 6000} {
+			// Every size up to twice the shard count, so batches with
+			// fewer keys than shards are checked as well.
+			lengths := []int{63, 64, 256, 257, 6000}
+			for n := 1; n <= 2*s.NumShards(); n++ {
+				lengths = append(lengths, n)
+			}
+			for _, length := range lengths {
 				for _, off := range []int{1, 3, 101, 333} {
 					if off+length > len(probe) {
 						continue
