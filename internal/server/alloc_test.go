@@ -7,17 +7,16 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/wire"
 )
 
 // TestBinaryContainsSteadyStateAllocs pins the allocation contract of
 // the binary OpContains arm: with the response scratch warm, answering a
-// single-key frame — Contains on the served filter, AppendContainsResp
-// into the reused output and the arm's metrics — allocates nothing. The
-// test mirrors the arm in (*BinaryServer).handle statement for
-// statement; if the handler grows an allocation, so does this.
+// decoded single-key frame — the request core's contains, its metrics
+// and AppendContainsResp into the reused output — allocates nothing.
+// The frame goes through the connection loop's own answer, so the test
+// covers the code that serves it.
 func TestBinaryContainsSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; run without -race for alloc counts")
@@ -27,30 +26,35 @@ func TestBinaryContainsSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	bs := NewBinaryServer(srv)
 
 	keys := [][]byte{data.Positives[0], data.Negatives[0]}
+	req := wire.Request{Op: wire.OpContains, ID: 42}
+	var results []bool
 	out := make([]byte, 0, 64)
 	i := 0
 	arm := func() {
-		start := time.Now()
-		present := srv.Filter().Contains(keys[i%len(keys)])
-		out = wire.AppendContainsResp(out[:0], 42, present)
-		srv.mBinContains.Inc()
-		srv.hBinContains.ObserveDuration(time.Since(start))
+		req.Key = keys[i%len(keys)]
+		if out, err = bs.answer(out, &req, &results); err != nil {
+			t.Fatal(err)
+		}
 		i++
 	}
 	arm() // warm the response scratch
 	if avg := testing.AllocsPerRun(100, arm); avg != 0 {
 		t.Errorf("binary contains arm allocates %.1f objects per frame, want 0", avg)
 	}
+	if n := srv.mBinContains.Value(); n != 102 {
+		t.Errorf("binary_contains requests = %d, want 102", n)
+	}
 }
 
 // TestBinaryBatchSteadyStateAllocs pins the allocation contract of the
 // binary OpContainsBatch arm: with the connection's result buffer and
-// response scratch warm, answering a batch frame — ContainsBatchInto
-// plus AppendBatchResp into the reused output — allocates nothing. The
-// test mirrors the arm in (*BinaryServer).handle statement for
-// statement; if the handler grows an allocation, so does this.
+// response scratch warm, answering a decoded batch frame — the request
+// core's containsBatch and AppendBatchResp into the reused output —
+// allocates nothing. Like the test above, it calls the connection
+// loop's own answer.
 func TestBinaryBatchSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; run without -race for alloc counts")
@@ -60,21 +64,25 @@ func TestBinaryBatchSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	bs := NewBinaryServer(srv)
 
 	keys := append(append([][]byte{}, data.Positives[:128]...), data.Negatives[:128]...)
+	req := wire.Request{Op: wire.OpContainsBatch, ID: 42, Keys: keys}
 	var results []bool
 	out := make([]byte, 0, 64)
 	arm := func() {
-		if cap(results) < len(keys) {
-			results = make([]bool, len(keys))
+		if out, err = bs.answer(out, &req, &results); err != nil {
+			t.Fatal(err)
 		}
-		results = results[:len(keys)]
-		srv.Filter().ContainsBatchInto(results, keys)
-		out = wire.AppendBatchResp(out[:0], 42, results)
 	}
 	arm() // warm the result buffer, response scratch and shard pool
 	if avg := testing.AllocsPerRun(50, arm); avg != 0 {
 		t.Errorf("binary batch arm allocates %.1f objects per frame, want 0", avg)
+	}
+	for i, key := range keys {
+		if results[i] != filter.Contains(key) {
+			t.Fatalf("batch answer %d = %v, filter says %v", i, results[i], !results[i])
+		}
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 
 	habf "repro"
 	"repro/internal/dataset"
+	"repro/internal/wire"
 )
 
 // backendsUnderTest mirrors the conformance suite's selection: every
@@ -43,14 +44,16 @@ func newBackendFilter(t testing.TB, backend string, keys int) (*habf.Sharded, da
 // TestServerBackendEndToEnd drives the full serving cycle over every
 // registered backend through the HTTP API: query → add → snapshot →
 // restore → query, with zero false negatives at every step, and the
-// backend surfaced in /v1/stats and /metrics.
+// backend surfaced in /v1/stats and /metrics. The binary protocol
+// answers contains, a batch and an Add on the same server, agreeing
+// with HTTP.
 func TestServerBackendEndToEnd(t *testing.T) {
 	for _, backend := range backendsUnderTest(t) {
 		backend := backend
 		t.Run(backend, func(t *testing.T) {
 			filter, data := newBackendFilter(t, backend, 1500)
 			path := filepath.Join(t.TempDir(), "backend.snap")
-			_, hs := newTestServer(t, filter, Config{SnapshotPath: path})
+			srv, hs := newTestServer(t, filter, Config{SnapshotPath: path})
 
 			// Members answer true over both body forms; negatives agree
 			// with the direct filter.
@@ -81,6 +84,48 @@ func TestServerBackendEndToEnd(t *testing.T) {
 				if !containsRaw(t, hs.URL, key) {
 					t.Fatalf("acked add %q not queryable", key)
 				}
+			}
+
+			// The binary protocol answers as HTTP does, and its Add is
+			// queryable on ack over both.
+			c, err := wire.Dial(startBinary(t, srv))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			batch := append(append([][]byte{}, data.Positives[:100]...), data.Negatives[:100]...)
+			for _, key := range batch {
+				got, err := c.Contains(key)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := containsRaw(t, hs.URL, key); got != want {
+					t.Fatalf("contains %q: binary=%v HTTP=%v", key, got, want)
+				}
+			}
+			overBinary, err := c.ContainsBatch(batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			overHTTP, err := httpContainsBatch(hs.URL, batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range batch {
+				if overBinary[i] != overHTTP[i] {
+					t.Fatalf("batch key %d: binary=%v HTTP=%v", i, overBinary[i], overHTTP[i])
+				}
+			}
+			key := []byte("e2e-binary-" + backend)
+			added = append(added, key)
+			if err := c.Add(key); err != nil {
+				t.Fatal(err)
+			}
+			if ok, err := c.Contains(key); err != nil || !ok {
+				t.Fatalf("binary-acked add %q over binary: %v, %v", key, ok, err)
+			}
+			if !containsRaw(t, hs.URL, key) {
+				t.Fatalf("binary-acked add %q not queryable over HTTP", key)
 			}
 
 			// /v1/stats names the backend.

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	habf "repro"
 	"repro/internal/wire"
 )
 
@@ -49,10 +48,7 @@ func (b *BinaryServer) Serve(ln net.Listener) error {
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
-			b.mu.Lock()
-			draining := b.draining
-			b.mu.Unlock()
-			if draining {
+			if b.drainingNow() {
 				return nil
 			}
 			return err
@@ -150,64 +146,26 @@ func (b *BinaryServer) handle(conn net.Conn) {
 	var results []bool
 	var req wire.Request
 	for {
-		if err := dec.Next(&req); err != nil {
-			if errors.Is(err, io.EOF) {
-				return // clean close between frames
-			}
-			if b.drainingNow() {
-				return // drain deadline fired, not a client fault
-			}
-			// Every decode failure is a protocol violation: answer with an
-			// error frame (best effort) and drop the connection — frame
-			// boundaries can no longer be trusted.
+		err := dec.Next(&req)
+		if errors.Is(err, io.EOF) {
+			return // clean close between frames
+		}
+		if err == nil {
+			out, err = b.answer(out, &req, &results)
+		} else if b.drainingNow() {
+			return // drain deadline fired, not a client fault
+		}
+		if err != nil {
+			// A decode failure leaves frame boundaries untrusted, and an
+			// error frame closes the connection by protocol: send it
+			// (best effort) and drop the connection. A follower's refusal
+			// names its primary, the best redirect this wire has.
 			b.s.mErrors.Inc()
 			out = wire.AppendErrorResp(out[:0], req.Op, req.ID, err.Error())
 			conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
 			bw.Write(out)
 			bw.Flush()
 			return
-		}
-
-		start := time.Now()
-		switch req.Op {
-		case wire.OpContains:
-			present := b.s.Filter().Contains(req.Key)
-			out = wire.AppendContainsResp(out[:0], req.ID, present)
-			b.s.mBinContains.Inc()
-			b.s.hBinContains.ObserveDuration(time.Since(start))
-		case wire.OpContainsBatch:
-			if cap(results) < len(req.Keys) {
-				results = make([]bool, len(req.Keys))
-			}
-			results = results[:len(req.Keys)]
-			b.s.Filter().ContainsBatchInto(results, req.Keys)
-			out = wire.AppendBatchResp(out[:0], req.ID, results)
-			b.s.mBinBatch.Inc()
-			b.s.mBatchKeys.Add(uint64(len(req.Keys)))
-			b.s.hBatchSize.Observe(float64(len(req.Keys)))
-			b.s.hBinBatch.ObserveDuration(time.Since(start))
-		case wire.OpAdd:
-			// A follower's read-only filter rejects writes on the binary
-			// path too. Error frames close the connection by protocol;
-			// pointing at the primary in the message is the best redirect
-			// this wire has.
-			if err := b.s.Filter().Add(req.Key); err != nil {
-				msg := err.Error()
-				if errors.Is(err, habf.ErrReadOnly) && b.s.primary != "" {
-					msg = "read-only follower: add at the primary " + b.s.primary
-				}
-				b.s.mErrors.Inc()
-				out = wire.AppendErrorResp(out[:0], wire.OpAdd, req.ID, msg)
-				conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
-				bw.Write(out)
-				bw.Flush()
-				return
-			}
-			out = wire.AppendOKResp(out[:0], wire.OpAdd, req.ID)
-			b.s.mBinAdd.Inc()
-		case wire.OpPing:
-			out = wire.AppendOKResp(out[:0], wire.OpPing, req.ID)
-			b.s.mBinPing.Inc()
 		}
 		if _, err := bw.Write(out); err != nil {
 			return
@@ -225,4 +183,29 @@ func (b *BinaryServer) handle(conn net.Conn) {
 			}
 		}
 	}
+}
+
+// answer runs req through the request core and encodes the response
+// into out[:0]. results is the connection's batch result buffer. A
+// refused request returns its error instead.
+func (b *BinaryServer) answer(out []byte, req *wire.Request, results *[]bool) ([]byte, error) {
+	s, start := b.s, time.Now()
+	switch req.Op {
+	case wire.OpContains:
+		out = wire.AppendContainsResp(out[:0], req.ID, s.contains(req.Key, s.mBinContains))
+		s.hBinContains.ObserveDuration(time.Since(start))
+	case wire.OpContainsBatch:
+		*results = s.containsBatch(*results, req.Keys, s.mBinBatch)
+		out = wire.AppendBatchResp(out[:0], req.ID, *results)
+		s.hBinBatch.ObserveDuration(time.Since(start))
+	case wire.OpAdd:
+		if err := s.add(req.Key, s.mBinAdd); err != nil {
+			return out, err
+		}
+		out = wire.AppendOKResp(out[:0], wire.OpAdd, req.ID)
+	case wire.OpPing:
+		out = wire.AppendOKResp(out[:0], wire.OpPing, req.ID)
+		s.mBinPing.Inc()
+	}
+	return out, nil
 }

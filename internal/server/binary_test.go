@@ -454,7 +454,8 @@ func TestBinaryShutdownDrains(t *testing.T) {
 }
 
 // TestBinaryMetrics checks the binary path shows up in /metrics with
-// its own per-op counters, latency histogram and connection gauge.
+// its own per-op counters, latency histogram and connection gauge, and
+// that its batches feed the batch key counter HTTP batches feed.
 func TestBinaryMetrics(t *testing.T) {
 	filter, data := newTestFilter(t, 500)
 	srv, err := New(Config{Filter: filter})
@@ -500,6 +501,8 @@ func TestBinaryMetrics(t *testing.T) {
 		`habfserved_requests_total{endpoint="binary_contains_batch"} 1`,
 		`habfserved_requests_total{endpoint="binary_add"} 1`,
 		`habfserved_requests_total{endpoint="binary_ping"} 1`,
+		"habfserved_batch_keys_total 32",
+		"habfserved_batch_size_keys_count 1",
 		"habfserved_binary_contains_duration_seconds_count 10",
 		"habfserved_binary_batch_duration_seconds_count 1",
 		"habfserved_binary_connections 1",

@@ -105,7 +105,8 @@ func TestEpochEndpoint(t *testing.T) {
 // TestReadOnlyRejectsWrites pins the follower write contract: a
 // server over a filter-only load (what a follower serves) answers
 // /v1/add with 307 and a Location at the primary (or 403 with no
-// primary), binary OpAdd gets an error frame, stats report the follower
+// primary), binary OpAdd gets an error frame naming the primary, each
+// refusal counts once as a request error, stats report the follower
 // role, and reads keep working throughout.
 func TestReadOnlyRejectsWrites(t *testing.T) {
 	built, data := newTestFilter(t, 200)
@@ -131,8 +132,20 @@ func TestReadOnlyRejectsWrites(t *testing.T) {
 	noRedirect := &http.Client{
 		CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse },
 	}
-	resp, err = noRedirect.Post(hs.URL+"/v1/add", "application/octet-stream",
-		strings.NewReader("new-key"))
+	// refused runs write, a write that server on refuses, and checks
+	// that it counted exactly one request error.
+	refused := func(on *Server, write func()) {
+		t.Helper()
+		before := on.mErrors.Value()
+		write()
+		if got := on.mErrors.Value() - before; got != 1 {
+			t.Fatalf("a refused write counted %d request errors, want 1", got)
+		}
+	}
+	refused(srv, func() {
+		resp, err = noRedirect.Post(hs.URL+"/v1/add", "application/octet-stream",
+			strings.NewReader("new-key"))
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,14 +173,20 @@ func TestReadOnlyRejectsWrites(t *testing.T) {
 	if ok, err := c.Contains(data.Positives[0]); err != nil || !ok {
 		t.Fatalf("binary contains on follower = %v, %v", ok, err)
 	}
-	if err := c.Add([]byte("new-key")); err == nil {
+	refused(srv, func() { err = c.Add([]byte("new-key")) })
+	if err == nil {
 		t.Fatal("binary Add succeeded on a read-only server")
+	}
+	if want := "add at the primary http://primary:8080"; !strings.Contains(err.Error(), want) {
+		t.Fatalf("binary Add on a follower: %v, want it to name the primary (%q)", err, want)
 	}
 
 	// No primary configured: the redirect degrades to a plain 403.
-	_, hs2 := newTestServer(t, filter, Config{})
-	resp, err = noRedirect.Post(hs2.URL+"/v1/add", "application/octet-stream",
-		strings.NewReader("new-key"))
+	srv2, hs2 := newTestServer(t, filter, Config{})
+	refused(srv2, func() {
+		resp, err = noRedirect.Post(hs2.URL+"/v1/add", "application/octet-stream",
+			strings.NewReader("new-key"))
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,10 @@
 // Package server turns a sharded HABF into a network service: an HTTP
-// API over *habf.Sharded. Every request is answered on its handler's
-// goroutine: a single-key query is one Contains on the served filter, a
-// batch is one ContainsBatchInto.
+// API and a binary protocol over one *habf.Sharded. Both transports are
+// codecs around one request core, a function per operation (contains,
+// containsBatch, add, snapshot) that loads the served filter once,
+// answers on the caller's goroutine and counts the request. Decoding,
+// timing, encoding and the status an error maps to stay with the
+// transport.
 //
 // Endpoints (all request/response bodies are JSON unless noted):
 //
@@ -43,6 +46,7 @@ import (
 	"io"
 	"mime"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -131,21 +135,21 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.filter.Store(cfg.Filter)
 
-	s.mContains = s.reg.Counter(`habfserved_requests_total{endpoint="contains"}`, "Requests by endpoint.")
-	s.mContainsBatch = s.reg.Counter(`habfserved_requests_total{endpoint="contains_batch"}`, "Requests by endpoint.")
-	s.mAdd = s.reg.Counter(`habfserved_requests_total{endpoint="add"}`, "Requests by endpoint.")
-	s.mSnapshots = s.reg.Counter(`habfserved_requests_total{endpoint="snapshot"}`, "Requests by endpoint.")
-	s.mBatchKeys = s.reg.Counter("habfserved_batch_keys_total", "Keys queried through /v1/contains_batch.")
+	for _, c := range []struct {
+		endpoint string
+		counter  **metrics.Counter
+	}{
+		{"contains", &s.mContains}, {"contains_batch", &s.mContainsBatch}, {"add", &s.mAdd}, {"snapshot", &s.mSnapshots},
+		{"binary_contains", &s.mBinContains}, {"binary_contains_batch", &s.mBinBatch}, {"binary_add", &s.mBinAdd}, {"binary_ping", &s.mBinPing},
+	} {
+		*c.counter = s.reg.Counter(`habfserved_requests_total{endpoint="`+c.endpoint+`"}`, "Requests by endpoint.")
+	}
+	s.mBatchKeys = s.reg.Counter("habfserved_batch_keys_total", "Keys queried through HTTP and binary batches.")
 	s.mErrors = s.reg.Counter("habfserved_request_errors_total", "Requests rejected with a 4xx/5xx status.")
 	s.hContains = s.reg.Histogram("habfserved_contains_duration_seconds",
 		"End-to-end handler latency of /v1/contains.", metrics.DurationBuckets())
 	s.hBatchSize = s.reg.Histogram("habfserved_batch_size_keys",
-		"Batch sizes seen by /v1/contains_batch.", metrics.SizeBuckets(1<<16))
-
-	s.mBinContains = s.reg.Counter(`habfserved_requests_total{endpoint="binary_contains"}`, "Requests by endpoint.")
-	s.mBinBatch = s.reg.Counter(`habfserved_requests_total{endpoint="binary_contains_batch"}`, "Requests by endpoint.")
-	s.mBinAdd = s.reg.Counter(`habfserved_requests_total{endpoint="binary_add"}`, "Requests by endpoint.")
-	s.mBinPing = s.reg.Counter(`habfserved_requests_total{endpoint="binary_ping"}`, "Requests by endpoint.")
+		"Batch sizes seen by HTTP and binary batches.", metrics.SizeBuckets(1<<16))
 	s.hBinContains = s.reg.Histogram("habfserved_binary_contains_duration_seconds",
 		"Handler latency of binary-protocol contains frames (decode to encode).", metrics.DurationBuckets())
 	s.hBinBatch = s.reg.Histogram("habfserved_binary_batch_duration_seconds",
@@ -176,13 +180,13 @@ func New(cfg Config) (*Server, error) {
 	s.reg.Gauge("habfserved_coalesce_keys", "Deprecated: single-key contains answered (HTTP and binary).", singles)
 
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/contains", s.handleContains)
-	mux.HandleFunc("/v1/contains_batch", s.handleContainsBatch)
-	mux.HandleFunc("/v1/add", s.handleAdd)
-	mux.HandleFunc("/v1/stats", s.handleStats)
-	mux.HandleFunc("/v1/snapshot", s.handleSnapshot)
-	mux.HandleFunc("/v1/epoch", s.handleEpoch)
-	mux.HandleFunc("/metrics", s.handleMetrics)
+	mux.HandleFunc("/v1/contains", s.only(s.handleContains, http.MethodPost))
+	mux.HandleFunc("/v1/contains_batch", s.only(s.handleContainsBatch, http.MethodPost))
+	mux.HandleFunc("/v1/add", s.only(s.handleAdd, http.MethodPost))
+	mux.HandleFunc("/v1/stats", s.only(s.handleStats, http.MethodGet))
+	mux.HandleFunc("/v1/snapshot", s.only(s.handleSnapshot, http.MethodGet, http.MethodPost))
+	mux.HandleFunc("/v1/epoch", s.only(s.handleEpoch, http.MethodGet))
+	mux.HandleFunc("/metrics", s.only(s.handleMetrics, http.MethodGet))
 	s.mux = mux
 	return s, nil
 }
@@ -224,7 +228,7 @@ func (s *Server) Close() {}
 // the crash-safe SaveFile and returns that path.
 func (s *Server) Snapshot() (string, time.Duration, error) {
 	if s.snapPath == "" {
-		return "", 0, fmt.Errorf("server: no snapshot path configured")
+		return "", 0, fmt.Errorf("server: %w", errNoSnapshotPath)
 	}
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
@@ -233,6 +237,71 @@ func (s *Server) Snapshot() (string, time.Duration, error) {
 		return "", 0, err
 	}
 	return s.snapPath, time.Since(start), nil
+}
+
+// errNoSnapshotPath refuses a snapshot on a server without
+// Config.SnapshotPath.
+var errNoSnapshotPath = errors.New("no snapshot path configured")
+
+// followerError refuses a write on a read-only follower that knows its
+// primary, which is where the write belongs.
+type followerError struct{ primary string }
+
+func (e *followerError) Error() string { return "read-only follower: add at the primary " + e.primary }
+
+func (s *Server) contains(key []byte, requests *metrics.Counter) bool {
+	present := s.Filter().Contains(key)
+	requests.Inc()
+	return present
+}
+
+// containsBatch answers keys into dst, regrown if it is short, and
+// returns dst[:len(keys)].
+func (s *Server) containsBatch(dst []bool, keys [][]byte, requests *metrics.Counter) []bool {
+	if cap(dst) < len(keys) {
+		dst = make([]bool, len(keys))
+	}
+	dst = dst[:len(keys)]
+	s.Filter().ContainsBatchInto(dst, keys)
+	requests.Inc()
+	s.mBatchKeys.Add(uint64(len(keys)))
+	s.hBatchSize.Observe(float64(len(keys)))
+	return dst
+}
+
+// add adds key. A follower's filter is read-only, since its next resync
+// would overwrite a local write; with a primary configured, the refusal
+// is a *followerError.
+func (s *Server) add(key []byte, requests *metrics.Counter) error {
+	if err := s.Filter().Add(key); err != nil {
+		if errors.Is(err, habf.ErrReadOnly) && s.primary != "" {
+			return &followerError{s.primary}
+		}
+		return err
+	}
+	requests.Inc()
+	return nil
+}
+
+// snapshot is POST /v1/snapshot's Snapshot, counted when it succeeds.
+func (s *Server) snapshot() (string, time.Duration, error) {
+	path, took, err := s.Snapshot()
+	if err == nil {
+		s.mSnapshots.Inc()
+	}
+	return path, took, err
+}
+
+// only answers a request whose method is one of methods with h, and
+// any other with a 405 that counts as a request error.
+func (s *Server) only(h http.HandlerFunc, methods ...string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if !slices.Contains(methods, r.Method) {
+			s.fail(w, http.StatusMethodNotAllowed, "%s required", strings.Join(methods, " or "))
+			return
+		}
+		h(w, r)
+	}
 }
 
 func (s *Server) fail(w http.ResponseWriter, code int, format string, args ...any) {
@@ -370,35 +439,24 @@ func readKey(r *http.Request) ([]byte, bool, error) {
 }
 
 func (s *Server) handleContains(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.fail(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	start := time.Now()
 	key, raw, err := readKey(r)
 	if err != nil {
 		s.failErr(w, "contains", err)
 		return
 	}
-	present := s.Filter().Contains(key)
-	s.mContains.Inc()
-	if raw {
-		if present {
-			io.WriteString(w, "1")
-		} else {
-			io.WriteString(w, "0")
-		}
-	} else {
+	switch present := s.contains(key, s.mContains); {
+	case !raw:
 		s.writeJSON(w, map[string]bool{"present": present})
+	case present:
+		io.WriteString(w, "1")
+	default:
+		io.WriteString(w, "0")
 	}
 	s.hContains.ObserveDuration(time.Since(start))
 }
 
 func (s *Server) handleContainsBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.fail(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	body, err := readBody(r)
 	if err != nil {
 		s.failErr(w, "contains_batch", err)
@@ -426,57 +484,29 @@ func (s *Server) handleContainsBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	pb := resultBufPool.Get().(*[]bool)
-	if cap(*pb) < len(req.Keys) {
-		*pb = make([]bool, len(req.Keys))
-	}
-	present := (*pb)[:len(req.Keys)]
-	s.Filter().ContainsBatchInto(present, req.Keys)
-	s.mContainsBatch.Inc()
-	s.mBatchKeys.Add(uint64(len(req.Keys)))
-	s.hBatchSize.Observe(float64(len(req.Keys)))
-	s.writeJSON(w, map[string][]bool{"present": present})
-	// writeJSON is synchronous, so the buffer is free again here. The
-	// pool holds *[]bool and the same pointer rides back in, keeping the
-	// round trip allocation-free.
-	resultBufPool.Put(pb)
+	s.writeJSON(w, map[string][]bool{"present": s.containsBatch(nil, req.Keys, s.mContainsBatch)})
 }
 
-// resultBufPool recycles batch result slices across HTTP requests. A
-// buffer is owned from Get to Put; nothing may retain it past the
-// response write.
-var resultBufPool = sync.Pool{New: func() any { return new([]bool) }}
-
 func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.fail(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	key, raw, err := readKey(r)
 	if err != nil {
 		s.failErr(w, "add", err)
 		return
 	}
-	if err := s.Filter().Add(key); err != nil {
-		// A follower's filter is read-only: the next resync would
-		// overwrite any local write. Point the writer at the primary;
+	var follower *followerError
+	switch err := s.add(key, s.mAdd); {
+	case errors.As(err, &follower):
 		// 307 preserves method and body, so a client that follows
-		// redirects retries the identical POST there.
-		if errors.Is(err, habf.ErrReadOnly) && s.primary != "" {
-			s.mErrors.Inc()
-			w.Header().Set("Location", strings.TrimSuffix(s.primary, "/")+"/v1/add")
-			http.Error(w, "read-only follower: add at the primary", http.StatusTemporaryRedirect)
-			return
-		}
+		// redirects retries the identical POST at the primary.
+		w.Header().Set("Location", strings.TrimSuffix(follower.primary, "/")+"/v1/add")
+		s.fail(w, http.StatusTemporaryRedirect, "read-only follower: add at the primary")
+	case err != nil:
 		s.fail(w, http.StatusForbidden, "add: %v", err)
-		return
-	}
-	s.mAdd.Inc()
-	if raw {
+	case raw:
 		w.WriteHeader(http.StatusNoContent)
-		return
+	default:
+		s.writeJSON(w, map[string]bool{"ok": true})
 	}
-	s.writeJSON(w, map[string]bool{"ok": true})
 }
 
 // statsResponse is the /v1/stats document.
@@ -496,10 +526,6 @@ type statsResponse struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.fail(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
 	f := s.Filter()
 	st := f.Stats()
 	role := "primary"
@@ -533,10 +559,6 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		s.handleSnapshotDownload(w)
 		return
 	}
-	if r.Method != http.MethodPost {
-		s.fail(w, http.StatusMethodNotAllowed, "GET or POST required")
-		return
-	}
 	if r.ContentLength != 0 {
 		body, err := readBody(r)
 		if err != nil {
@@ -553,16 +575,15 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if s.snapPath == "" {
-		s.fail(w, http.StatusBadRequest, "snapshot: no snapshot path configured")
-		return
-	}
-	path, took, err := s.Snapshot()
+	path, took, err := s.snapshot()
 	if err != nil {
-		s.fail(w, http.StatusInternalServerError, "snapshot: %v", err)
+		code := http.StatusInternalServerError
+		if errors.Is(err, errNoSnapshotPath) {
+			code, err = http.StatusBadRequest, errNoSnapshotPath
+		}
+		s.fail(w, code, "snapshot: %v", err)
 		return
 	}
-	s.mSnapshots.Inc()
 	s.writeJSON(w, map[string]any{
 		"path": path,
 		"ms":   float64(took.Microseconds()) / 1e3,
@@ -596,19 +617,11 @@ func (s *Server) handleSnapshotDownload(w http.ResponseWriter) {
 // smallest possible freshness probe, cheap enough for every follower
 // to poll at high frequency.
 func (s *Server) handleEpoch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.fail(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	io.WriteString(w, strconv.FormatUint(s.Filter().Epoch(), 10))
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.fail(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.reg.WritePrometheus(w)
 }

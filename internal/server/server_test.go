@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -302,10 +303,14 @@ func TestStatsEndpoint(t *testing.T) {
 // TestMetricsEndpoint checks the Prometheus exposition renders the
 // serving counters with believable values. The deprecated coalesce
 // gauges must both read the single-key contains answered over HTTP and
-// binary, so their ratio stays 1; batches do not count.
+// binary, so their ratio stays 1; batches do not count. It then pins
+// the exposition's series: after one request of every operation on
+// both transports, one refused request and one 405, the sorted series
+// names with their label sets must match testdata/metrics_series.txt,
+// which lists today's. bench/trace.go reads some of them by name.
 func TestMetricsEndpoint(t *testing.T) {
 	filter, data := newTestFilter(t, 500)
-	srv, hs := newTestServer(t, filter, Config{})
+	srv, hs := newTestServer(t, filter, Config{SnapshotPath: filepath.Join(t.TempDir(), "metrics.snap")})
 	for i := 0; i < 10; i++ {
 		containsRaw(t, hs.URL, data.Positives[i])
 	}
@@ -322,17 +327,21 @@ func TestMetricsEndpoint(t *testing.T) {
 	if _, err := c.ContainsBatch(data.Positives[:32]); err != nil {
 		t.Fatal(err)
 	}
+	scrape := func() string {
+		t.Helper()
+		resp, err := http.Get(hs.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(body)
+	}
 
-	resp, err := http.Get(hs.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := string(body)
+	text := scrape()
 	for _, want := range []string{
 		`habfserved_requests_total{endpoint="contains"} 10`,
 		"# TYPE habfserved_requests_total counter",
@@ -353,6 +362,53 @@ func TestMetricsEndpoint(t *testing.T) {
 		if strings.Contains(text, gone) {
 			t.Fatalf("metrics output still carries %q", gone)
 		}
+	}
+
+	// The rest of the operations, once each.
+	if _, err := httpContainsBatch(hs.URL, data.Positives[:4]); err != nil {
+		t.Fatal(err)
+	}
+	if err := httpAdd(hs.URL, []byte("metrics-http-add")); err != nil {
+		t.Fatal(err)
+	}
+	if err := httpSnapshot(hs.URL); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"/v1/snapshot", "/v1/epoch", "/v1/stats", "/v1/contains"} {
+		resp, err := http.Get(hs.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
+	if resp, _ := postJSON(t, hs.URL+"/v1/add", map[string]any{}); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("keyless add: HTTP %d, want 400", resp.StatusCode)
+	}
+	if err := c.Add([]byte("metrics-binary-add")); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Ping(); err != nil {
+		t.Fatal(err)
+	}
+
+	text = scrape()
+	if want := "habfserved_request_errors_total 2\n"; !strings.Contains(text, want) {
+		t.Fatalf("metrics output missing %q after a 405 and a 400:\n%s", want, text)
+	}
+	var series []string
+	for _, line := range strings.Split(strings.TrimSpace(text), "\n") {
+		if !strings.HasPrefix(line, "#") {
+			series = append(series, line[:strings.LastIndexByte(line, ' ')])
+		}
+	}
+	sort.Strings(series)
+	golden, err := os.ReadFile(filepath.Join("testdata", "metrics_series.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.Join(series, "\n"), strings.TrimSpace(string(golden)); got != want {
+		t.Fatalf("metrics series changed; got:\n%s\nwant (testdata/metrics_series.txt):\n%s", got, want)
 	}
 }
 
