@@ -11,6 +11,7 @@ import (
 	"unsafe"
 
 	"repro/internal/habf"
+	"repro/internal/shard"
 	"repro/internal/snapshot"
 )
 
@@ -292,8 +293,66 @@ func TestKeysFrameRejectsCorruption(t *testing.T) {
 // TestGoldenContainer pins the container wire format byte for byte. If
 // this test fails, the format changed: that requires a version bump and
 // a deliberate update of this fixture, or old snapshots stop loading.
+//
+// The filter-only case is the bare envelope. The full case adds keys
+// frames whose key bytes leave the cost array unaligned, so the frame
+// pad that aligns it is pinned too. The pending case is a static-backend
+// set whose Adds arrive out of order, so the pending frame's key order
+// is pinned.
 func TestGoldenContainer(t *testing.T) {
-	s := &snapshot.Snapshot{
+	for _, tc := range []struct {
+		name string
+		save func(t *testing.T) []byte
+		want string
+	}{
+		{"filter-only", marshalGolden(goldenSnapshot), "48534e50020003040100000000000000fecaefbeadde0000000000000000d03f0000000000002840" +
+			"7b14ae47e17a943f0100000002000000000000009a4a8b4805000000000000000600000000000000" +
+			"3d2d89e006000000000000000000676f6c64656e00000000000000000000000000000000836ee6a5" +
+			"0400000000000000400000000000000064000000000000008000000000000000edd95e1f504e5348"},
+		{"full", marshalGolden(func() *snapshot.Snapshot {
+			s := goldenSnapshot()
+			s.Keys = []snapshot.Keys{
+				{Positives: [][]byte{[]byte("alpha"), []byte("be"), []byte("c")}, Baseline: 2,
+					Negatives: []habf.WeightedKey{{Key: []byte("neg"), Cost: 2.5}, {Key: []byte("nx"), Cost: 0.125}}},
+				{},
+			}
+			return s
+		}), "48534e50024003040100000000000000fecaefbeadde0000000000000000d03f0000000000002840" +
+			"7b14ae47e17a943f0100000002000000000000008c3a4b0b05000000000000000600000000000000" +
+			"3d2d89e006000000000000000000676f6c64656e00000000000000000000000000000000836ee6a5" +
+			"040000000000000000000000000000004d000000000000000d1ee77a030000000000000300000000" +
+			"00000002000000000000000200000000000000000000000500000007000000080000000b0000000d" +
+			"000000616c7068616265636e65676e780000000000000440000000000000c03f0000000000000000" +
+			"1c000000000000000a4d3a3504000000000000000000000000000000000000000000000000000000" +
+			"0000000000000000400000000000000064000000000000008000000000000000e800000000000000" +
+			"2001000000000000eefbeac4504e5348"},
+		{"pending", savePendingGolden, "48534e5002100000030000000000000000e0a50bed5ece5100000000000000000000000000005040" +
+			"000000000000f0bf010200000200000000000000b6db5d0901000000000000004800000000000000" +
+			"3ba44ae300000000584f52460200000080a1acd5957f12100c000000000000000200000000000000" +
+			"2000000000000000020075b103000000240000000000000000000000000000000000840100000000" +
+			"04000000000000004800000000000000380ca1cf00000000584f52460200000080a1acd5957f1210" +
+			"0c0000000000000002000000000000002000000000000000020075b1030000002400000000000000" +
+			"0000000000000000004000003000000000000000000000002b00000000000000df0b340800000000" +
+			"050000000000000003000000702d6103000000702d6203000000702d6303000000702d6403000000" +
+			"702d654000000000000000a00000000000000000010000000000004301000000000000bce8592f50" +
+			"4e5348"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			data := tc.save(t)
+			if got := hex.EncodeToString(data); got != tc.want {
+				t.Errorf("golden container drifted:\n got  %s\n want %s", got, tc.want)
+			}
+			if _, err := snapshot.Unmarshal(data); err != nil {
+				t.Fatalf("golden container does not decode: %v", err)
+			}
+		})
+	}
+}
+
+// goldenSnapshot is TestGoldenContainer's two-shard filter-only
+// snapshot.
+func goldenSnapshot() *snapshot.Snapshot {
+	return &snapshot.Snapshot{
 		Meta: snapshot.Meta{
 			BaseSeed:   1,
 			RouteSeed:  0xdeadbeefcafe,
@@ -308,21 +367,36 @@ func TestGoldenContainer(t *testing.T) {
 			{Epoch: 0, Payload: nil},
 		},
 	}
-	data, err := s.MarshalBinary()
+}
+
+func marshalGolden(snap func() *snapshot.Snapshot) func(t *testing.T) []byte {
+	return func(t *testing.T) []byte {
+		data, err := snap().MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+}
+
+// savePendingGolden saves, filter-only, a two-shard xor set with
+// rebuilds off that holds Adds given in descending order.
+func savePendingGolden(t *testing.T) []byte {
+	pos := [][]byte{[]byte("m-1"), []byte("m-2"), []byte("m-3"), []byte("m-4")}
+	set, err := shard.New(pos, nil, shard.Config{Shards: 2, TotalBits: 256, Backend: "xor",
+		RebuildThreshold: -1, Params: habf.Params{Seed: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := hex.EncodeToString(data)
-	const want = "48534e50020003040100000000000000fecaefbeadde0000000000000000d03f0000000000002840" +
-		"7b14ae47e17a943f0100000002000000000000009a4a8b4805000000000000000600000000000000" +
-		"3d2d89e006000000000000000000676f6c64656e00000000000000000000000000000000836ee6a5" +
-		"0400000000000000400000000000000064000000000000008000000000000000edd95e1f504e5348"
-	if got != want {
-		t.Errorf("golden container drifted:\n got  %s\n want %s", got, want)
+	for _, key := range []string{"p-e", "p-d", "p-c", "p-b", "p-a"} {
+		if err := set.Add([]byte(key)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := snapshot.Unmarshal(data); err != nil {
-		t.Fatalf("golden container does not decode: %v", err)
+	if set.Stats().Pending == 0 {
+		t.Fatal("no Add left a pending key")
 	}
+	return saveContainer(t, set, false)
 }
 
 // goldenVersion1 is TestGoldenContainer's snapshot in the version-1
