@@ -29,31 +29,26 @@ type GRU struct {
 	bOut float32
 }
 
-// GRUConfig tunes architecture and training.
+// The GRU's architecture and SGD step.
+const (
+	gruHidden = 16 // the paper's dimension
+	gruEmbDim = 32 // the paper's embedding width
+	gruLR     = 0.05
+)
+
+// GRUConfig tunes training.
 type GRUConfig struct {
-	Hidden int     // default 16 (the paper's dimension)
-	EmbDim int     // default 32 (the paper's embedding width)
-	MaxLen int     // truncate keys beyond this many bytes; default 48
-	Epochs int     // default 2
-	LR     float64 // default 0.05
-	Seed   int64   // default 1
+	MaxLen int   // truncate keys beyond this many bytes; default 48
+	Epochs int   // default 2
+	Seed   int64 // default 1
 }
 
 func (c GRUConfig) withDefaults() GRUConfig {
-	if c.Hidden == 0 {
-		c.Hidden = 16
-	}
-	if c.EmbDim == 0 {
-		c.EmbDim = 32
-	}
 	if c.MaxLen == 0 {
 		c.MaxLen = 48
 	}
 	if c.Epochs == 0 {
 		c.Epochs = 2
-	}
-	if c.LR == 0 {
-		c.LR = 0.05
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -65,7 +60,7 @@ func (c GRUConfig) withDefaults() GRUConfig {
 func TrainGRU(positives, negatives [][]byte, cfg GRUConfig) *GRU {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	H, D := cfg.Hidden, cfg.EmbDim
+	H, D := gruHidden, gruEmbDim
 	g := &GRU{
 		hidden: H,
 		embDim: D,
@@ -96,7 +91,7 @@ func TrainGRU(positives, negatives [][]byte, cfg GRUConfig) *GRU {
 	}
 
 	ws := newGRUWorkspace(H, D, cfg.MaxLen)
-	lr := float32(cfg.LR)
+	lr := float32(gruLR)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		rng.Shuffle(len(examples), func(i, j int) {
 			examples[i], examples[j] = examples[j], examples[i]

@@ -56,14 +56,15 @@ type IncrementalLBF struct {
 	sinceRetrain int
 }
 
+// bitsPerBackupKey is the backup filter's rebuild trigger density.
+const bitsPerBackupKey = 8
+
 // IncrementalConfig tunes the incremental variants.
 type IncrementalConfig struct {
 	// BackupBits is the backup-filter budget at build time; the backup is
 	// rebuilt at 2× whenever its load factor exceeds one key per
-	// BitsPerBackupKey bits (IA-LBF "sacrifices memory").
+	// bitsPerBackupKey bits (IA-LBF "sacrifices memory").
 	BackupBits uint64
-	// BitsPerBackupKey is the rebuild trigger density. Default 8.
-	BitsPerBackupKey float64
 	// RetrainEvery is the CA-LBF retrain period in inserts. Default 1024.
 	RetrainEvery int
 	// Train seeds the classifier training.
@@ -71,9 +72,6 @@ type IncrementalConfig struct {
 }
 
 func (c IncrementalConfig) withDefaults() IncrementalConfig {
-	if c.BitsPerBackupKey == 0 {
-		c.BitsPerBackupKey = 8
-	}
 	if c.RetrainEvery == 0 {
 		c.RetrainEvery = 1024
 	}
@@ -115,11 +113,11 @@ func (l *IncrementalLBF) retrain() {
 // density (never below the initial budget) and reinserts them.
 func (l *IncrementalLBF) rebuildBackup() {
 	bits := l.cfg.BackupBits
-	need := uint64(l.cfg.BitsPerBackupKey * float64(len(l.backupKeys)+1))
+	need := uint64(bitsPerBackupKey * float64(len(l.backupKeys)+1))
 	for bits < need {
 		bits *= 2
 	}
-	k := bloom.OptimalK(l.cfg.BitsPerBackupKey)
+	k := bloom.OptimalK(bitsPerBackupKey)
 	f, err := bloom.New(bits, k, bloom.StrategySplit128)
 	if err != nil {
 		// bits >= cfg.BackupBits > 0 and k >= 1: cannot happen.
@@ -137,7 +135,7 @@ func (l *IncrementalLBF) Insert(key []byte) {
 	l.positives = append(l.positives, key)
 	if l.model.Score(key) < l.tau {
 		l.backupKeys = append(l.backupKeys, key)
-		if float64(l.backup.MBits()) < l.cfg.BitsPerBackupKey*float64(len(l.backupKeys)) {
+		if float64(l.backup.MBits()) < bitsPerBackupKey*float64(len(l.backupKeys)) {
 			l.rebuildBackup() // IA-LBF memory growth
 		} else {
 			l.backup.Add(key)

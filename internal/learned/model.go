@@ -86,19 +86,18 @@ type Logistic struct {
 	bias float32
 }
 
+// logisticLR is the logistic model's SGD step.
+const logisticLR = 0.6
+
 // TrainConfig tunes SGD.
 type TrainConfig struct {
-	Epochs int     // default 3
-	LR     float64 // default 0.15
-	Seed   int64   // default 1
+	Epochs int   // default 6
+	Seed   int64 // default 1
 }
 
 func (c TrainConfig) withDefaults() TrainConfig {
 	if c.Epochs == 0 {
 		c.Epochs = 6
-	}
-	if c.LR == 0 {
-		c.LR = 0.6
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -137,7 +136,7 @@ func TrainLogistic(positives, negatives [][]byte, cfg TrainConfig) *Logistic {
 	}
 
 	var feat []uint16
-	lr := cfg.LR
+	lr := logisticLR
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		rng.Shuffle(len(examples), func(i, j int) {
 			examples[i], examples[j] = examples[j], examples[i]

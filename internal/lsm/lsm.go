@@ -26,15 +26,18 @@ type Filter interface {
 // level. A nil builder (or nil return) leaves the run unguarded.
 type FilterBuilder func(keys [][]byte, level int) Filter
 
+// The tree's shape: each level holds levelRatio times the one above,
+// and there are at most maxLevels.
+const (
+	levelRatio = 4
+	maxLevels  = 6
+)
+
 // Config tunes the tree shape.
 type Config struct {
 	// MemtableSize is the number of entries buffered before a flush.
 	// Default 1024.
 	MemtableSize int
-	// LevelRatio is the capacity growth factor per level. Default 4.
-	LevelRatio int
-	// MaxLevels bounds the tree depth. Default 6.
-	MaxLevels int
 	// MaxL0Runs triggers L0→L1 compaction. Default 4.
 	MaxL0Runs int
 	// ReadCost[i] is the simulated cost of one probe into a level-i run.
@@ -48,17 +51,11 @@ func (c Config) withDefaults() Config {
 	if c.MemtableSize == 0 {
 		c.MemtableSize = 1024
 	}
-	if c.LevelRatio == 0 {
-		c.LevelRatio = 4
-	}
-	if c.MaxLevels == 0 {
-		c.MaxLevels = 6
-	}
 	if c.MaxL0Runs == 0 {
 		c.MaxL0Runs = 4
 	}
 	if len(c.ReadCost) == 0 {
-		c.ReadCost = make([]float64, c.MaxLevels)
+		c.ReadCost = make([]float64, maxLevels)
 		cost := 1.0
 		for i := range c.ReadCost {
 			c.ReadCost[i] = cost
@@ -114,11 +111,11 @@ func New(cfg Config) *Store {
 	return &Store{
 		cfg:    cfg,
 		mem:    make(map[string][]byte, cfg.MemtableSize),
-		levels: make([]*run, cfg.MaxLevels-1),
+		levels: make([]*run, maxLevels-1),
 		stats: Stats{
-			Reads:         make([]uint64, cfg.MaxLevels),
-			WastedReads:   make([]uint64, cfg.MaxLevels),
-			FilterRejects: make([]uint64, cfg.MaxLevels),
+			Reads:         make([]uint64, maxLevels),
+			WastedReads:   make([]uint64, maxLevels),
+			FilterRejects: make([]uint64, maxLevels),
 		},
 	}
 }
@@ -177,7 +174,7 @@ func (s *Store) compact() {
 		}
 		capacity := s.cfg.MemtableSize
 		for i := 0; i <= li; i++ {
-			capacity *= s.cfg.LevelRatio
+			capacity *= levelRatio
 		}
 		if len(cur.keys) <= capacity || li == len(s.levels)-1 {
 			cur.guard = s.buildGuard(cur, li+1)

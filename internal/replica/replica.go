@@ -77,7 +77,6 @@ type Stats struct {
 	PrimaryEpoch uint64 // epoch from the most recent successful poll
 	Resyncs      uint64 // successful snapshot restores, including the first
 	Failures     uint64 // failed polls and pulls since start
-	LastSync     time.Time
 }
 
 // Lag returns how many epochs the follower is behind the primary, as
@@ -101,7 +100,6 @@ type Follower struct {
 	primaryEpoch atomic.Uint64
 	resyncs      atomic.Uint64
 	failures     atomic.Uint64
-	lastSync     atomic.Int64 // unix nanos
 }
 
 // New validates cfg and returns a Follower. No network traffic happens
@@ -143,7 +141,6 @@ func (f *Follower) Stats() Stats {
 		PrimaryEpoch: f.primaryEpoch.Load(),
 		Resyncs:      f.resyncs.Load(),
 		Failures:     f.failures.Load(),
-		LastSync:     time.Unix(0, f.lastSync.Load()),
 	}
 }
 
@@ -205,7 +202,6 @@ func (f *Follower) sync(ctx context.Context) error {
 	f.syncedEpoch.Store(epoch)
 	f.synced.Store(true)
 	f.resyncs.Add(1)
-	f.lastSync.Store(time.Now().UnixNano())
 	f.logf("replica: synced snapshot at epoch %d (%d bytes)", epoch, len(data))
 	return nil
 }

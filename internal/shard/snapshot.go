@@ -5,10 +5,8 @@ import (
 	"io"
 	"math"
 	"math/bits"
-	"sort"
 
 	"repro/internal/filtercore"
-	"repro/internal/habf"
 	"repro/internal/hashes"
 	"repro/internal/snapshot"
 )
@@ -44,67 +42,33 @@ import (
 // shard's key frame, not the set's.
 func (s *Set) WriteSnapshot(w io.Writer, withKeys bool) error {
 	withKeys = withKeys && !s.readOnly
-	meta := s.snapshotMeta()
-	meta.HasKeys = withKeys
 	// The header flags the pending frame, so the decision precedes the
 	// first byte out. A key pending when the save begins is either still
 	// pending at its shard's capture or represented by a rebuilt filter
 	// there; if none is, the frame is written empty.
-	meta.HasPending = !withKeys && s.anyPending()
-	sw, err := snapshot.NewWriter(w, meta, len(s.shards))
-	if err != nil {
-		return err
-	}
-	var keys []snapshot.Keys
-	var pending [][]byte
-	for i, sh := range s.shards {
+	pending := !withKeys && s.anyPending()
+	return snapshot.Encode(w, s.snapshotMeta(), len(s.shards), withKeys, pending, func(i int) (snapshot.Shard, error) {
+		sh := s.shards[i]
 		sh.mu.RLock()
-		fr := snapshot.Frame{Epoch: sh.epoch.Load()}
+		defer sh.mu.RUnlock()
+		out := snapshot.Shard{Frame: snapshot.Frame{Epoch: sh.epoch.Load()}}
 		if sh.f != nil {
-			fr.Payload, err = sh.f.MarshalBinary()
-			fr.Align = sh.f.WireAlignOffset()
+			var err error
+			if out.Frame.Payload, err = sh.f.MarshalBinary(); err != nil {
+				return out, fmt.Errorf("shard %d: %w", i, err)
+			}
+			out.Frame.Align = sh.f.WireAlignOffset()
 		}
 		if withKeys {
 			n := len(sh.positives)
-			keys = append(keys, snapshot.Keys{
-				Positives: sh.positives[:n:n],
-				Negatives: sh.negatives,
-				Baseline:  sh.baseline,
-			})
-		} else {
+			out.Keys = snapshot.Keys{Positives: sh.positives[:n:n], Negatives: sh.negatives, Baseline: sh.baseline}
+		} else if pending {
 			for key := range sh.pending {
-				pending = append(pending, []byte(key))
+				out.Pending = append(out.Pending, []byte(key))
 			}
 		}
-		sh.mu.RUnlock()
-		if err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
-		if err := sw.WriteFrame(fr); err != nil {
-			return err
-		}
-	}
-	if meta.Tuning != "" {
-		if err := sw.WriteTuning(meta.Tuning); err != nil {
-			return err
-		}
-	}
-	if withKeys {
-		for _, k := range keys {
-			if err := sw.WriteKeys(k); err != nil {
-				return err
-			}
-		}
-	}
-	if meta.HasPending {
-		// Shards hold disjoint keys; sorting makes identical sets write
-		// identical containers.
-		sort.Slice(pending, func(a, b int) bool { return string(pending[a]) < string(pending[b]) })
-		if err := sw.WritePending(pending); err != nil {
-			return err
-		}
-	}
-	return sw.Close()
+		return out, nil
+	})
 }
 
 // anyPending reports whether any shard buffers keys its filter does not
@@ -134,19 +98,12 @@ func (s *Set) nonDefaultTuning() string {
 
 func (s *Set) snapshotMeta() snapshot.Meta {
 	return snapshot.Meta{
-		Tuning:                s.nonDefaultTuning(),
-		Backend:               uint8(s.backend.Kind),
-		BaseSeed:              s.baseParams.Seed,
-		RouteSeed:             hashes.BaseSeed,
-		K:                     s.baseParams.K,
-		CellBits:              s.baseParams.CellBits,
-		Fast:                  s.baseParams.Fast,
-		DisableGamma:          s.baseParams.DisableGamma,
-		DisableOverlapRanking: s.baseParams.DisableOverlapRanking,
-		DisableCostOrdering:   s.baseParams.DisableCostOrdering,
-		SpaceRatio:            s.baseParams.SpaceRatio,
-		BitsPerKey:            s.bitsPerKey,
-		Threshold:             s.threshold,
+		Tuning:     s.nonDefaultTuning(),
+		Backend:    uint8(s.backend.Kind),
+		RouteSeed:  hashes.BaseSeed,
+		Template:   s.baseParams,
+		BitsPerKey: s.bitsPerKey,
+		Threshold:  s.threshold,
 	}
 }
 
@@ -191,29 +148,20 @@ func Restore(snap *snapshot.Snapshot) (*Set, error) {
 	const maxBitsPerKey = 1 << 20 // 128 KiB per key is already absurd
 	if m := snap.Meta; math.IsNaN(m.BitsPerKey) || m.BitsPerKey < 0 || m.BitsPerKey > maxBitsPerKey {
 		return nil, fmt.Errorf("shard: snapshot bits-per-key %v out of range [0,%d]", m.BitsPerKey, int(maxBitsPerKey))
-	} else if m.SpaceRatio != 0 && !(m.SpaceRatio > 0 && m.SpaceRatio < 1) {
+	} else if r := m.Template.SpaceRatio; r != 0 && !(r > 0 && r < 1) {
 		// NaN fails both comparisons and lands here too.
-		return nil, fmt.Errorf("shard: snapshot space ratio %v out of range (0,1)", m.SpaceRatio)
+		return nil, fmt.Errorf("shard: snapshot space ratio %v out of range (0,1)", r)
 	} else if math.IsNaN(m.Threshold) || math.IsInf(m.Threshold, 0) {
 		return nil, fmt.Errorf("shard: snapshot rebuild threshold %v is not finite", m.Threshold)
 	}
-	base := habf.Params{
-		K:                     snap.Meta.K,
-		CellBits:              snap.Meta.CellBits,
-		Seed:                  snap.Meta.BaseSeed,
-		SpaceRatio:            snap.Meta.SpaceRatio,
-		Fast:                  snap.Meta.Fast,
-		DisableGamma:          snap.Meta.DisableGamma,
-		DisableOverlapRanking: snap.Meta.DisableOverlapRanking,
-		DisableCostOrdering:   snap.Meta.DisableCostOrdering,
-	}
+	base := snap.Meta.Template
 	if base.Seed == 0 {
 		base.Seed = 1
 	}
 	// The tuning frame is hostile input like the floats above: parse it
 	// against the backend's schema so unknown knobs and out-of-bounds
 	// values fail loudly here, and insist on the canonical rendering —
-	// a Writer only ever emits canonical strings, and accepting variants
+	// Encode only ever gets canonical strings, and accepting variants
 	// would break the save-after-load byte-identity guarantee.
 	tun, err := backend.ParseTuning(snap.Meta.Tuning)
 	if err != nil {

@@ -212,12 +212,12 @@ func TestRestoreRejectsHostileMeta(t *testing.T) {
 		"inf bits-per-key":  func(m *snapshot.Meta) { m.BitsPerKey = math.Inf(1) },
 		"nan bits-per-key":  func(m *snapshot.Meta) { m.BitsPerKey = math.NaN() },
 		"neg bits-per-key":  func(m *snapshot.Meta) { m.BitsPerKey = -1 },
-		"nan space ratio":   func(m *snapshot.Meta) { m.SpaceRatio = math.NaN() },
-		"big space ratio":   func(m *snapshot.Meta) { m.SpaceRatio = 1.5 },
+		"nan space ratio":   func(m *snapshot.Meta) { m.Template.SpaceRatio = math.NaN() },
+		"big space ratio":   func(m *snapshot.Meta) { m.Template.SpaceRatio = 1.5 },
 		"nan threshold":     func(m *snapshot.Meta) { m.Threshold = math.NaN() },
-		"bad cellbits":      func(m *snapshot.Meta) { m.CellBits = 200 },
-		"bad k":             func(m *snapshot.Meta) { m.K = 200 },
-		"k of one":          func(m *snapshot.Meta) { m.K = 1 },
+		"bad cellbits":      func(m *snapshot.Meta) { m.Template.CellBits = 200 },
+		"bad k":             func(m *snapshot.Meta) { m.Template.K = 200 },
+		"k of one":          func(m *snapshot.Meta) { m.Template.K = 1 },
 	}
 	for name, mutate := range cases {
 		snap := *good

@@ -51,7 +51,7 @@
 //	— positive keys first, then negative keys, key i spanning key
 //	bytes [offset i, offset i+1). baseline is how many of the positives
 //	the shard's filter was built from; the rest were added since. The
-//	writer aligns the cost array to 8 bytes in the file. A container
+//	Encode aligns the cost array to 8 bytes in the file. A container
 //	with keys frames is "full"; one without is "filter-only".
 //	pending-keys frame (optional, only when the flagPendingKeys header
 //	bit is set, and only in filter-only containers): one more frame,
@@ -65,7 +65,7 @@
 //	  tuning, keys and pending frames included) | indexOff u64 |
 //	  footerCRC u32 (CRC32C of table + indexOff) | tail magic u32 "PNSH"
 //
-// The per-frame pad exists for zero-copy loads: the writer shifts each
+// The per-frame pad exists for zero-copy loads: Encode shifts each
 // payload so the word arrays inside it land 8-byte aligned in the file
 // (Frame.Align names the payload offset that must align), letting the
 // decoder alias the mapped buffer instead of copying it. The footer makes
@@ -82,6 +82,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 
 	"repro/internal/habf"
 )
@@ -142,24 +143,13 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 type Meta struct {
 	// Backend is the filtercore.Kind of the filter family framed inside
 	// (0 = HABF).
-	Backend               uint8
-	BaseSeed              int64  // params seed the per-shard seeds derive from
-	RouteSeed             uint64 // seed of the shard-routing fingerprint
-	K                     int    // per-key hash budget of the shard template
-	CellBits              uint   // HashExpressor cell width of the template
-	Fast                  bool   // f-HABF shards
-	DisableGamma          bool   // ablation switches of the template
-	DisableOverlapRanking bool
-	DisableCostOrdering   bool
-	SpaceRatio            float64 // Δ split of the template
-	BitsPerKey            float64 // budget for shards built after restore
-	Threshold             float64 // rebuild threshold (negative = disabled)
-	// HasKeys declares one keys frame per shard (the flagKeys header
-	// bit); HasPending declares a pending-keys frame (flagPendingKeys).
-	// A streaming Writer must know both before the header goes out;
-	// Snapshot.WriteTo derives them from len(Keys) and len(Pending).
-	HasKeys    bool
-	HasPending bool
+	Backend   uint8
+	RouteSeed uint64 // seed of the shard-routing fingerprint
+	// Template is the per-shard construction template, its Seed the base
+	// the per-shard seeds derive from. Its TotalBits is not stored.
+	Template   habf.Params
+	BitsPerKey float64 // budget for shards built after restore
+	Threshold  float64 // rebuild threshold (negative = disabled)
 	// Tuning is the backend's canonical knob string ("k=v,k=v", sorted
 	// names). Empty means "all defaults" and writes no tuning frame, so
 	// default-tuned containers are byte-identical to pre-tuning files;
@@ -174,7 +164,7 @@ type Meta struct {
 type Frame struct {
 	Epoch   uint64
 	Payload []byte
-	// Align is the offset within Payload that the writer places 8-byte
+	// Align is the offset within Payload that Encode places 8-byte
 	// aligned in the container (habf.WireAlignOffset of the filter's k).
 	// It is not stored; decoded frames leave it zero.
 	Align int
@@ -199,99 +189,28 @@ type Snapshot struct {
 	Keys []Keys
 	// Pending holds keys a filter-only container's frames do not
 	// represent: Adds a static backend acked before its next rebuild.
-	// Empty for most containers; when present it rides an extra frame
-	// flagged in the header.
+	// Non-nil exactly when the container carries the pending-keys frame.
 	Pending [][]byte
 }
 
-// Writer streams a container one frame at a time, so a multi-GB
-// snapshot never has to be materialized in memory: the caller marshals
-// one shard, hands the frame over, and releases it before the next.
-// Usage: NewWriter (writes the header), shardCount × WriteFrame, then
-// WriteTuning, shardCount × WriteKeys and WritePending as the header
-// promised, and Close (writes the footer).
-type Writer struct {
-	w       io.Writer
-	written int64
-	shards  int
-	offsets []uint64
-	closed  bool
-	// What the header promised beyond the shard frames.
+// Shard is what Encode asks for per shard: its frame, plus its keys in
+// a full container or its pending keys in one with a pending-keys frame.
+type Shard struct {
+	Frame   Frame
+	Keys    Keys
+	Pending [][]byte
+}
+
+// layout is a container's frame order: shard frames [0, shards), the
+// tuning frame, keys frames [keysStart, keysStart+shards), the pending
+// frame. Encode and Unmarshal both walk it.
+type layout struct {
+	shards                int
 	tuning, keys, pending bool
 }
 
-// NewWriter writes the container header and returns a Writer expecting
-// exactly shardCount frames.
-func NewWriter(w io.Writer, meta Meta, shardCount int) (*Writer, error) {
-	if shardCount == 0 {
-		return nil, errors.New("snapshot: no frames")
-	}
-	if len(meta.Tuning) > maxTuningLen {
-		return nil, fmt.Errorf("snapshot: tuning string %d bytes long (max %d)", len(meta.Tuning), maxTuningLen)
-	}
-	if meta.HasKeys && meta.HasPending {
-		return nil, errors.New("snapshot: a full container carries no pending-keys frame")
-	}
-	sw := &Writer{w: w, shards: shardCount, tuning: meta.Tuning != "",
-		keys: meta.HasKeys, pending: meta.HasPending,
-		offsets: make([]uint64, 0, shardCount)}
-
-	var head [headerSize]byte
-	binary.LittleEndian.PutUint32(head[0:4], magic)
-	head[4] = Version
-	var flags byte
-	if meta.Fast {
-		flags |= flagFast
-	}
-	if meta.DisableGamma {
-		flags |= flagDisableGamma
-	}
-	if meta.DisableOverlapRanking {
-		flags |= flagDisableOverlapRanking
-	}
-	if meta.DisableCostOrdering {
-		flags |= flagDisableCostOrdering
-	}
-	if meta.HasPending {
-		flags |= flagPendingKeys
-	}
-	if meta.Tuning != "" {
-		flags |= flagTuning
-	}
-	if meta.HasKeys {
-		flags |= flagKeys
-	}
-	head[5] = flags
-	head[6] = uint8(meta.K)
-	head[7] = uint8(meta.CellBits)
-	binary.LittleEndian.PutUint64(head[8:16], uint64(meta.BaseSeed))
-	binary.LittleEndian.PutUint64(head[16:24], meta.RouteSeed)
-	putFloat(head[24:32], meta.SpaceRatio)
-	putFloat(head[32:40], meta.BitsPerKey)
-	putFloat(head[40:48], meta.Threshold)
-	head[48] = kindShardedSet
-	head[49] = meta.Backend
-	// head[50:52] and head[56:60] reserved, zero, CRC-covered.
-	binary.LittleEndian.PutUint32(head[52:56], uint32(shardCount))
-	binary.LittleEndian.PutUint32(head[60:64], crc32.Checksum(head[:60], castagnoli))
-	if err := sw.emit(head[:]); err != nil {
-		return nil, err
-	}
-	return sw, nil
-}
-
-func (sw *Writer) emit(b []byte) error {
-	n, err := sw.w.Write(b)
-	sw.written += int64(n)
-	return err
-}
-
-// Frame indexes in file order: shard frames [0, shards), the tuning
-// frame, keys frames [keysStart, keysStart+shards), the pending frame.
-func (sw *Writer) keysStart() int { return sw.shards + b2i(sw.tuning) }
-func (sw *Writer) frameCount() int {
-	return sw.keysStart() + sw.shards*b2i(sw.keys) + b2i(sw.pending)
-}
+func (l layout) keysStart() int { return l.shards + b2i(l.tuning) }
+func (l layout) frames() int    { return l.keysStart() + l.shards*b2i(l.keys) + b2i(l.pending) }
 
 func b2i(b bool) int {
 	if b {
@@ -300,66 +219,113 @@ func b2i(b bool) int {
 	return 0
 }
 
-// WriteFrame appends one shard's frame. The payload is not retained.
-func (sw *Writer) WriteFrame(fr Frame) error {
-	if len(sw.offsets) >= sw.shards {
-		return fmt.Errorf("snapshot: more than %d frames written", sw.shards)
+// Encode streams a container of shards shards to w, so a multi-GB
+// snapshot never has to be materialized in memory. It writes the
+// header, then calls shard(i) for each shard in order and writes that
+// shard's frame before asking for the next. Then come the tuning frame
+// (when meta.Tuning is set), the keys frames of a full container (full:
+// each shard's Keys) and the pending-keys frame (pending: every shard's
+// Pending, sorted so identical sets write identical containers), then
+// the footer. Keys and pending keys are held, not copied, until their
+// frames are written. A full container carries no pending-keys frame.
+func Encode(w io.Writer, meta Meta, shards int, full, pending bool, shard func(i int) (Shard, error)) error {
+	if shards <= 0 {
+		return errors.New("snapshot: no frames")
 	}
-	return sw.writeFrame(fr)
-}
-
-// WriteTuning appends the tuning frame after the shard frames. It must
-// be called exactly once, and only when the header promised it
-// (Meta.Tuning non-empty), so the flag bit and the footer table stay in
-// agreement. The string must match what NewWriter saw.
-func (sw *Writer) WriteTuning(tuning string) error {
-	if !sw.tuning {
-		return errors.New("snapshot: tuning frame not declared in header")
+	if len(meta.Tuning) > maxTuningLen {
+		return fmt.Errorf("snapshot: tuning string %d bytes long (max %d)", len(meta.Tuning), maxTuningLen)
 	}
-	if len(sw.offsets) != sw.shards {
-		return fmt.Errorf("snapshot: tuning frame must be frame %d, not %d", sw.shards, len(sw.offsets))
+	if full && pending {
+		return errors.New("snapshot: a full container carries no pending-keys frame")
 	}
-	if tuning == "" || len(tuning) > maxTuningLen {
-		return fmt.Errorf("snapshot: tuning frame payload %d bytes (want 1..%d)", len(tuning), maxTuningLen)
-	}
-	return sw.writeFrame(Frame{Payload: []byte(tuning)})
-}
-
-// WriteKeys appends the next shard's keys frame, after the shard frames
-// and the tuning frame. It must be called once per shard, in shard
-// order, and only when the header promised keys frames (Meta.HasKeys).
-// A shard whose key bytes exceed 4 GiB cannot be framed.
-func (sw *Writer) WriteKeys(k Keys) error {
-	if !sw.keys {
-		return errors.New("snapshot: keys frames not declared in header")
-	}
-	if n, lo := len(sw.offsets), sw.keysStart(); n < lo || n >= lo+sw.shards {
-		return fmt.Errorf("snapshot: keys frame out of place at frame %d", n)
-	}
-	payload, costs, err := encodeKeys(k)
-	if err != nil {
+	l := layout{shards: shards, tuning: meta.Tuning != "", keys: full, pending: pending}
+	e := encoder{w: w, offsets: make([]uint64, 0, l.frames())}
+	if err := e.emit(header(meta, l)); err != nil {
 		return err
 	}
-	return sw.writeFrame(Frame{Payload: payload, Align: costs})
+	var keys []Keys
+	var pend [][]byte
+	for i := 0; i < shards; i++ {
+		sh, err := shard(i)
+		if err != nil {
+			return err
+		}
+		if err := e.frame(sh.Frame); err != nil {
+			return err
+		}
+		if full {
+			keys = append(keys, sh.Keys)
+		} else if pending {
+			pend = append(pend, sh.Pending...)
+		}
+	}
+	if l.tuning {
+		if err := e.frame(Frame{Payload: []byte(meta.Tuning)}); err != nil {
+			return err
+		}
+	}
+	for _, k := range keys {
+		payload, costs, err := encodeKeys(k)
+		if err != nil {
+			return err
+		}
+		if err := e.frame(Frame{Payload: payload, Align: costs}); err != nil {
+			return err
+		}
+	}
+	if pending {
+		slices.SortFunc(pend, bytes.Compare)
+		if err := e.frame(Frame{Payload: encodePendingKeys(pend)}); err != nil {
+			return err
+		}
+	}
+	return e.footer()
 }
 
-// WritePending appends the pending-keys frame, last. It must be called
-// exactly once, and only when the header promised it (Meta.HasPending),
-// so the flag bit and the footer table stay in agreement.
-func (sw *Writer) WritePending(keys [][]byte) error {
-	if !sw.pending {
-		return errors.New("snapshot: pending frame not declared in header")
-	}
-	if n := len(sw.offsets); n != sw.frameCount()-1 {
-		return fmt.Errorf("snapshot: pending frame out of place at frame %d", n)
-	}
-	return sw.writeFrame(Frame{Payload: encodePendingKeys(keys)})
+// header renders the 64-byte container header.
+func header(meta Meta, l layout) []byte {
+	p := meta.Template
+	head := make([]byte, headerSize)
+	binary.LittleEndian.PutUint32(head[0:4], magic)
+	head[4] = Version
+	head[5] = flag(p.Fast, flagFast) | flag(p.DisableGamma, flagDisableGamma) |
+		flag(p.DisableOverlapRanking, flagDisableOverlapRanking) |
+		flag(p.DisableCostOrdering, flagDisableCostOrdering) |
+		flag(l.pending, flagPendingKeys) | flag(l.tuning, flagTuning) | flag(l.keys, flagKeys)
+	head[6] = uint8(p.K)
+	head[7] = uint8(p.CellBits)
+	binary.LittleEndian.PutUint64(head[8:16], uint64(p.Seed))
+	binary.LittleEndian.PutUint64(head[16:24], meta.RouteSeed)
+	putFloat(head[24:32], p.SpaceRatio)
+	putFloat(head[32:40], meta.BitsPerKey)
+	putFloat(head[40:48], meta.Threshold)
+	head[48] = kindShardedSet
+	head[49] = meta.Backend
+	// head[50:52] and head[56:60] reserved, zero, CRC-covered.
+	binary.LittleEndian.PutUint32(head[52:56], uint32(l.shards))
+	binary.LittleEndian.PutUint32(head[60:64], crc32.Checksum(head[:60], castagnoli))
+	return head
 }
 
-func (sw *Writer) writeFrame(fr Frame) error {
-	sw.offsets = append(sw.offsets, uint64(sw.written))
+func flag(on bool, bit byte) byte { return byte(b2i(on)) * bit }
+
+// encoder tracks the bytes written and each frame's file offset.
+type encoder struct {
+	w       io.Writer
+	written int64
+	offsets []uint64
+}
+
+func (e *encoder) emit(b []byte) error {
+	n, err := e.w.Write(b)
+	e.written += int64(n)
+	return err
+}
+
+func (e *encoder) frame(fr Frame) error {
+	e.offsets = append(e.offsets, uint64(e.written))
 	// Place the frame so Payload[Align] lands on an 8-byte boundary.
-	payloadOff := sw.written + frameHdrSize
+	payloadOff := e.written + frameHdrSize
 	padLen := int((8 - (payloadOff+int64(fr.Align))%8) % 8)
 	var hdr [frameHdrSize]byte
 	var pad [8]byte
@@ -373,88 +339,49 @@ func (sw *Writer) writeFrame(fr Frame) error {
 	crc = crc32.Update(crc, castagnoli, pad[:padLen])
 	crc = crc32.Update(crc, castagnoli, fr.Payload)
 	binary.LittleEndian.PutUint32(hdr[16:20], crc)
-	if err := sw.emit(hdr[:]); err != nil {
+	if err := e.emit(hdr[:]); err != nil {
 		return err
 	}
-	if err := sw.emit(pad[:padLen]); err != nil {
+	if err := e.emit(pad[:padLen]); err != nil {
 		return err
 	}
-	return sw.emit(fr.Payload)
+	return e.emit(fr.Payload)
 }
 
-// Close writes the footer (offset table, CRC, tail magic). It fails if
-// fewer frames were written than the header promised.
-func (sw *Writer) Close() error {
-	if sw.closed {
-		return errors.New("snapshot: writer already closed")
-	}
-	if want := sw.frameCount(); len(sw.offsets) != want {
-		return fmt.Errorf("snapshot: wrote %d of %d frames", len(sw.offsets), want)
-	}
-	sw.closed = true
-	indexOff := uint64(sw.written)
-	table := make([]byte, len(sw.offsets)*8+8)
-	for i, off := range sw.offsets {
+// footer writes the offset table, its CRC and the tail magic.
+func (e *encoder) footer() error {
+	table := make([]byte, len(e.offsets)*8+8)
+	for i, off := range e.offsets {
 		binary.LittleEndian.PutUint64(table[i*8:], off)
 	}
-	binary.LittleEndian.PutUint64(table[len(sw.offsets)*8:], indexOff)
+	binary.LittleEndian.PutUint64(table[len(e.offsets)*8:], uint64(e.written))
 	var tail [8]byte
 	binary.LittleEndian.PutUint32(tail[0:4], crc32.Checksum(table, castagnoli))
 	binary.LittleEndian.PutUint32(tail[4:8], tailMagic)
-	if err := sw.emit(table); err != nil {
+	if err := e.emit(table); err != nil {
 		return err
 	}
-	return sw.emit(tail[:])
+	return e.emit(tail[:])
 }
 
-// Written returns the bytes written so far.
-func (sw *Writer) Written() int64 { return sw.written }
-
-// WriteTo writes the container. It implements io.WriterTo. Prefer the
-// streaming Writer when frames are produced one at a time; WriteTo is
-// the convenience form for an already-materialized Snapshot and emits
-// identical bytes.
-func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
-	meta := s.Meta
-	meta.HasKeys = len(s.Keys) > 0
-	meta.HasPending = len(s.Pending) > 0
-	if meta.HasKeys && len(s.Keys) != len(s.Frames) {
-		return 0, fmt.Errorf("snapshot: %d keys entries for %d frames", len(s.Keys), len(s.Frames))
-	}
-	sw, err := NewWriter(w, meta, len(s.Frames))
-	if err != nil {
-		return 0, err
-	}
-	for _, fr := range s.Frames {
-		if err := sw.WriteFrame(fr); err != nil {
-			return sw.Written(), err
-		}
-	}
-	if meta.Tuning != "" {
-		if err := sw.WriteTuning(meta.Tuning); err != nil {
-			return sw.Written(), err
-		}
-	}
-	for _, k := range s.Keys {
-		if err := sw.WriteKeys(k); err != nil {
-			return sw.Written(), err
-		}
-	}
-	if meta.HasPending {
-		if err := sw.WritePending(s.Pending); err != nil {
-			return sw.Written(), err
-		}
-	}
-	if err := sw.Close(); err != nil {
-		return sw.Written(), err
-	}
-	return sw.Written(), nil
-}
-
-// MarshalBinary encodes the container into one byte slice.
+// MarshalBinary encodes the container into one byte slice: a full one
+// when Keys is set, with a pending-keys frame when Pending is.
 func (s *Snapshot) MarshalBinary() ([]byte, error) {
+	if s.Keys != nil && len(s.Keys) != len(s.Frames) {
+		return nil, fmt.Errorf("snapshot: %d keys entries for %d frames", len(s.Keys), len(s.Frames))
+	}
 	var buf bytes.Buffer
-	if _, err := s.WriteTo(&buf); err != nil {
+	err := Encode(&buf, s.Meta, len(s.Frames), s.Keys != nil, s.Pending != nil, func(i int) (Shard, error) {
+		sh := Shard{Frame: s.Frames[i]}
+		if s.Keys != nil {
+			sh.Keys = s.Keys[i]
+		}
+		if i == 0 {
+			sh.Pending = s.Pending
+		}
+		return sh, nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
@@ -489,25 +416,25 @@ func Unmarshal(data []byte) (*Snapshot, error) {
 	if binary.LittleEndian.Uint16(data[50:52]) != 0 || binary.LittleEndian.Uint32(data[56:60]) != 0 {
 		return nil, errors.New("snapshot: reserved header bytes are not zero")
 	}
-	s := &Snapshot{Meta: Meta{
-		Backend:               data[49],
-		K:                     int(data[6]),
-		CellBits:              uint(data[7]),
-		Fast:                  flags&flagFast != 0,
-		DisableGamma:          flags&flagDisableGamma != 0,
-		DisableOverlapRanking: flags&flagDisableOverlapRanking != 0,
-		DisableCostOrdering:   flags&flagDisableCostOrdering != 0,
-		BaseSeed:              int64(binary.LittleEndian.Uint64(data[8:16])),
-		RouteSeed:             binary.LittleEndian.Uint64(data[16:24]),
-		SpaceRatio:            getFloat(data[24:32]),
-		BitsPerKey:            getFloat(data[32:40]),
-		Threshold:             getFloat(data[40:48]),
-		HasKeys:               flags&flagKeys != 0,
-		HasPending:            flags&flagPendingKeys != 0,
-	}}
-	if s.Meta.HasKeys && s.Meta.HasPending {
+	if flags&flagKeys != 0 && flags&flagPendingKeys != 0 {
 		return nil, errors.New("snapshot: full container with a pending-keys frame")
 	}
+	s := &Snapshot{Meta: Meta{
+		Backend:   data[49],
+		RouteSeed: binary.LittleEndian.Uint64(data[16:24]),
+		Template: habf.Params{
+			K:                     int(data[6]),
+			CellBits:              uint(data[7]),
+			Seed:                  int64(binary.LittleEndian.Uint64(data[8:16])),
+			SpaceRatio:            getFloat(data[24:32]),
+			Fast:                  flags&flagFast != 0,
+			DisableGamma:          flags&flagDisableGamma != 0,
+			DisableOverlapRanking: flags&flagDisableOverlapRanking != 0,
+			DisableCostOrdering:   flags&flagDisableCostOrdering != 0,
+		},
+		BitsPerKey: getFloat(data[32:40]),
+		Threshold:  getFloat(data[40:48]),
+	}}
 
 	shardCount := binary.LittleEndian.Uint32(data[52:56])
 	// Each frame costs at least a header and each table entry 8 bytes, so
@@ -520,9 +447,9 @@ func Unmarshal(data []byte) (*Snapshot, error) {
 	// entries) beyond the shard frames; everything below walks
 	// frameCount, while shardCount keeps meaning what the restore layer
 	// checks (power-of-two shard topology).
-	layout := Writer{shards: int(shardCount), tuning: flags&flagTuning != 0,
-		keys: s.Meta.HasKeys, pending: s.Meta.HasPending}
-	frameCount := uint64(layout.frameCount())
+	l := layout{shards: int(shardCount), tuning: flags&flagTuning != 0,
+		keys: flags&flagKeys != 0, pending: flags&flagPendingKeys != 0}
+	frameCount := uint64(l.frames())
 	if frameCount > uint64(len(data))/frameHdrSize {
 		return nil, fmt.Errorf("snapshot: implausible frame count %d for %d bytes", frameCount, len(data))
 	}
@@ -578,18 +505,18 @@ func Unmarshal(data []byte) (*Snapshot, error) {
 	if prevEnd != indexOff64 {
 		return nil, errors.New("snapshot: trailing bytes between frames and footer")
 	}
-	if layout.tuning {
+	if l.tuning {
 		payload := s.Frames[shardCount].Payload
-		// An empty payload with the flag set can never come from a Writer
+		// An empty payload with the flag set can never come from Encode
 		// (Meta.Tuning == "" writes no frame), so it is corruption.
 		if len(payload) == 0 || len(payload) > maxTuningLen {
 			return nil, fmt.Errorf("snapshot: tuning frame payload %d bytes (want 1..%d)", len(payload), maxTuningLen)
 		}
 		s.Meta.Tuning = string(payload)
 	}
-	if layout.keys {
+	if l.keys {
 		s.Keys = make([]Keys, shardCount)
-		for i, fr := range s.Frames[layout.keysStart():][:shardCount] {
+		for i, fr := range s.Frames[l.keysStart():][:shardCount] {
 			k, err := decodeKeys(fr.Payload)
 			if err != nil {
 				return nil, fmt.Errorf("snapshot: keys frame %d: %w", i, err)
@@ -597,7 +524,7 @@ func Unmarshal(data []byte) (*Snapshot, error) {
 			s.Keys[i] = k
 		}
 	}
-	if layout.pending {
+	if l.pending {
 		pending, err := decodePendingKeys(s.Frames[frameCount-1].Payload)
 		if err != nil {
 			return nil, err
@@ -609,7 +536,7 @@ func Unmarshal(data []byte) (*Snapshot, error) {
 }
 
 // encodeKeys renders a keys frame payload in arena layout and returns
-// it with the offset of its cost array, which the writer aligns.
+// it with the offset of its cost array, which Encode aligns.
 func encodeKeys(k Keys) (payload []byte, costsOff int, err error) {
 	if k.Baseline < 0 || k.Baseline > len(k.Positives) {
 		return nil, 0, fmt.Errorf("snapshot: keys baseline %d outside [0,%d]", k.Baseline, len(k.Positives))
@@ -725,7 +652,8 @@ func encodePendingKeys(keys [][]byte) []byte {
 }
 
 // decodePendingKeys parses a pending-keys payload. Returned keys alias
-// data, like frame payloads. Every length is validated against the
+// data, like frame payloads, each capped at its own length so an append
+// never writes into the container. Every length is validated against the
 // payload before any allocation it sizes.
 func decodePendingKeys(data []byte) ([][]byte, error) {
 	if len(data) < 8 {
@@ -747,7 +675,7 @@ func decodePendingKeys(data []byte) ([][]byte, error) {
 		if n > len(data)-pos {
 			return nil, fmt.Errorf("snapshot: pending key %d length %d out of bounds", i, n)
 		}
-		keys = append(keys, data[pos:pos+n])
+		keys = append(keys, data[pos:pos+n:pos+n])
 		pos += n
 	}
 	if pos != len(data) {

@@ -33,11 +33,8 @@ func testSnapshot() *snapshot.Snapshot {
 	return &snapshot.Snapshot{
 		Meta: snapshot.Meta{
 			Backend:    2, // non-default backend byte must round-trip
-			BaseSeed:   42,
 			RouteSeed:  0x123456789abcdef0,
-			K:          3,
-			CellBits:   4,
-			SpaceRatio: 0.25,
+			Template:   habf.Params{Seed: 42, K: 3, CellBits: 4, SpaceRatio: 0.25},
 			BitsPerKey: 10,
 			Threshold:  0.02,
 		},
@@ -77,7 +74,9 @@ func TestContainerRoundtrip(t *testing.T) {
 }
 
 func TestContainerPayloadsAliasInput(t *testing.T) {
-	data, err := testSnapshot().MarshalBinary()
+	s := testSnapshot()
+	s.Pending = [][]byte{[]byte("pa"), []byte("pb")}
+	data, err := s.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,6 +91,77 @@ func TestContainerPayloadsAliasInput(t *testing.T) {
 	}
 	if offsetIn(data, p) < 0 {
 		t.Fatal("decoded payload does not alias the container buffer")
+	}
+	// Pending keys alias data too, each capped at its own length, so an
+	// append copies instead of writing into the container.
+	key := g.Pending[0]
+	if offsetIn(data, key) < 0 || cap(key) != len(key) {
+		t.Fatalf("pending key %q: aliased %v, cap %d", key, offsetIn(data, key) >= 0, cap(key))
+	}
+	before := append([]byte(nil), data...)
+	_ = append(key, "XXXXXXXX"...)
+	if !bytes.Equal(data, before) {
+		t.Fatal("appending to a decoded pending key wrote into the container")
+	}
+}
+
+// TestEncodeStreams pins that Encode writes each shard's frame before it
+// asks for the next shard, so a save holds about one shard at a time:
+// when shard i is asked for, the header and frames 0..i-1 are out.
+func TestEncodeStreams(t *testing.T) {
+	for _, full := range []bool{false, true} {
+		s := keysSnapshot()
+		s.Meta.Tuning = "width=9"
+		var w bytes.Buffer
+		var asked []int
+		err := snapshot.Encode(&w, s.Meta, len(s.Frames), full, !full, func(i int) (snapshot.Shard, error) {
+			asked = append(asked, w.Len())
+			return snapshot.Shard{Frame: s.Frames[i], Keys: s.Keys[i], Pending: [][]byte{{byte('z' - i)}}}, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := w.Bytes()
+		g, err := snapshot.Unmarshal(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (g.Keys != nil) != full || (g.Pending != nil) == full {
+			t.Fatalf("full=%v: decoded %d keys entries and %d pending keys", full, len(g.Keys), len(g.Pending))
+		}
+		// The footer's offset table holds each frame's file offset.
+		indexOff := binary.LittleEndian.Uint64(data[len(data)-16:])
+		for i, n := range asked {
+			if want := binary.LittleEndian.Uint64(data[indexOff+8*uint64(i):]); uint64(n) != want {
+				t.Fatalf("full=%v: shard %d asked for with %d bytes written, want %d (header and frames 0..%d)",
+					full, i, n, want, i-1)
+			}
+		}
+		if len(asked) != len(s.Frames) {
+			t.Fatalf("full=%v: asked for %d shards, want %d", full, len(asked), len(s.Frames))
+		}
+	}
+}
+
+// TestEncodeSortsPending: pending keys go out sorted whatever order the
+// shards hand them over in, so identical sets write identical bytes.
+func TestEncodeSortsPending(t *testing.T) {
+	s := testSnapshot()
+	s.Pending = [][]byte{[]byte("c"), []byte("a"), []byte("b")}
+	shuffled, err := s.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Pending[0][0] != 'c' {
+		t.Fatal("encoding reordered the caller's pending keys")
+	}
+	s.Pending = [][]byte{[]byte("a"), []byte("b"), []byte("c")}
+	sorted, err := s.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(shuffled, sorted) {
+		t.Fatal("pending key order leaks into the container")
 	}
 }
 
@@ -214,8 +284,8 @@ func TestKeysFrameRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !g.Meta.HasKeys || len(g.Keys) != len(s.Keys) {
-		t.Fatalf("keys frames did not round-trip: HasKeys=%v, %d entries", g.Meta.HasKeys, len(g.Keys))
+	if g.Keys == nil || len(g.Keys) != len(s.Keys) {
+		t.Fatalf("keys frames did not round-trip: %d entries", len(g.Keys))
 	}
 	for i, want := range s.Keys {
 		got := g.Keys[i]
@@ -354,11 +424,8 @@ func TestGoldenContainer(t *testing.T) {
 func goldenSnapshot() *snapshot.Snapshot {
 	return &snapshot.Snapshot{
 		Meta: snapshot.Meta{
-			BaseSeed:   1,
 			RouteSeed:  0xdeadbeefcafe,
-			K:          3,
-			CellBits:   4,
-			SpaceRatio: 0.25,
+			Template:   habf.Params{Seed: 1, K: 3, CellBits: 4, SpaceRatio: 0.25},
 			BitsPerKey: 12,
 			Threshold:  0.02,
 		},

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/habf"
 	"repro/internal/snapshot"
 )
 
@@ -21,7 +22,6 @@ func testTunedSnapshot() *snapshot.Snapshot {
 // frame, and never leaks into the shard frame list.
 func TestTuningFrameRoundtrip(t *testing.T) {
 	s := testTunedSnapshot()
-	s.Meta.HasPending = true
 	s.Pending = [][]byte{[]byte("pend-a"), []byte("pend-b")}
 	data, err := s.MarshalBinary()
 	if err != nil {
@@ -127,11 +127,8 @@ func TestTuningFrameRejectsCorruption(t *testing.T) {
 func TestGoldenContainerWithTuning(t *testing.T) {
 	s := &snapshot.Snapshot{
 		Meta: snapshot.Meta{
-			BaseSeed:   1,
 			RouteSeed:  0xdeadbeefcafe,
-			K:          3,
-			CellBits:   4,
-			SpaceRatio: 0.25,
+			Template:   habf.Params{Seed: 1, K: 3, CellBits: 4, SpaceRatio: 0.25},
 			BitsPerKey: 12,
 			Threshold:  0.02,
 			Tuning:     "width=9",
