@@ -2,6 +2,8 @@
 // filter: a versioned, checksummed envelope around the per-filter wire
 // format of internal/habf, so a serving layer can checkpoint its read
 // path and restore it after a restart without paying reconstruction.
+// Encode streams a container one shard at a time; Unmarshal decodes one
+// in place.
 //
 // Layout (all integers little-endian):
 //
