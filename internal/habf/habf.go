@@ -2,7 +2,6 @@ package habf
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/bitset"
 	"repro/internal/hashes"
@@ -46,17 +45,10 @@ func New(positives [][]byte, negatives []WeightedKey, p Params) (*Filter, error)
 	}
 
 	b := newBuilder(positives, negatives, p)
+	defer b.release()
 	b.hashKeys()
 
-	b.optimized = make([]bool, len(negatives))
-	b.inGamma = make([]bool, len(negatives))
-	b.attempts = make([]uint8, len(negatives))
-	b.adjusted = make([]bool, len(positives))
-
-	b.stats.FPRBefore, b.stats.WeightedFPRBefore = b.measureFPR()
-
 	cq := b.buildCollisionQueue()
-	b.stats.CollisionKeys = len(cq)
 
 	for head := 0; head < len(cq); head++ {
 		j := cq[head]
@@ -100,9 +92,7 @@ func New(positives [][]byte, negatives []WeightedKey, p Params) (*Filter, error)
 			break
 		}
 		if !p.DisableCostOrdering {
-			sort.SliceStable(broken, func(x, y int) bool {
-				return b.negatives[broken[x]].Cost > b.negatives[broken[y]].Cost
-			})
+			b.sortByCost(broken)
 		}
 		progress := false
 		for _, j := range broken {
@@ -117,14 +107,8 @@ func New(positives [][]byte, negatives []WeightedKey, p Params) (*Filter, error)
 		}
 	}
 
-	b.stats.Optimized = 0
-	for j := range b.negatives {
-		if b.optimized[j] && !b.negTestsPositive(int32(j)) {
-			b.stats.Optimized++
-		}
-	}
+	b.measureAfter()
 	b.stats.HashExpressorInserts = b.he.Inserted()
-	b.stats.FPRAfter, b.stats.WeightedFPRAfter = b.measureFPR()
 
 	return &Filter{
 		bfBits:   b.bf,
@@ -146,35 +130,23 @@ func NewFast(positives [][]byte, negatives []WeightedKey, p Params) (*Filter, er
 	return New(positives, negatives, p)
 }
 
-// measureFPR computes the (unweighted, weighted) false-positive rates of
-// the current Bloom state over the given negatives under their effective
-// selections — used for the before/after statistics of §IV-B.
-func (b *builder) measureFPR() (plain, weighted float64) {
-	if len(b.negatives) == 0 {
-		return 0, 0
-	}
-	k := b.p.K
-	var fp, totalCost, fpCost float64
-	for j := range b.negatives {
-		pass := true
-		for s := 0; s < k; s++ {
-			if !b.bf.Test(b.negH0[j*k+s]) {
-				pass = false
-				break
-			}
-		}
-		c := b.negatives[j].Cost
-		totalCost += c
-		if pass {
+// measureAfter scans the negatives once after optimization: it counts
+// the optimized keys that still test negative (Stats.Optimized) and
+// measures the FPRs of the final Bloom state under H0 (F*bf of §IV-B).
+// buildCollisionQueue measured the FPRs before optimization.
+func (b *builder) measureAfter() {
+	fp, optimized := 0, 0
+	var fpCost float64
+	for j, nk := range b.negatives {
+		if b.negTestsPositive(int32(j)) {
 			fp++
-			fpCost += c
+			fpCost += nk.Cost
+		} else if b.optimized[j] {
+			optimized++
 		}
 	}
-	plain = fp / float64(len(b.negatives))
-	if totalCost > 0 {
-		weighted = fpCost / totalCost
-	}
-	return plain, weighted
+	b.stats.Optimized = optimized
+	b.stats.FPRAfter, b.stats.WeightedFPRAfter = b.fprs(fp, fpCost)
 }
 
 // Contains reports whether key may be a member. The two-round pattern of

@@ -1,11 +1,12 @@
 package habf
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"runtime"
 	"slices"
-	"sort"
+	"sync"
 
 	"repro/internal/bitset"
 	"repro/internal/hashes"
@@ -14,9 +15,10 @@ import (
 // builder carries the construction-time state of the TPJO algorithm
 // (§III-D): the Bloom bit array, the HashExpressor, and the two runtime
 // auxiliary indexes V (single-mapped bit index) and Γ (optimized-key
-// buckets). It is discarded after Build; only the query-time Filter
+// buckets). It is discarded after New; only the query-time Filter
 // survives, which is what gives HABF its small resident footprint and its
-// larger construction footprint (Fig. 15).
+// larger construction footprint (Fig. 15). The working arrays come from a
+// pooled scratch and go back to the pool when New returns.
 type builder struct {
 	p   Params
 	fam *family
@@ -28,30 +30,69 @@ type builder struct {
 
 	positives [][]byte
 	negatives []WeightedKey
+	totalCost float64 // Σ cost over negatives, in index order
 
-	posHash []uint64 // f-HABF only: h1, h2 per positive key (flat)
-	posH0   []uint64 // k positions per positive key under H0 (flat)
-	negH0   []uint64 // k positions per negative key under H0 (flat)
-
-	// V: per Bloom bit, the id of the one positive key that maps it, or
-	// vEmpty or vMulti (see vInsert).
-	v []int32
+	*scratch
 
 	// Γ: buckets of optimized negative keys, keyed by bit position.
-	gamma     map[uint64][]int32
-	optimized []bool // negative key currently tests negative after opt.
-	inGamma   []bool
-	attempts  []uint8
-
-	// Adjusted positive keys and their customized selections.
-	adjusted []bool
-	phis     map[int32][]uint8
+	gamma map[uint64][]int32
 
 	// pendingVictims collects re-broken optimized keys for the main loop
 	// to push onto the collision queue tail.
 	pendingVictims []int32
 
 	stats Stats
+}
+
+// scratch is the builder's working memory: arrays sized by the key counts
+// and the Bloom length that no built filter keeps. New takes one from
+// scratchPool and returns it when done, so consecutive builds (the shards
+// of a sharded set, its rebuilds, repeated set-ups) reuse the arrays
+// instead of leaving them to the collector. prepare resizes and clears
+// the arrays for each build; gatherCandidates resets cands per call.
+type scratch struct {
+	// V: per Bloom bit, which positive keys map it: vEmpty (0), vMulti,
+	// or id+1 for the one key id that does (see vInsert).
+	v []int32
+
+	negH0   []uint64 // k positions per negative key under H0 (flat)
+	posHash []uint64 // f-HABF only: h1, h2 per positive key (flat)
+	chunkH0 []uint64 // k positions per key of one hashing chunk
+
+	optimized []bool  // per negative: tests negative after optimization
+	inGamma   []bool  // per negative: registered in Γ
+	attempts  []uint8 // per negative: optimization attempts so far
+	adjusted  []bool  // per positive: selection stored in HashExpressor
+
+	cands []candidate // gatherCandidates' result, reused per call
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// zeroed returns s resized to n zero elements, reusing its array when it
+// is large enough.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// prepare sizes and clears every array of sc for a build of n positives
+// and nn negatives with k functions, m Bloom bits, in f-HABF mode or not.
+func (sc *scratch) prepare(n, nn, k int, m uint64, fast bool) {
+	sc.v = zeroed(sc.v, int(m))
+	sc.negH0 = zeroed(sc.negH0, nn*k)
+	if fast {
+		sc.posHash = zeroed(sc.posHash, 2*n)
+	}
+	sc.chunkH0 = zeroed(sc.chunkH0, batchChunk*k)
+	sc.optimized = zeroed(sc.optimized, nn)
+	sc.inGamma = zeroed(sc.inGamma, nn)
+	sc.attempts = zeroed(sc.attempts, nn)
+	sc.adjusted = zeroed(sc.adjusted, n)
 }
 
 // Stats reports what TPJO did during construction.
@@ -85,13 +126,14 @@ func newBuilder(positives [][]byte, negatives []WeightedKey, p Params) *builder 
 		fam:       newFamily(p),
 		positives: positives,
 		negatives: negatives,
+		scratch:   scratchPool.Get().(*scratch),
 		gamma:     make(map[uint64][]int32),
-		phis:      make(map[int32][]uint8),
 	}
 	heBits, bfBits := p.split()
 	b.m = bfBits
 	b.bf = bitset.New(b.m)
 	b.he = newHashExpressor(heBits, p.CellBits, p.K)
+	b.prepare(len(positives), len(negatives), p.K, b.m, p.Fast)
 
 	// H0: a random k-subset of the usable family, shared by all keys.
 	perm := rand.New(rand.NewSource(p.Seed)).Perm(b.fam.size)
@@ -99,15 +141,23 @@ func newBuilder(positives [][]byte, negatives []WeightedKey, p Params) *builder 
 	for i := 0; i < p.K; i++ {
 		b.h0[i] = uint8(perm[i])
 	}
-	sort.Slice(b.h0, func(i, j int) bool { return b.h0[i] < b.h0[j] })
+	slices.Sort(b.h0)
 	return b
 }
 
-// V's unit states besides a key id (Fig. 4): no key maps the unit, or
-// two or more mappings do. A unit holding a key id is single-mapped.
+// release returns the builder's scratch to the pool. The builder must not
+// be used afterwards.
+func (b *builder) release() {
+	scratchPool.Put(b.scratch)
+	b.scratch = nil
+}
+
+// V's unit states besides a key (Fig. 4): no key maps the unit, or two or
+// more mappings do. A unit single-mapped by key id holds id+1, so the
+// zero value of a cleared V is all-empty.
 const (
-	vEmpty int32 = -1
-	vMulti int32 = -2
+	vEmpty int32 = 0
+	vMulti int32 = -1
 )
 
 // chunkOrder lists the positions of a chunk in order: the selection
@@ -131,33 +181,25 @@ var chunkOrder = func() (o [batchChunk]uint8) {
 //
 // Negatives need their hashing context only here; positives keep theirs
 // for the adjustment search, which in slow mode is just the key and in
-// f-HABF mode the two base hashes kept in posHash.
+// f-HABF mode the two base hashes kept in posHash. A positive's H0
+// positions are needed only for its chunk: the search recomputes them
+// from the key's hashes.
 func (b *builder) hashKeys() {
 	k, n := b.p.K, len(b.positives)
-	b.posH0 = make([]uint64, n*k)
-	if b.fam.fast {
-		b.posHash = make([]uint64, 2*n)
-	}
-	b.v = make([]int32, b.m)
-	for i := range b.v {
-		b.v[i] = vEmpty
-	}
 	for lo := 0; lo < n; lo += batchChunk {
 		hi := min(lo+batchChunk, n)
 		var h12 []uint64
 		if b.fam.fast {
 			h12 = b.posHash[2*lo : 2*hi]
 		}
-		b.hashChunk(b.positives[lo:hi], b.posH0[lo*k:hi*k], h12)
-		for id := lo; id < hi; id++ {
-			for _, p := range b.posH0[id*k : id*k+k] {
-				b.bf.Set(p)
-				b.vInsert(int32(id), p)
-			}
+		h0 := b.chunkH0[:(hi-lo)*k]
+		b.hashChunk(b.positives[lo:hi], h0, h12)
+		for i, p := range h0 {
+			b.bf.Set(p)
+			b.vInsert(int32(lo+i/k), p)
 		}
 	}
 
-	b.negH0 = make([]uint64, len(b.negatives)*k)
 	var keys [batchChunk][]byte
 	var h12 [2 * batchChunk]uint64
 	for lo := 0; lo < len(b.negatives); lo += batchChunk {
@@ -226,12 +268,12 @@ func (b *builder) posKey(i int32) keyState {
 func (b *builder) vInsert(id int32, pos uint64) {
 	next := vMulti
 	if b.v[pos] == vEmpty {
-		next = id
+		next = id + 1
 	}
 	b.v[pos] = next
 }
 
-// testNegativePositions reports whether negative key j currently passes the
+// negTestsPositive reports whether negative key j currently passes the
 // Bloom check under H0 (i.e. is a collision key).
 func (b *builder) negTestsPositive(j int32) bool {
 	k := b.p.K
@@ -245,20 +287,45 @@ func (b *builder) negTestsPositive(j int32) bool {
 
 // buildCollisionQueue gathers all colliding negatives, highest cost first
 // (the paper optimizes costly keys first because HashExpressor insertion
-// gets harder as it fills).
+// gets harder as it fills). The same scan, in index order, measures the
+// FPRs before optimization and the negatives' total cost.
 func (b *builder) buildCollisionQueue() []int32 {
 	cq := make([]int32, 0, len(b.negatives)/8+1)
-	for j := range b.negatives {
+	var fpCost float64
+	for j, nk := range b.negatives {
+		b.totalCost += nk.Cost
 		if b.negTestsPositive(int32(j)) {
 			cq = append(cq, int32(j))
+			fpCost += nk.Cost
 		}
 	}
+	b.stats.CollisionKeys = len(cq)
+	b.stats.FPRBefore, b.stats.WeightedFPRBefore = b.fprs(len(cq), fpCost)
 	if !b.p.DisableCostOrdering {
-		sort.SliceStable(cq, func(x, y int) bool {
-			return b.negatives[cq[x]].Cost > b.negatives[cq[y]].Cost
-		})
+		b.sortByCost(cq)
 	}
 	return cq
+}
+
+// sortByCost orders negative ids by descending cost, ties in their given
+// order.
+func (b *builder) sortByCost(ids []int32) {
+	slices.SortStableFunc(ids, func(x, y int32) int {
+		return cmp.Compare(b.negatives[y].Cost, b.negatives[x].Cost)
+	})
+}
+
+// fprs turns a scan's false-positive count and cost into the unweighted
+// and the cost-weighted FPR over the negatives.
+func (b *builder) fprs(fp int, fpCost float64) (plain, weighted float64) {
+	if len(b.negatives) == 0 {
+		return 0, 0
+	}
+	plain = float64(fp) / float64(len(b.negatives))
+	if b.totalCost > 0 {
+		weighted = fpCost / b.totalCost
+	}
+	return plain, weighted
 }
 
 // addToGamma registers an optimized key in the Γ buckets of its H0
@@ -333,7 +400,7 @@ func (b *builder) optimize(j int32) bool {
 	for s := 0; s < k; s++ {
 		pos := b.negH0[int(j)*k+s]
 		// ξck membership: exactly one positive key maps the unit.
-		es := b.v[pos]
+		es := b.v[pos] - 1
 		if es < 0 {
 			continue
 		}
@@ -343,9 +410,10 @@ func (b *builder) optimize(j int32) bool {
 			continue
 		}
 		// Find the H0 slot of es that maps to this unit.
+		kh := b.fam.hashAll(b.posKey(es))
 		huSlot := -1
-		for t := 0; t < k; t++ {
-			if b.posH0[int(es)*k+t] == pos {
+		for t, idx := range b.h0 {
+			if kh.raw[idx]%b.m == pos {
 				huSlot = t
 				break
 			}
@@ -353,7 +421,6 @@ func (b *builder) optimize(j int32) bool {
 		if huSlot < 0 {
 			continue // unreachable if V is consistent
 		}
-		kh := b.fam.hashAll(b.posKey(es))
 		cands := b.gatherCandidates(&kh, pos, cost)
 		if len(cands) == 0 {
 			continue
@@ -372,7 +439,7 @@ func (b *builder) gatherCandidates(kh *keyHashes, clearedPos uint64, cost float6
 	for _, idx := range b.h0 {
 		inH0 |= 1 << idx
 	}
-	var cands []candidate
+	cands := b.cands[:0]
 	for hc := 0; hc < b.fam.size; hc++ {
 		idx := uint8(hc)
 		if inH0&(1<<idx) != 0 {
@@ -405,12 +472,10 @@ func (b *builder) gatherCandidates(kh *keyHashes, clearedPos uint64, cost float6
 			cands = append(cands, candidate{hc: idx, npos: npos, tier: 2, damage: damage, victims: victims})
 		}
 	}
-	sort.SliceStable(cands, func(x, y int) bool {
-		if cands[x].tier != cands[y].tier {
-			return cands[x].tier < cands[y].tier
-		}
-		return cands[x].damage < cands[y].damage
+	slices.SortStableFunc(cands, func(x, y candidate) int {
+		return cmp.Or(cmp.Compare(x.tier, y.tier), cmp.Compare(x.damage, y.damage))
 	})
+	b.cands = cands
 	return cands
 }
 
@@ -442,20 +507,18 @@ func (b *builder) applyBestCandidate(j, es int32, huSlot int, clearedPos uint64,
 		if best < 0 {
 			continue // no insertable candidate in this tier; try next tier
 		}
-		phi[huSlot] = cands[best].hc
-		b.commitAdjustment(j, es, huSlot, clearedPos, cands[best], slices.Clone(phi), bestPlan)
+		b.commitAdjustment(es, clearedPos, cands[best], bestPlan)
 		return true
 	}
 	return false
 }
 
-// commitAdjustment performs phase-II plus all index maintenance:
-// store the new selection, clear the single-mapped bit, set the new bit,
-// update V, requeue any re-broken optimized keys, and register the freshly
+// commitAdjustment performs phase-II plus V's maintenance: store the new
+// selection, clear the single-mapped bit, set the new bit, update V and
+// queue any re-broken optimized keys. The caller registers the freshly
 // optimized key in Γ.
-func (b *builder) commitAdjustment(j, es int32, huSlot int, clearedPos uint64, c candidate, phi []uint8, plan insertPlan) {
+func (b *builder) commitAdjustment(es int32, clearedPos uint64, c candidate, plan insertPlan) {
 	b.he.commit(plan)
-	b.phis[es] = phi
 	b.adjusted[es] = true
 	b.stats.AdjustedPositives++
 

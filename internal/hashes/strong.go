@@ -157,10 +157,15 @@ func Murmur64(data []byte) uint64 {
 		h *= m
 		p = p[8:]
 	}
-	for i := len(p) - 1; i >= 0; i-- {
-		h ^= uint64(p[i]) << (uint(i) * 8)
-	}
-	if len(p) > 0 {
+	if r := len(p); r > 0 {
+		if len(data) >= 8 {
+			// The tail is the top r bytes of the key's last 8.
+			h ^= binary.LittleEndian.Uint64(data[len(data)-8:]) >> (8 * (8 - r))
+		} else {
+			for i := r - 1; i >= 0; i-- {
+				h ^= uint64(p[i]) << (uint(i) * 8)
+			}
+		}
 		h *= m
 	}
 	h ^= h >> r

@@ -112,8 +112,14 @@ func QueryLatency(f Filter, probes [][]byte) time.Duration {
 // retained by the build plus transient structures still reachable at
 // return; it is an approximation adequate for the paper's ratio-level
 // comparisons.
+//
+// It collects twice before measuring: a sync.Pool keeps what was put in
+// it through one collection, so after a single GC a build could reuse the
+// working memory a previous build pooled (HABF's builder scratch) and
+// report too little.
 func ConstructionFootprint[T any](build func() T) (T, uint64) {
 	var before, after runtime.MemStats
+	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	out := build()

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"sync"
 	"testing"
 	"time"
 )
@@ -114,5 +115,21 @@ func TestConstructionFootprint(t *testing.T) {
 	}
 	if bytes < 1<<20 {
 		t.Errorf("footprint %d below the 1 MiB actually allocated", bytes)
+	}
+}
+
+// TestConstructionFootprintCountsPooled checks that memory a build takes
+// from a sync.Pool filled before the measurement counts: the pool must be
+// emptied first, or the build would reuse it for free.
+func TestConstructionFootprintCountsPooled(t *testing.T) {
+	pool := sync.Pool{New: func() any { return make([]byte, 1<<20) }}
+	pool.Put(make([]byte, 1<<20))
+	_, bytes := ConstructionFootprint(func() []byte {
+		buf := pool.Get().([]byte)
+		defer pool.Put(buf)
+		return buf
+	})
+	if bytes < 1<<20 {
+		t.Errorf("footprint %d below the 1 MiB the build took from a pool", bytes)
 	}
 }

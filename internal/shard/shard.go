@@ -41,6 +41,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -212,24 +213,34 @@ func New(positives [][]byte, negatives []habf.WeightedKey, cfg Config) (*Set, er
 		}
 	}
 
-	// Build every non-empty shard in parallel.
+	// Build every non-empty shard in parallel, on one worker per core:
+	// each worker pulls the next shard index, so at most that many
+	// builds, and so that many builder scratches, are live at once.
 	var wg sync.WaitGroup
+	var next atomic.Int64
 	errs := make([]error, n)
-	for i, sh := range s.shards {
-		if len(sh.positives) == 0 {
-			continue
-		}
+	for range min(runtime.GOMAXPROCS(0), n) {
 		wg.Add(1)
-		go func(i int, sh *shard) {
+		go func() {
 			defer wg.Done()
-			f, err := sh.build(sh.positives)
-			if err != nil {
-				errs[i] = err
-				return
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				sh := s.shards[i]
+				if len(sh.positives) == 0 {
+					continue
+				}
+				f, err := sh.build(sh.positives)
+				if err != nil {
+					errs[i] = err
+					continue
+				}
+				sh.f = f
+				sh.baseline = len(sh.positives)
 			}
-			sh.f = f
-			sh.baseline = len(sh.positives)
-		}(i, sh)
+		}()
 	}
 	wg.Wait()
 	for i, err := range errs {
