@@ -106,6 +106,10 @@ type Set struct {
 	readOnly    bool              // restored from a filter-only snapshot: no keys, no Adds
 	bitsPerKey  float64
 	scratchPool sync.Pool // *batchScratch, reused across ContainsBatchInto calls
+	// buildSlots holds one token per running background rebuild. Its
+	// capacity, GOMAXPROCS at construction, bounds them as New bounds its
+	// builds, so no more builder scratches are live than there are cores.
+	buildSlots  chan struct{}
 	rebuilds    atomic.Uint64
 	rebuildErrs atomic.Uint64
 	rebuildWG   sync.WaitGroup
@@ -194,6 +198,7 @@ func New(positives [][]byte, negatives []habf.WeightedKey, cfg Config) (*Set, er
 		tuning:     tun,
 		tuningStr:  tun.String(),
 		bitsPerKey: float64(cfg.TotalBits) / float64(len(positives)),
+		buildSlots: make(chan struct{}, runtime.GOMAXPROCS(0)),
 	}
 
 	// Partition by fingerprint prefix.
@@ -608,7 +613,9 @@ func (sh *shard) rebuild() {
 	snap := sh.positives[:n0:n0]
 	sh.mu.RUnlock()
 
+	sh.set.buildSlots <- struct{}{}
 	f, err := sh.build(snap)
+	<-sh.set.buildSlots
 
 	sh.mu.Lock()
 	defer sh.mu.Unlock()

@@ -3,8 +3,10 @@ package shard
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/filtercore"
 	"repro/internal/habf"
@@ -365,6 +367,54 @@ func TestRebuildCascadesOnMidRebuildDrift(t *testing.T) {
 	for i := 0; i < n/10+200; i++ {
 		if key := []byte(fmt.Sprintf("late-%06d", i)); !s.Contains(key) {
 			t.Fatalf("false negative for %q", key)
+		}
+	}
+}
+
+// TestRebuildsBoundedByCores drifts every shard of an 8-shard set at
+// GOMAXPROCS 2 while each rebuild's build blocks on a gate: two builds
+// may start, and no third until the gate opens. New bounds its builds
+// the same way, so at most one builder scratch per core is live.
+func TestRebuildsBoundedByCores(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const n, procs = 4000, 2
+	s, pos, _ := newSet(t, n, Config{Shards: 8, RebuildThreshold: 0.01})
+	gate := make(chan struct{})
+	started := make(chan struct{}, 64)
+	fac := *s.backend
+	build := fac.Build
+	fac.Build = func(pos [][]byte, neg []habf.WeightedKey, cfg filtercore.BuildConfig) (filtercore.Backend, error) {
+		started <- struct{}{}
+		<-gate
+		return build(pos, neg, cfg)
+	}
+	s.backend = &fac
+
+	var fresh [][]byte
+	for i := 0; i < 400; i++ {
+		k := []byte(fmt.Sprintf("late-%06d", i))
+		fresh = append(fresh, k)
+		if err := s.Add(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range procs {
+		<-started
+	}
+	select {
+	case <-started:
+		t.Errorf("a rebuild started while %d were building at GOMAXPROCS %d", procs, procs)
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(gate)
+	s.WaitRebuilds()
+
+	if st := s.Stats(); st.Rebuilds < 8 || st.RebuildErrors != 0 {
+		t.Fatalf("want every shard rebuilt without errors: %+v", st)
+	}
+	for _, key := range append(pos, fresh...) {
+		if !s.Contains(key) {
+			t.Fatalf("false negative for %q after rebuild", key)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"math/bits"
+	"runtime"
 
 	"repro/internal/filtercore"
 	"repro/internal/hashes"
@@ -192,6 +193,7 @@ func Restore(snap *snapshot.Snapshot) (*Set, error) {
 		tuningStr:  tun.String(),
 		readOnly:   snap.Keys == nil,
 		bitsPerKey: snap.Meta.BitsPerKey,
+		buildSlots: make(chan struct{}, runtime.GOMAXPROCS(0)),
 	}
 	for i, fr := range snap.Frames {
 		p := base
